@@ -23,7 +23,7 @@ from .families import (FIB, ExplicitRootsFamily, Family, LucasFamily, Pochhammer
                        PowerFamily, SequenceWindow, family_label, table)
 from .floatcheck import FloatCompareResult, compare_grid
 from .identities import (ALL_IDENTITIES, Bound, Identity, SweepRanges, sweep)
-from .oeis import OeisClient, TransportError, cross_check
+from .oeis import OeisClient, ParseError, TransportError, cross_check
 
 #: Families swept by the selector "all" (the standard verification set).
 STANDARD_FAMILIES: Tuple[Family, ...] = (
@@ -264,8 +264,7 @@ def cmd_float_check(args) -> int:
         results.extend(compare_grid(family, n_range, m_range))
     failures = [r for r in results if not r.within(tol)]
     worst_rel = max((r.relative_error for r in results), default=0.0)
-    worst_imag = max((r.imaginary_residual / max(1.0, abs(float(r.exact))) for r in results),
-                     default=0.0)
+    worst_imag = max((r.imaginary_ratio for r in results), default=0.0)
 
     if args.format == "json":
         _emit_json({
@@ -442,6 +441,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except TransportError as exc:
         print(f"network error: {exc}", file=sys.stderr)
+        return 3
+    except ParseError as exc:  # a ValueError, but the service's fault, not the user's
+        print(f"service error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,18 +17,22 @@ sequence.  Four concrete families are provided:
 * ``ExplicitRootsFamily(generator)`` -- caller-supplied exact roots, with
   X(n, m) evaluated as the literal product.
 
-Lucas-type roots are irrational (complex for q < 0), so those members are
-evaluated through the integer recursion rather than the product; the literal
-cosine product is exercised in floating point by :mod:`seqfam.floatcheck`.
-All evaluators are exact for every integer m, positive or negative, and cache
-computed members, so repeated lookups during identity sweeps are cheap.
+Each family evaluates its members one column at a time: ``column(m, n_lo,
+n_hi)`` returns X(n_lo..n_hi, m) in one pass of the family's own recurrence
+(a factor (m + c) per step for powers, (m + n) for rising products, the Lucas
+recursion, or the literal product per n for explicit roots).  ``X`` and
+``table`` both read this one path, and nothing is cached between calls.
+Lucas-type roots are irrational (complex for q < 0), so those members come
+from the integer recursion rather than the product; the literal cosine
+product is exercised in floating point by :mod:`seqfam.floatcheck`.  All
+evaluators are exact for every integer m, positive or negative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 from .exact import ExactScalar, format_exact, normalize, pochhammer
 
@@ -42,6 +46,14 @@ class PowerFamily:
     def label(self) -> str:
         return f"power:{format_exact(self.c)}"
 
+    def column(self, m: int, n_lo: int, n_hi: int) -> List[ExactScalar]:
+        """X(n_lo..n_hi, m), one factor (m + c) per step."""
+        base = normalize(m + self.c)
+        out = [normalize(base ** n_lo)]
+        for _ in range(n_lo, n_hi):
+            out.append(out[-1] * base)
+        return out
+
 
 @dataclass(frozen=True)
 class PochhammerFamily:
@@ -49,6 +61,13 @@ class PochhammerFamily:
 
     def label(self) -> str:
         return "pochhammer"
+
+    def column(self, m: int, n_lo: int, n_hi: int) -> List[ExactScalar]:
+        """X(n_lo..n_hi, m), one factor (m + n) per step."""
+        out = [pochhammer(m + 1, n_lo)]
+        for n in range(n_lo + 1, n_hi + 1):
+            out.append(out[-1] * (m + n))
+        return out
 
 
 @dataclass(frozen=True)
@@ -68,6 +87,15 @@ class LucasFamily:
     def label(self) -> str:
         return f"lucas:{self.q}"
 
+    def column(self, m: int, n_lo: int, n_hi: int) -> List[ExactScalar]:
+        """X(n_lo..n_hi, m) = L[n_lo+1..n_hi+1], stepped up from L[0] = 0, L[1] = 1."""
+        prev, value, out = 0, 1, []
+        for n in range(n_hi + 1):
+            if n >= n_lo:
+                out.append(value)
+            prev, value = value, m * value - self.q * prev
+        return out
+
 
 class ExplicitRootsFamily:
     """Family with caller-supplied exact roots.
@@ -84,6 +112,12 @@ class ExplicitRootsFamily:
     def label(self) -> str:
         return self._label
 
+    def column(self, m: int, n_lo: int, n_hi: int) -> List[ExactScalar]:
+        """X(n_lo..n_hi, m), each the literal product of its n root factors."""
+        return [normalize(math.prod((m + self.generator(n, l) for l in range(1, n + 1)),
+                                    start=1))
+                for n in range(n_lo, n_hi + 1)]
+
     def __repr__(self) -> str:
         return f"ExplicitRootsFamily({self._label!r})"
 
@@ -98,25 +132,6 @@ def family_label(family: Family) -> str:
     return family.label()
 
 
-# Lucas columns keyed by (q, m); lists are replaced wholesale when extended,
-# which keeps concurrent readers safe (stale lists are merely shorter).
-_lucas_columns: Dict[Tuple[int, int], List[int]] = {}
-
-
-def _lucas_number(q: int, m: int, k: int) -> int:
-    column = _lucas_columns.get((q, m))
-    if column is None or len(column) <= k:
-        extended = [0, 1] if column is None else list(column)
-        while len(extended) <= k:
-            extended.append(m * extended[-1] - q * extended[-2])
-        _lucas_columns[(q, m)] = extended
-        column = extended
-    return column[k]
-
-
-_member_cache: Dict[Tuple[Family, int, int], ExactScalar] = {}
-
-
 def X(family: Family, n: int, m: int) -> ExactScalar:
     """Member (n, m) of the family: the product over l of (m + x[n,l]).
 
@@ -125,26 +140,7 @@ def X(family: Family, n: int, m: int) -> ExactScalar:
     """
     if n < 0:
         raise ValueError(f"member index n must be >= 0, got {n}")
-    key = (family, n, m)
-    value = _member_cache.get(key)
-    if value is None:
-        value = _member_cache.setdefault(key, _evaluate_member(family, n, m))
-    return value
-
-
-def _evaluate_member(family: Family, n: int, m: int) -> ExactScalar:
-    if isinstance(family, PowerFamily):
-        return normalize((m + family.c) ** n)
-    if isinstance(family, PochhammerFamily):
-        return pochhammer(m + 1, n)
-    if isinstance(family, LucasFamily):
-        return _lucas_number(family.q, m, n + 1)
-    if isinstance(family, ExplicitRootsFamily):
-        product: ExactScalar = 1
-        for l in range(1, n + 1):
-            product *= m + family.generator(n, l)
-        return normalize(product)
-    raise TypeError(f"unsupported family: {family!r}")
+    return family.column(m, n, n)[0]
 
 
 def script_X(family: Family, n: int) -> ExactScalar:
@@ -234,8 +230,5 @@ def table(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int]) ->
         raise ValueError(f"empty range: n {n_range}, m {m_range}")
     if n_lo < 0:
         raise ValueError(f"member index n must be >= 0, got {n_lo}")
-    values = tuple(
-        tuple(X(family, n, m) for m in range(m_lo, m_hi + 1))
-        for n in range(n_lo, n_hi + 1)
-    )
+    values = tuple(zip(*(family.column(m, n_lo, n_hi) for m in range(m_lo, m_hi + 1))))
     return SequenceWindow(family=family, n_range=(n_lo, n_hi), m_range=(m_lo, m_hi), values=values)

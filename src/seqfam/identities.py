@@ -31,14 +31,16 @@ the generalized Fibonacci family, where the root sum vanishes identically.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact import ExactScalar, falling_factorial, format_exact, normalize
@@ -125,27 +127,27 @@ def _validate(identity: Identity, family: Family, n: int,
                  f"0 <= q < p (got p={p}, q={q})")
 
 
-def _signed_row(n: int) -> List[int]:
-    """(-1)^l C(n, l) for l = 0..n."""
-    return [(math.comb(n, l) if l % 2 == 0 else -math.comb(n, l)) for l in range(n + 1)]
+def _weights(n: int, k: int = 0) -> List[int]:
+    """(-1)^l C(n, l) l^k for l = 0..n."""
+    return [(math.comb(n, l) if l % 2 == 0 else -math.comb(n, l)) * l ** k for l in range(n + 1)]
 
 
-def _sides_l1(family: Family, n: int) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _signed_row(n)
+def _sides_l1(family: Family, n: int, *_) -> Tuple[ExactScalar, ExactScalar]:
+    signed = _weights(n)
     total = sum(signed[l] * l * X(family, n, l) for l in range(1, n + 1))
     rhs = Fraction((-1) ** n, math.factorial(n)) * total - Fraction(n * (n + 1), 2)
     return script_X(family, n), normalize(rhs)
 
 
-def _sides_l2_shift(family: Family, n: int, m: int) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _signed_row(n)
+def _sides_l2_shift(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
+    signed = _weights(n)
     total = sum(signed[l] * l * X(family, n, l + m) for l in range(1, n + 1))
     rhs = Fraction((-1) ** n, math.factorial(n)) * total - Fraction(n * (n + 1), 2) - n * m
     return script_X(family, n), normalize(rhs)
 
 
-def _sides_l2_scale(family: Family, n: int, m: int) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _signed_row(n)
+def _sides_l2_scale(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
+    signed = _weights(n)
     total = sum(signed[l] * l * X(family, n, l * m) for l in range(1, n + 1))
     rhs = (Fraction((-1) ** n, math.factorial(n) * m ** (n - 1)) * total
            - Fraction(n * (n + 1) * m, 2))
@@ -160,12 +162,12 @@ def _rec_m_rhs(family: Family, n: int, m: int) -> ExactScalar:
     return normalize(sign * total + math.factorial(n))
 
 
-def _sides_rec_m(family: Family, n: int, m: int) -> Tuple[ExactScalar, ExactScalar]:
+def _sides_rec_m(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
     return X(family, n, m + 1), _rec_m_rhs(family, n, m)
 
 
-def _sides_scale_id(family: Family, n: int, m: int) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _signed_row(n)
+def _sides_scale_id(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
+    signed = _weights(n)
     scaled = sum(signed[l] * l * X(family, n, l * m) for l in range(1, n + 1))
     plain = sum(signed[l] * l * X(family, n, l) for l in range(1, n + 1))
     lhs = Fraction(1, m ** (n - 1)) * scaled
@@ -182,18 +184,18 @@ def _expl_sum(family: Family, n: int, m: int, negate: bool) -> ExactScalar:
     return total
 
 
-def _sides_expl_pos(family: Family, n: int, m: int) -> Tuple[ExactScalar, ExactScalar]:
+def _sides_expl_pos(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
     rhs = _expl_sum(family, n, m, negate=False) + falling_factorial(m, n)
     return X(family, n, m), normalize(rhs)
 
 
-def _sides_expl_neg(family: Family, n: int, m: int) -> Tuple[ExactScalar, ExactScalar]:
+def _sides_expl_neg(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
     rhs = _expl_sum(family, n, m, negate=True) + (-1) ** n * falling_factorial(m, n)
     return X(family, n, -m), normalize(rhs)
 
 
 def _sides_subfam_zero(family: Family, n: int, m: int, p: int, q: int) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _signed_row(n)
+    signed = _weights(n)
     base = m - n
     if q == 0:
         total = sum(signed[l] * X(family, n - p, base + l) for l in range(n + 1))
@@ -202,60 +204,31 @@ def _sides_subfam_zero(family: Family, n: int, m: int, p: int, q: int) -> Tuple[
     return normalize(total), 0
 
 
-def _sides_subfam_fact(family: Family, n: int, m: int, p: int) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _signed_row(n)
+def _sides_subfam_fact(family: Family, n: int, m: int, p: int, *_
+                       ) -> Tuple[ExactScalar, ExactScalar]:
+    signed = _weights(n)
     base = m - n
     total = sum(signed[l] * l ** p * X(family, n - p, base + l) for l in range(1, n + 1))
     return normalize(total), (-1) ** n * math.factorial(n)
 
 
-def _sides_fib_posneg(family: Family, n: int) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _signed_row(n)
+def _sides_fib_posneg(family: Family, n: int, *_) -> Tuple[ExactScalar, ExactScalar]:
+    signed = _weights(n)
     total = sum(signed[l] * l * (X(family, n, -l) - X(family, n, l)) for l in range(1, n + 1))
     rhs = 0 if n % 2 == 0 else n * math.factorial(n + 1)
     return total, rhs
 
 
-def _sides_fib_posneg_compl(family: Family, n: int) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _signed_row(n)
+def _sides_fib_posneg_compl(family: Family, n: int, *_) -> Tuple[ExactScalar, ExactScalar]:
+    signed = _weights(n)
     sign = (-1) ** n
     total = sum(signed[l] * l * (X(family, n, -l) + sign * X(family, n, l))
                 for l in range(1, n + 1))
     return total, n * math.factorial(n + 1)
 
 
-def _sides_fib_poly(family: Family, n: int, m: int) -> Tuple[ExactScalar, ExactScalar]:
+def _sides_fib_poly(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
     return fibonacci_polynomial(n, m), X(family, n, m)
-
-
-def _compute_sides(identity: Identity, family: Family, n: int,
-                   m: Optional[int], p: Optional[int], q: Optional[int]
-                   ) -> Tuple[ExactScalar, ExactScalar]:
-    if identity is Identity.L1:
-        return _sides_l1(family, n)
-    if identity is Identity.L2_SHIFT:
-        return _sides_l2_shift(family, n, m)
-    if identity is Identity.L2_SCALE:
-        return _sides_l2_scale(family, n, m)
-    if identity is Identity.REC_M:
-        return _sides_rec_m(family, n, m)
-    if identity is Identity.SCALE_ID:
-        return _sides_scale_id(family, n, m)
-    if identity is Identity.EXPL_POS:
-        return _sides_expl_pos(family, n, m)
-    if identity is Identity.EXPL_NEG:
-        return _sides_expl_neg(family, n, m)
-    if identity is Identity.SUBFAM_ZERO:
-        return _sides_subfam_zero(family, n, m, p, q)
-    if identity is Identity.SUBFAM_FACT:
-        return _sides_subfam_fact(family, n, m, p)
-    if identity is Identity.FIB_POSNEG:
-        return _sides_fib_posneg(family, n)
-    if identity is Identity.FIB_POSNEG_COMPL:
-        return _sides_fib_posneg_compl(family, n)
-    if identity is Identity.FIB_POLY:
-        return _sides_fib_poly(family, n, m)
-    raise ValueError(f"unknown identity {identity!r}")
 
 
 def _params_dict(identity: Identity, n: int, m: Optional[int],
@@ -296,7 +269,7 @@ def eval_identity(identity: Identity, family: Family, *, n: int,
     """
     identity = Identity(identity)
     _validate(identity, family, n, m, p, q)
-    lhs, rhs = _compute_sides(identity, family, n, m, p, q)
+    lhs, rhs = _ENTRIES[identity][0](family, n, m, p, q)
     return _make_check(identity, family, n, m, p, q, lhs, rhs)
 
 
@@ -412,74 +385,154 @@ def _failure_key(check: IdentityCheck) -> Tuple:
             params.get("m", 0), params.get("p", 0), params.get("q", 0))
 
 
+# Fraction-free sweep kernels.  Every entry is linear in the members of one
+# row X(r, .), so a sweep cell builds each row once, as ints over the row's
+# common denominator d, and decides every check as an integer equation: both
+# sides multiplied by one nonzero clearing factor (d, n!, m^(n-1), the (l - m)
+# product or 2).  A kernel yields (m, p, q, passed) for each check at one n;
+# ``rows[r]`` is (d, row), ``row[at[k]]`` is d * X(r, k), and every run of
+# consecutive labels that a kernel slices is in the window whole.
+
+Rows = List[Tuple[int, List[int]]]
+Index = Dict[int, int]
+
+
+def _int_rows(family: Family, n_hi: int, labels: List[int]) -> Rows:
+    rows = []
+    for row in zip(*(family.column(m, 0, n_hi) for m in labels)):
+        d = math.lcm(*(v.denominator for v in row))
+        rows.append((d, [v.numerator * (d // v.denominator) for v in row]))
+    return rows
+
+
+def _kernel_l1(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges):
+    d, row = rows[n]
+    fd = math.factorial(n) * d
+    total = sum(map(mul, _weights(n, 1), row[at[0]:at[0] + n + 1]))
+    yield None, None, None, script_X(family, n) * fd == (-1) ** n * total - n * (n + 1) // 2 * fd
+
+
+def _kernel_l2_shift(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges):
+    d, row = rows[n]
+    fd, sign, w = math.factorial(n) * d, (-1) ** n, _weights(n, 1)
+    lhs = script_X(family, n) * fd
+    for m in ranges.m_values(n):
+        total = sum(map(mul, w, row[at[m]:at[m] + n + 1]))
+        yield m, None, None, lhs == sign * total - (n * (n + 1) // 2 + n * m) * fd
+
+
+def _kernel_l2_scale(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges):
+    d, row = rows[n]
+    fd, sign, w = math.factorial(n) * d, (-1) ** n, _weights(n, 1)
+    root_sum = script_X(family, n)
+    for m in filter(None, ranges.m_values(n)):  # m != 0
+        k = fd * m ** (n - 1)
+        total = sum(map(mul, w, [row[at[l * m]] for l in range(n + 1)]))
+        yield m, None, None, root_sum * k == sign * total - n * (n + 1) * m // 2 * k
+
+
+def _kernel_rec_m(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges):
+    d, row = rows[n]
+    w = [(-1) ** (n + l) * math.comb(n, l - 1) for l in range(1, n + 1)]
+    fd = math.factorial(n) * d
+    for m in ranges.m_values(n):
+        s = at[m]
+        yield m, None, None, row[s + 1] == sum(map(mul, w, row[s - n + 1:s + 1])) + fd
+
+
+def _kernel_scale_id(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges):
+    d, row = rows[n]
+    w = _weights(n, 1)
+    plain = sum(map(mul, w, row[at[0]:at[0] + n + 1]))
+    half = (-1) ** (n - 1) * n * math.factorial(n + 1) // 2 * d
+    for m in filter(None, ranges.m_values(n)):  # m != 0
+        scaled = sum(map(mul, w, [row[at[l * m]] for l in range(n + 1)]))
+        yield m, None, None, scaled == m ** (n - 1) * (plain + (1 - m) * half)
+
+
+def _kernel_expl(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges, sign: int):
+    d, row = rows[n]
+    coeffs = [(-1) ** (n + l) * (n - l) * math.comb(n, l) for l in range(n)]
+    values = row[at[0]:at[0] + n] if sign > 0 else row[at[1 - n]:at[0] + 1][::-1]  # X(n, sign*l)
+    for m in ranges.m_values(n):
+        if m >= n:
+            ff, c = math.perm(m, n), math.comb(m, n)
+            w = [a * c * (ff // (l - m)) for l, a in enumerate(coeffs)]
+            total = sum(map(mul, w, values)) + sign ** n * ff * ff * d
+            yield m, None, None, ff * row[at[sign * m]] == total
+
+
+def _kernel_subfam(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges,
+                   fact: bool):
+    weights = [_weights(n, k) for k in range(n)]
+    target = (-1) ** n * math.factorial(n) if fact else 0
+    for p in ranges.p_values(n):
+        qs = [p] if fact else ranges.q_values(p)
+        d, row = rows[n - p]
+        for m in ranges.m_values(n):
+            segment = row[at[m - n]:at[m] + 1]
+            for q in qs:
+                yield m, p, None if fact else q, sum(map(mul, weights[q], segment)) == target * d
+
+
+def _kernel_fib_posneg(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges,
+                       compl: bool):
+    d, row = rows[n]
+    w = _weights(n, 1)
+    pos = sum(map(mul, w, row[at[0]:at[0] + n + 1]))
+    neg = sum(map(mul, w, row[at[-n]:at[0] + 1][::-1]))
+    rhs = n * math.factorial(n + 1) * d
+    yield None, None, None, (neg + (-1) ** n * pos == rhs) if compl else (neg - pos == n % 2 * rhs)
+
+
+def _kernel_fib_poly(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges):
+    d, row = rows[n]
+    for m in ranges.m_values(n):
+        yield m, None, None, row[at[m]] == fibonacci_polynomial(n, m) * d
+
+
+#: Per catalog entry: its exact sides at one point (the oracle) and its sweep kernel.
+_ENTRIES = {
+    Identity.L1: (_sides_l1, _kernel_l1),
+    Identity.L2_SHIFT: (_sides_l2_shift, _kernel_l2_shift),
+    Identity.L2_SCALE: (_sides_l2_scale, _kernel_l2_scale),
+    Identity.REC_M: (_sides_rec_m, _kernel_rec_m),
+    Identity.SCALE_ID: (_sides_scale_id, _kernel_scale_id),
+    Identity.EXPL_POS: (_sides_expl_pos, functools.partial(_kernel_expl, sign=1)),
+    Identity.EXPL_NEG: (_sides_expl_neg, functools.partial(_kernel_expl, sign=-1)),
+    Identity.SUBFAM_ZERO: (_sides_subfam_zero, functools.partial(_kernel_subfam, fact=False)),
+    Identity.SUBFAM_FACT: (_sides_subfam_fact, functools.partial(_kernel_subfam, fact=True)),
+    Identity.FIB_POSNEG: (_sides_fib_posneg, functools.partial(_kernel_fib_posneg, compl=False)),
+    Identity.FIB_POSNEG_COMPL: (_sides_fib_posneg_compl,
+                                functools.partial(_kernel_fib_posneg, compl=True)),
+    Identity.FIB_POLY: (_sides_fib_poly, _kernel_fib_poly),
+}
+
+
 def _run_cell(identity: Identity, family: Family, ranges: SweepRanges
               ) -> Tuple[int, List[IdentityCheck]]:
-    """Evaluate every admissible point of one (identity, family) pair."""
+    """Evaluate every admissible point of one (identity, family) pair.
+
+    Each failing point is recorded as :func:`eval_identity` checks it."""
+    n_values = range(max(ranges.n[0], 1), ranges.n[1] + 1)
+    if (identity in FIB_ONLY and family != FIB) or not n_values:
+        return 0, []
+    read = set()  # labels of the members the cell reads: near 0, near m and near -m
+    for n in n_values:
+        ms = ranges.m_values(n) or [0]
+        read.update(range(-n, n + 1), range(ms[0] - n, ms[-1] + n + 1), range(-ms[-1], 1 - ms[0]))
+        if identity in (Identity.L2_SCALE, Identity.SCALE_ID):
+            read.update(l * m for m in ms for l in range(n + 1))
+    labels = sorted(read)
+    rows = _int_rows(family, n_values[-1], labels)
+    at = {label: i for i, label in enumerate(labels)}
     count = 0
     failures: List[IdentityCheck] = []
-    n_lo, n_hi = ranges.n
-
-    if identity in FIB_ONLY and family != FIB:
-        return 0, []
-
-    for n in range(max(n_lo, 1), n_hi + 1):
-        if identity is Identity.L1:
-            lhs, rhs = _sides_l1(family, n)
+    for n in n_values:
+        for m, p, q, passed in _ENTRIES[identity][1](rows, at, family, n, ranges):
             count += 1
-            if lhs != rhs:
-                failures.append(_make_check(identity, family, n, None, None, None, lhs, rhs))
-        elif identity is Identity.FIB_POSNEG:
-            lhs, rhs = _sides_fib_posneg(family, n)
-            count += 1
-            if lhs != rhs:
-                failures.append(_make_check(identity, family, n, None, None, None, lhs, rhs))
-        elif identity is Identity.FIB_POSNEG_COMPL:
-            lhs, rhs = _sides_fib_posneg_compl(family, n)
-            count += 1
-            if lhs != rhs:
-                failures.append(_make_check(identity, family, n, None, None, None, lhs, rhs))
-        elif identity is Identity.SUBFAM_ZERO:
-            signed = _signed_row(n)
-            for p in ranges.p_values(n):
-                q_values = ranges.q_values(p)
-                if not q_values:
-                    continue
-                q_top = q_values[-1]
-                r = n - p
-                for m in ranges.m_values(n):
-                    base = m - n
-                    values = [signed[l] * X(family, r, base + l) for l in range(n + 1)]
-                    moments = [sum(values)] + [0] * q_top
-                    for l in range(1, n + 1):
-                        v = values[l]
-                        power = l
-                        for qi in range(1, q_top + 1):
-                            moments[qi] += v * power
-                            power *= l
-                    for q in q_values:
-                        count += 1
-                        lhs = moments[q]
-                        if lhs != 0:
-                            failures.append(_make_check(identity, family, n, m, p, q,
-                                                        normalize(lhs), 0))
-        elif identity is Identity.SUBFAM_FACT:
-            for p in ranges.p_values(n):
-                for m in ranges.m_values(n):
-                    lhs, rhs = _sides_subfam_fact(family, n, m, p)
-                    count += 1
-                    if lhs != rhs:
-                        failures.append(_make_check(identity, family, n, m, p, None, lhs, rhs))
-        else:
-            for m in ranges.m_values(n):
-                if identity in (Identity.L2_SCALE, Identity.SCALE_ID) and m == 0:
-                    continue
-                if identity in (Identity.EXPL_POS, Identity.EXPL_NEG) and m < n:
-                    continue
-                lhs, rhs = _compute_sides(identity, family, n, m, None, None)
-                count += 1
-                if lhs != rhs:
-                    failures.append(_make_check(identity, family, n, m, None, None, lhs, rhs))
-
+            if not passed:
+                failures.append(eval_identity(identity, family, n=n, m=m, p=p, q=q))
     return count, failures
 
 
@@ -493,17 +546,20 @@ def sweep(identities: Sequence[Identity], families: Sequence[Family],
 
     Failures are data (collected, sorted, reported), never exceptions.  The
     report content is independent of ``workers``; only wall time changes.
+    ``workers`` is clamped to the CPU count and to the number of cells.
     """
     identities = [Identity(i) for i in identities]
     started = time.perf_counter()
     cells = [(identity, family, ranges) for identity in identities for family in families]
 
+    workers = max(1, min(os.cpu_count() or 1, len(cells), workers))
     if workers > 1 and not _picklable(families):
         workers = 1
 
     total = 0
     failures: List[IdentityCheck] = []
-    if workers > 1 and len(cells) > 1:
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for count, cell_failures in pool.map(_run_cell_star, cells, chunksize=1):
                 total += count

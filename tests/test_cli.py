@@ -146,6 +146,19 @@ def test_verify_unknown_identity_is_usage_error(capsys):
 
 # -- float-check --
 
+def test_float_check_overflow_is_a_failure_row(capsys):
+    # 12^n leaves the double range at n = 286: the float product is inf there
+    code, out, err = run(capsys, "float-check", "--family", "power:2", "--n", "1..400",
+                         "--m", "10..10", "--format", "json")
+    assert code == 1 and "Traceback" not in err
+    failures = json.loads(out)["failures"]
+    assert [f["n"] for f in failures] == list(range(286, 401))
+    assert all(f["float_real"] == f["relative_error"] == float("inf") for f in failures)
+    code, out, _ = run(capsys, "float-check", "--family", "power:2", "--n", "1..400",
+                       "--m", "10..10")
+    assert code == 1 and "FAIL power:2 n=286 m=10" in out
+
+
 def test_float_check_passes(capsys):
     code, out, _ = run(capsys, "float-check", "--family", "fib", "--n", "1..25",
                        "--m", "-10..10")
@@ -218,6 +231,23 @@ def test_oeis_network_error_exits_three(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "oeis", "--family", "lucas:3", "--row", "5",
                        "--m", "0..9", "--cache-dir", str(tmp_path))
     assert code == 3 and "network error" in err
+
+
+def test_oeis_malformed_reply_exits_three(capsys, monkeypatch, tmp_path):
+    import seqfam.cli as cli_mod
+    from seqfam.oeis import OeisClient
+
+    real_init = OeisClient.__init__
+
+    def patched_init(self, *args, **kwargs):
+        kwargs["transport"] = lambda url: "<html>Service Unavailable</html>"
+        kwargs["min_interval"] = 0.0
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod.OeisClient, "__init__", patched_init)
+    code, _, err = run(capsys, "oeis", "--family", "lucas:3", "--row", "5",
+                       "--m", "0..9", "--cache-dir", str(tmp_path))
+    assert code == 3 and "service error: unparseable search response" in err
 
 
 def test_oeis_requires_exactly_one_axis(capsys):

@@ -2,14 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqfam.families import (FIB, ExplicitRootsFamily, LucasFamily, PochhammerFamily,
                              PowerFamily, X)
-from seqfam.identities import (ALL_IDENTITIES, DomainError, Identity, SweepRanges,
-                               eval_identity, eval_m_recursion, sweep)
+from seqfam.identities import (ALL_IDENTITIES, FIB_ONLY, USES_M, USES_P, DomainError, Identity,
+                               SweepRanges, eval_identity, eval_m_recursion, sweep)
 
 SMALL_FAMILIES = [PowerFamily(0), PowerFamily(2), PowerFamily(Fraction(1, 2)),
                   PochhammerFamily(), FIB, LucasFamily(2)]
@@ -164,6 +169,20 @@ def test_sweep_symbolic_m_bound():
     assert report.failures == []
 
 
+def test_sweep_far_from_the_origin_builds_few_members(monkeypatch):
+    built = []
+    real = LucasFamily.column
+
+    def column(self, m, n_lo, n_hi):
+        built.append(m)
+        return real(self, m, n_lo, n_hi)
+
+    monkeypatch.setattr(LucasFamily, "column", column)
+    report = sweep(ALL_IDENTITIES, [FIB], SweepRanges(n=(1, 6), m=(5000, 5001)))
+    assert report.total_checks > 0 and report.failures == []
+    assert len(built) < 1000  # labels near 0, near m and near -m; not every label between
+
+
 def test_sweep_rational_family():
     report = sweep([Identity.L1], [PowerFamily(Fraction(1, 2))], SweepRanges(n=(1, 10)))
     assert report.total_checks == 10 and report.failures == []
@@ -193,20 +212,24 @@ def test_sweep_unpicklable_family_falls_back_to_serial():
     assert report.failures == [] and report.total_checks == 5 * 7
 
 
+def corrupt_member(monkeypatch, family_type, n, m):
+    """Add 1 to member X(n, m) of every family of this type, at the evaluation seam."""
+    real = family_type.column
+
+    def column(self, label, n_lo, n_hi):
+        values = real(self, label, n_lo, n_hi)
+        if label == m and n_lo <= n <= n_hi:
+            values[n - n_lo] += 1
+        return values
+
+    monkeypatch.setattr(family_type, "column", column)
+
+
 def test_failures_are_data_not_exceptions(monkeypatch):
     # the catalog holds for every genuine root set, so a failure can only be
     # provoked by corrupting one member value behind the engine's back
-    import seqfam.identities as engine
-
-    real = engine.X
-
-    def corrupted(family, n, m):
-        value = real(family, n, m)
-        return value + 1 if (n, m) == (3, 2) else value
-
-    monkeypatch.setattr(engine, "X", corrupted)
-    report = engine.sweep([Identity.REC_M], [PowerFamily(0)],
-                          SweepRanges(n=(3, 3), m=(-2, 4)))
+    corrupt_member(monkeypatch, PowerFamily, 3, 2)
+    report = sweep([Identity.REC_M], [PowerFamily(0)], SweepRanges(n=(3, 3), m=(-2, 4)))
     assert report.total_checks == 7
     # hit as the lhs at m=1 and inside the rhs window at m=2..4
     assert len(report.failures) == 4
@@ -223,3 +246,122 @@ def test_check_serialization_uses_decimal_strings():
     assert isinstance(payload["lhs"], str) and payload["lhs"].lstrip("-").isdigit()
     assert payload["identity"] == "REC_M"
     assert payload["family"] == "lucas:-1"
+
+
+# -- every entry can fail, and the integer kernel agrees with the exact oracle --
+
+GENERIC = [i for i in ALL_IDENTITIES if i not in FIB_ONLY]
+HALF = PowerFamily(Fraction(1, 2))
+
+# generic entries on a rational family, so that denominator clearing is exercised;
+# EXPL_NEG reads only labels m <= 0
+MUTATIONS = ([(i, HALF, (3, -2 if i is Identity.EXPL_NEG else 2)) for i in GENERIC]
+             + [(i, FIB, (3, 2)) for i in ALL_IDENTITIES if i in FIB_ONLY])
+
+
+@pytest.mark.parametrize("entry, family, member", MUTATIONS, ids=[c[0].value for c in MUTATIONS])
+def test_every_entry_detects_a_corrupted_member(monkeypatch, entry, family, member):
+    corrupt_member(monkeypatch, type(family), *member)
+    report = sweep([entry], [family], SweepRanges(n=(1, 6), m=(-4, 6)))
+    assert report.failures
+    for check in report.failures:
+        assert not check.passed
+        assert check.residual == check.lhs - check.rhs != 0
+
+
+def _rational_roots(n, l):
+    return Fraction(2 * l - n, l + 1)
+
+
+PROPERTY_FAMILIES = [PowerFamily(Fraction(-3, 2)), ExplicitRootsFamily(_rational_roots, "roots:q"),
+                     PochhammerFamily(), FIB, LucasFamily(2)]
+
+
+def oracle_sweep(entry, family, ranges):
+    """Checks and failures of one sweep cell, point by point through eval_identity."""
+    count, failures = 0, []
+    for n in range(ranges.n[0], ranges.n[1] + 1):
+        for p in (ranges.p_values(n) if entry in USES_P else [None]):
+            for q in (ranges.q_values(p) if entry is Identity.SUBFAM_ZERO else [None]):
+                for m in (ranges.m_values(n) if entry in USES_M else [None]):
+                    try:
+                        check = eval_identity(entry, family, n=n, m=m, p=p, q=q)
+                    except DomainError:
+                        continue
+                    count += 1
+                    if not check.passed:
+                        failures.append(check.to_json_dict())
+    return count, failures
+
+
+labels = st.integers(-8, 8)
+m_ranges = (st.tuples(labels, labels).map(sorted).map(tuple)
+            | st.tuples(st.just("n"), st.integers(0, 12)) | st.tuples(labels, st.just("n")))
+restriction = st.none() | st.tuples(st.integers(0, 5), st.integers(0, 5)).map(sorted).map(tuple)
+
+
+@given(entry=st.sampled_from(ALL_IDENTITIES), family=st.sampled_from(PROPERTY_FAMILIES),
+       n_lo=st.integers(1, 7), n_len=st.integers(0, 2), m=m_ranges, p=restriction, q=restriction,
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_agrees_with_oracle(entry, family, n_lo, n_len, m, p, q, data):
+    ranges = SweepRanges(n=(n_lo, n_lo + n_len), m=m, p=p, q=q)
+    # one corrupted member, in a row the cell may read (n itself, or n - p)
+    member = data.draw(st.tuples(st.integers(max(0, n_lo - 3), n_lo + n_len),
+                                 st.integers(-8, 10)), label="member")
+    with pytest.MonkeyPatch.context() as patch:
+        corrupt_member(patch, type(family), *member)
+        report = sweep([entry], [family], ranges)
+        count, failures = oracle_sweep(entry, family, ranges)
+    assert report.total_checks == count
+    recorded = [check.to_json_dict() for check in report.failures]
+    assert sorted(recorded, key=json.dumps) == sorted(failures, key=json.dumps)
+
+
+class OffByOne(PowerFamily):
+    """A power family with X(3, 2) one too large; picklable, so pool workers see it too."""
+
+    def column(self, m, n_lo, n_hi):
+        values = super().column(m, n_lo, n_hi)
+        if m == 2 and n_lo <= 3 <= n_hi:
+            values[3 - n_lo] += 1
+        return values
+
+
+def test_workers_match_serial_on_a_corrupted_family():
+    families = [OffByOne(Fraction(1, 2)), FIB]
+    ranges = SweepRanges(n=(1, 7), m=(-4, 5))
+    serial = sweep(ALL_IDENTITIES, families, ranges, workers=1).to_json_dict()
+    parallel = sweep(ALL_IDENTITIES, families, ranges, workers=2).to_json_dict()
+    serial.pop("wall_time_s"), parallel.pop("wall_time_s")
+    assert serial["failures"] and serial == parallel
+
+
+def test_workers_are_clamped_to_cpus_and_cells(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    ranges = SweepRanges(n=(1, 4), m=(-2, 2))
+    reports = []
+    for workers in (0, 1, 3):
+        report = sweep([Identity.REC_M], [FIB, PochhammerFamily()], ranges, workers=workers)
+        reports.append(report.to_json_dict())
+        reports[-1].pop("wall_time_s")
+    assert pools == [2]  # two cells: 0 and 1 run serially, 3 is cut to 2
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_pool_is_imported_only_when_used():
+    code = "import sys, seqfam.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"
