@@ -8,30 +8,29 @@ cosine products and OEIS leading-term lookups provide independent
 cross-checks.
 """
 
-from .exact import (ExactScalar, binomial, falling_factorial, format_exact, gould_sum,
-                    normalize, parse_exact, pochhammer)
+from .exact import (ExactScalar, falling_factorial, format_exact, gould_sum, normalize,
+                    parse_exact, pochhammer)
 from .families import (FIB, ExplicitRootsFamily, Family, LucasFamily, PochhammerFamily,
-                       PowerFamily, SequenceWindow, X, family_label, fibonacci_polynomial,
-                       roots_float, script_X, table)
+                       PowerFamily, SequenceWindow, X, fibonacci_polynomial, roots_float,
+                       script_X, table)
 from .floatcheck import (FloatCompareResult, chebyshev_zero_sum, classic_fibonacci,
                          classic_fibonacci_products, compare_grid, float_product)
 from .identities import (ALL_IDENTITIES, DomainError, Identity, IdentityCheck, SweepRanges,
-                         SweepReport, eval_identity, eval_m_recursion, sweep)
-from .oeis import OeisClient, OeisMatch, ParseError, TransportError, cross_check, search_by_terms
+                         SweepReport, eval_identity, sweep)
+from .oeis import OeisClient, OeisMatch, ParseError, TransportError, cross_check
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactScalar", "binomial", "falling_factorial", "format_exact", "gould_sum",
-    "normalize", "parse_exact", "pochhammer",
+    "ExactScalar", "falling_factorial", "format_exact", "gould_sum", "normalize",
+    "parse_exact", "pochhammer",
     "FIB", "ExplicitRootsFamily", "Family", "LucasFamily", "PochhammerFamily",
-    "PowerFamily", "SequenceWindow", "X", "family_label", "fibonacci_polynomial",
-    "roots_float", "script_X", "table",
+    "PowerFamily", "SequenceWindow", "X", "fibonacci_polynomial", "roots_float",
+    "script_X", "table",
     "FloatCompareResult", "chebyshev_zero_sum", "classic_fibonacci",
     "classic_fibonacci_products", "compare_grid", "float_product",
     "ALL_IDENTITIES", "DomainError", "Identity", "IdentityCheck", "SweepRanges",
-    "SweepReport", "eval_identity", "eval_m_recursion", "sweep",
+    "SweepReport", "eval_identity", "sweep",
     "OeisClient", "OeisMatch", "ParseError", "TransportError", "cross_check",
-    "search_by_terms",
     "__version__",
 ]

@@ -20,8 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .exact import format_exact, parse_exact
 from .families import (FIB, ExplicitRootsFamily, Family, LucasFamily, PochhammerFamily,
-                       PowerFamily, SequenceWindow, family_label, table)
-from .floatcheck import FloatCompareResult, compare_grid
+                       PowerFamily, SequenceWindow, table)
+from .floatcheck import FloatCompareResult, compare_grid, json_float
 from .identities import (ALL_IDENTITIES, Bound, Identity, SweepRanges, sweep)
 from .oeis import OeisClient, ParseError, TransportError, cross_check
 
@@ -184,7 +184,7 @@ def render_table_csv(window: SequenceWindow) -> str:
 def window_json_dict(window: SequenceWindow) -> dict:
     return {
         "kind": "table",
-        "family": family_label(window.family),
+        "family": window.family.label(),
         "n": list(window.n_range),
         "m": list(window.m_range),
         "values": [[format_exact(v) for v in row] for row in window.values],
@@ -192,7 +192,7 @@ def window_json_dict(window: SequenceWindow) -> dict:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(obj, indent=2, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def cmd_verify(args) -> int:
         writer.writerow(["identity", "family", "n", "m", "p", "q", "lhs", "rhs", "residual"])
         for check in report.failures:
             p = check.params
-            writer.writerow([check.identity.value, family_label(check.family),
+            writer.writerow([check.identity.value, check.family.label(),
                              p.get("n", ""), p.get("m", ""), p.get("p", ""), p.get("q", ""),
                              format_exact(check.lhs), format_exact(check.rhs),
                              format_exact(check.residual)])
@@ -247,7 +247,7 @@ def cmd_verify(args) -> int:
         print(f"checks:     {report.total_checks} "
               f"({len(report.failures)} failed) in {report.wall_time_s:.2f}s")
         for check in report.failures:
-            print(f"FAIL {check.identity.value} {family_label(check.family)} "
+            print(f"FAIL {check.identity.value} {check.family.label()} "
                   f"{check.params}: lhs={format_exact(check.lhs)} "
                   f"rhs={format_exact(check.rhs)} residual={format_exact(check.residual)}")
     return 0 if report.passed else 1
@@ -269,13 +269,13 @@ def cmd_float_check(args) -> int:
     if args.format == "json":
         _emit_json({
             "kind": "float-check",
-            "families": [family_label(f) for f in families],
+            "families": [f.label() for f in families],
             "n": list(n_range),
             "m": list(m_range),
-            "tolerance": tol,
+            "tolerance": json_float(tol),
             "total_checks": len(results),
-            "max_relative_error": worst_rel,
-            "max_imaginary_ratio": worst_imag,
+            "max_relative_error": json_float(worst_rel),
+            "max_imaginary_ratio": json_float(worst_imag),
             "failure_count": len(failures),
             "failures": [r.to_json_dict() for r in failures],
         })
@@ -285,17 +285,17 @@ def cmd_float_check(args) -> int:
         writer.writerow(["family", "n", "m", "exact", "float_real", "float_imag",
                          "relative_error", "imaginary_residual"])
         for r in failures:
-            writer.writerow([r.family, r.n, r.m, str(r.exact), repr(r.real), repr(r.imag),
+            writer.writerow([r.family, r.n, r.m, format_exact(r.exact), repr(r.real), repr(r.imag),
                              repr(r.relative_error), repr(r.imaginary_residual)])
         print(buf.getvalue().rstrip("\n"))
         print(f"# total_checks={len(results)} failures={len(failures)}", file=sys.stderr)
     else:
-        print(f"families: {', '.join(family_label(f) for f in families)}")
+        print(f"families: {', '.join(f.label() for f in families)}")
         print(f"checks:   {len(results)}  tolerance {tol:g}")
         print(f"worst relative error:  {worst_rel:.3e}")
         print(f"worst imaginary ratio: {worst_imag:.3e}")
         for r in failures:
-            print(f"FAIL {r.family} n={r.n} m={r.m}: exact={r.exact} "
+            print(f"FAIL {r.family} n={r.n} m={r.m}: exact={format_exact(r.exact)} "
                   f"float={r.real!r} rel={r.relative_error:.3e}")
     return 0 if not failures else 1
 
@@ -321,7 +321,7 @@ def cmd_oeis(args) -> int:
         payload = match.to_json_dict()
         payload.update({
             "kind": "oeis-cross-check",
-            "family": family_label(family),
+            "family": family.label(),
             "axis": axis,
             "fixed": fixed,
             "range": list(rng),
@@ -332,12 +332,12 @@ def cmd_oeis(args) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["family", "axis", "fixed", "terms", "ids", "source", "verdict"])
-        writer.writerow([family_label(family), axis, fixed,
+        writer.writerow([family.label(), axis, fixed,
                          " ".join(str(t) for t in match.terms),
                          " ".join(match.ids), match.source, verdict])
         print(buf.getvalue().rstrip("\n"))
     else:
-        print(f"family: {family_label(family)}  {axis} {fixed}  terms {list(match.terms)}")
+        print(f"family: {family.label()}  {axis} {fixed}  terms {list(match.terms)}")
         status = "MATCH" if verdict else ("AMBIGUOUS" if match.ambiguous else "NO MATCH")
         print(f"{status}: {', '.join(match.ids) if match.ids else '-'} [{match.source}]")
     return 0 if verdict else 1

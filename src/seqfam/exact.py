@@ -22,32 +22,28 @@ def normalize(value: ExactScalar) -> ExactScalar:
 
 
 def parse_exact(text: str) -> ExactScalar:
-    """Parse ``"3"``, ``"-7"`` or ``"p/q"`` into an exact scalar."""
+    """Parse ``"3"``, ``"-7"`` or ``"p/q"`` into an exact scalar; ValueError if malformed."""
     text = text.strip()
     if "/" in text:
-        return normalize(Fraction(text))
+        try:
+            return normalize(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     return int(text)
 
 
 def format_exact(value: ExactScalar) -> str:
-    """Render an exact scalar as a decimal string (``p/q`` for rationals)."""
+    """Render an exact scalar as a decimal string (``p/q`` for rationals), of any length."""
     value = normalize(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
-
-
-def binomial(a: int, k: int) -> int:
-    """C(a, k), with C(a, k) = 0 whenever k < 0 or k > a.
-
-    The zero convention matches the summation ranges used throughout the
-    identity catalog, where out-of-range binomials silently drop terms.
-    """
-    if a < 0:
-        raise ValueError(f"binomial: upper index must be non-negative, got {a}")
-    if k < 0 or k > a:
-        return 0
-    return math.comb(a, k)
+    try:
+        if isinstance(value, Fraction):
+            return f"{value.numerator}/{value.denominator}"
+        return str(value)
+    except ValueError:  # past the interpreter's digit limit for int -> str
+        from decimal import Decimal
+        if isinstance(value, Fraction):
+            return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+        return str(Decimal(value))
 
 
 def pochhammer(a: int, n: int) -> int:

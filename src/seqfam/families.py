@@ -128,10 +128,6 @@ Family = Union[PowerFamily, PochhammerFamily, LucasFamily, ExplicitRootsFamily]
 FIB = LucasFamily(-1)
 
 
-def family_label(family: Family) -> str:
-    return family.label()
-
-
 def X(family: Family, n: int, m: int) -> ExactScalar:
     """Member (n, m) of the family: the product over l of (m + x[n,l]).
 
@@ -207,19 +203,8 @@ class SequenceWindow:
     m_range: Tuple[int, int]
     values: Tuple[Tuple[ExactScalar, ...], ...]
 
-    def cell(self, n: int, m: int) -> ExactScalar:
-        n_lo, n_hi = self.n_range
-        m_lo, m_hi = self.m_range
-        if not (n_lo <= n <= n_hi and m_lo <= m <= m_hi):
-            raise KeyError(f"(n={n}, m={m}) outside window")
-        return self.values[n - n_lo][m - m_lo]
-
     def row(self, n: int) -> Tuple[ExactScalar, ...]:
         return self.values[n - self.n_range[0]]
-
-    def column(self, m: int) -> Tuple[ExactScalar, ...]:
-        j = m - self.m_range[0]
-        return tuple(row[j] for row in self.values)
 
 
 def table(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int]) -> SequenceWindow:

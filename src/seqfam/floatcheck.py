@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .exact import ExactScalar
-from .families import FIB, Family, LucasFamily, X, family_label, roots_float, table
+from .exact import ExactScalar, format_exact
+from .families import FIB, Family, LucasFamily, X, roots_float, table
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,17 @@ class FloatCompareResult:
             "family": self.family,
             "n": self.n,
             "m": self.m,
-            "exact": str(self.exact),
-            "float_real": self.real,
-            "float_imag": self.imag,
-            "relative_error": self.relative_error,
-            "imaginary_residual": self.imaginary_residual,
+            "exact": format_exact(self.exact),
+            "float_real": json_float(self.real),
+            "float_imag": json_float(self.imag),
+            "relative_error": json_float(self.relative_error),
+            "imaginary_residual": json_float(self.imaginary_residual),
         }
+
+
+def json_float(value: float) -> object:
+    """A float as JSON allows it: finite as is, otherwise "inf", "-inf" or "nan"."""
+    return value if math.isfinite(value) else str(value)
 
 
 def _magnitude(exact: ExactScalar) -> float:
@@ -103,7 +108,7 @@ def _compare(family: Family, n: int, m: int, exact: ExactScalar) -> FloatCompare
         imag = 0.0
 
     return FloatCompareResult(
-        family=family_label(family),
+        family=family.label(),
         n=n,
         m=m,
         exact=exact,

@@ -5,25 +5,32 @@ written so that ``lhs - rhs`` is exactly zero whenever the identity holds.
 All arithmetic is exact (ints, with Fractions wherever an entry divides by
 n! or by a power of m); a check passes iff its residual is the exact zero.
 
-Catalog, with S_n denoting the root sum ``script_X(family, n)``:
+``CATALOG`` is the one definition of each entry: the parameters a point
+carries beyond n, the entry's hypothesis on m, whether it is specific to the
+generalized Fibonacci family, whether it reads the labels l*m, its exact
+sides (the oracle) and its integer sweep kernel.  ``eval_identity`` and
+``sweep`` both read it, so they agree on what is admissible; the admissible
+p and q are stated once, in ``P_SPAN`` and ``Q_SPAN``.
+
+The entries, with S_n denoting the root sum ``script_X(family, n)``:
 
     L1                S_n = (-1)^n/n! * sum_{l=1..n} (-1)^l C(n,l) l X(n,l) - n(n+1)/2
-    L2_SHIFT          same with X(n,l+m), extra term -n*m            (any m)
-    L2_SCALE          same with X(n,l*m)/m^(n-1), constant -n(n+1)m/2  (m != 0)
+    L2_SHIFT          same with X(n,l+m), extra term -n*m  (L1 is its m = 0 case)
+    L2_SCALE          same with X(n,l*m)/m^(n-1), constant -n(n+1)m/2
     REC_M             X(n,m+1) = (-1)^n sum_{l=1..n} (-1)^l C(n,l-1) X(n,l+m-n) + n!
     SCALE_ID          1/m^(n-1) sum (-1)^l C(n,l) l X(n,lm)
                           = sum (-1)^l C(n,l) l X(n,l) + (-1)^(n-1)(1-m) n (n+1)!/2
     EXPL_POS          X(n,m)  = sum_{l=0..n-1} (-1)^(n+l) (n-l)/(l-m) C(m,n) C(n,l) X(n,l)
-                          + m!/(m-n)!                                 (m >= n)
-    EXPL_NEG          X(n,-m) = same sum over X(n,-l) + (-1)^n m!/(m-n)!   (m >= n)
-    SUBFAM_ZERO       0 = sum_{l=0..n} (-1)^l C(n,l) l^q X(n-p, m-n+l)   (0 <= q < p)
-    SUBFAM_FACT       sum_{l=0..n} (-1)^l C(n,l) l^p X(n-p, m-n+l) = (-1)^n n!
+                          + m!/(m-n)!
+    EXPL_NEG          X(n,-m) = same sum over X(n,-l) + (-1)^n m!/(m-n)!
+    SUBFAM_ZERO       0 = sum_{l=0..n} (-1)^l C(n,l) l^q X(n-p, m-n+l)
+    SUBFAM_FACT       the same sum at q = p equals (-1)^n n!
     FIB_POSNEG        sum_{l=1..n} (-1)^l C(n,l) l (X(n,-l) - X(n,l))
-                          = 0 (n even) / n(n+1)! (n odd)       [lucas:-1 only]
+                          = 0 (n even) / n(n+1)! (n odd)
     FIB_POSNEG_COMPL  sum_{l=1..n} (-1)^l C(n,l) l (X(n,-l) + (-1)^n X(n,l))
-                          = n(n+1)!                            [lucas:-1 only]
+                          = n(n+1)!
     FIB_POLY          X(n,m) equals the closed-form polynomial
-                      sum_l C(n-l,l) m^(n-2l)                  [lucas:-1 only]
+                      sum_l C(n-l,l) m^(n-2l)
 
 The first nine entries hold for every family; the last three are specific to
 the generalized Fibonacci family, where the root sum vanishes identically.
@@ -31,8 +38,6 @@ the generalized Fibonacci family, where the root sum vanishes identically.
 
 from __future__ import annotations
 
-import functools
-import json
 import math
 import os
 import pickle
@@ -40,11 +45,12 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import ExactScalar, falling_factorial, format_exact, normalize
-from .families import FIB, Family, X, family_label, fibonacci_polynomial, script_X
+from .families import FIB, Family, X, fibonacci_polynomial, script_X
 
 
 class Identity(str, Enum):
@@ -63,15 +69,6 @@ class Identity(str, Enum):
 
 
 ALL_IDENTITIES: Tuple[Identity, ...] = tuple(Identity)
-
-#: Entries that only apply to the generalized Fibonacci family.
-FIB_ONLY = frozenset({Identity.FIB_POSNEG, Identity.FIB_POSNEG_COMPL, Identity.FIB_POLY})
-
-#: Entries whose parameter point includes m.
-USES_M = frozenset(Identity) - {Identity.L1, Identity.FIB_POSNEG, Identity.FIB_POSNEG_COMPL}
-
-#: Entries whose parameter point includes p (and, for SUBFAM_ZERO, q).
-USES_P = frozenset({Identity.SUBFAM_ZERO, Identity.SUBFAM_FACT})
 
 
 class DomainError(ValueError):
@@ -93,7 +90,7 @@ class IdentityCheck:
     def to_json_dict(self) -> Dict[str, object]:
         return {
             "identity": self.identity.value,
-            "family": family_label(self.family),
+            "family": self.family.label(),
             "params": dict(self.params),
             "lhs": format_exact(self.lhs),
             "rhs": format_exact(self.rhs),
@@ -102,41 +99,27 @@ class IdentityCheck:
         }
 
 
-def _require(condition: bool, identity: Identity, constraint: str) -> None:
-    if not condition:
-        raise DomainError(f"{identity.value} requires {constraint}")
+class Span(NamedTuple):
+    """The admissible values of one parameter, given the parameter it depends on."""
+
+    bounds: Callable[[int], Tuple[int, int]]
+    statement: str
+
+    def values(self, of: int, restrict: Optional[Tuple[int, int]] = None) -> range:
+        lo, hi = self.bounds(of)
+        if restrict is not None:
+            lo, hi = max(lo, restrict[0]), min(hi, restrict[1])
+        return range(lo, hi + 1)
 
 
-def _validate(identity: Identity, family: Family, n: int,
-              m: Optional[int], p: Optional[int], q: Optional[int]) -> None:
-    _require(n >= 1, identity, f"n >= 1 (got n={n})")
-    if identity in FIB_ONLY:
-        _require(family == FIB, identity,
-                 f"the generalized Fibonacci family lucas:-1 (got {family_label(family)})")
-    if identity in USES_M:
-        _require(m is not None, identity, "an m parameter")
-    if identity in (Identity.L2_SCALE, Identity.SCALE_ID):
-        _require(m != 0, identity, "m != 0")
-    if identity in (Identity.EXPL_POS, Identity.EXPL_NEG):
-        _require(m is not None and m >= n, identity, f"m >= n (got n={n}, m={m})")
-    if identity in USES_P:
-        _require(p is not None and p >= 1, identity, f"p >= 1 (got p={p})")
-        _require(p is not None and n >= p + 1, identity, f"n >= p+1 (got n={n}, p={p})")
-    if identity is Identity.SUBFAM_ZERO:
-        _require(q is not None and p is not None and 0 <= q < p, identity,
-                 f"0 <= q < p (got p={p}, q={q})")
+#: Admissible p at each n and q at each p; the sweep and eval_identity both read these.
+P_SPAN = Span(lambda n: (1, n - 1), "p >= 1 and n >= p+1")
+Q_SPAN = Span(lambda p: (0, p - 1), "0 <= q < p")
 
 
 def _weights(n: int, k: int = 0) -> List[int]:
     """(-1)^l C(n, l) l^k for l = 0..n."""
     return [(math.comb(n, l) if l % 2 == 0 else -math.comb(n, l)) * l ** k for l in range(n + 1)]
-
-
-def _sides_l1(family: Family, n: int, *_) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _weights(n)
-    total = sum(signed[l] * l * X(family, n, l) for l in range(1, n + 1))
-    rhs = Fraction((-1) ** n, math.factorial(n)) * total - Fraction(n * (n + 1), 2)
-    return script_X(family, n), normalize(rhs)
 
 
 def _sides_l2_shift(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
@@ -154,16 +137,9 @@ def _sides_l2_scale(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, Ex
     return script_X(family, n), normalize(rhs)
 
 
-def _rec_m_rhs(family: Family, n: int, m: int) -> ExactScalar:
-    sign = (-1) ** n
-    total = 0
-    for l in range(1, n + 1):
-        total += (-1) ** l * math.comb(n, l - 1) * X(family, n, l + m - n)
-    return normalize(sign * total + math.factorial(n))
-
-
 def _sides_rec_m(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
-    return X(family, n, m + 1), _rec_m_rhs(family, n, m)
+    total = sum((-1) ** l * math.comb(n, l - 1) * X(family, n, l + m - n) for l in range(1, n + 1))
+    return X(family, n, m + 1), normalize((-1) ** n * total + math.factorial(n))
 
 
 def _sides_scale_id(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
@@ -175,87 +151,35 @@ def _sides_scale_id(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, Ex
     return normalize(lhs), normalize(rhs)
 
 
-def _expl_sum(family: Family, n: int, m: int, negate: bool) -> ExactScalar:
+def _sides_expl(family: Family, n: int, m: int, *_, sign: int) -> Tuple[ExactScalar, ExactScalar]:
     c_mn = math.comb(m, n)
-    total: ExactScalar = 0
-    for l in range(n):
-        coeff = Fraction((-1) ** (n + l) * (n - l) * c_mn * math.comb(n, l), l - m)
-        total += coeff * X(family, n, -l if negate else l)
-    return total
+    total = sum(Fraction((-1) ** (n + l) * (n - l) * c_mn * math.comb(n, l), l - m)
+                * X(family, n, sign * l) for l in range(n))
+    return X(family, n, sign * m), normalize(total + sign ** n * falling_factorial(m, n))
 
 
-def _sides_expl_pos(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
-    rhs = _expl_sum(family, n, m, negate=False) + falling_factorial(m, n)
-    return X(family, n, m), normalize(rhs)
-
-
-def _sides_expl_neg(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
-    rhs = _expl_sum(family, n, m, negate=True) + (-1) ** n * falling_factorial(m, n)
-    return X(family, n, -m), normalize(rhs)
-
-
-def _sides_subfam_zero(family: Family, n: int, m: int, p: int, q: int) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _weights(n)
-    base = m - n
-    if q == 0:
-        total = sum(signed[l] * X(family, n - p, base + l) for l in range(n + 1))
-    else:
-        total = sum(signed[l] * l ** q * X(family, n - p, base + l) for l in range(1, n + 1))
+def _sides_subfam_zero(family: Family, n: int, m: int, p: int, q: int
+                       ) -> Tuple[ExactScalar, ExactScalar]:
+    total = sum(w * X(family, n - p, m - n + l) for l, w in enumerate(_weights(n, q)))
     return normalize(total), 0
 
 
 def _sides_subfam_fact(family: Family, n: int, m: int, p: int, *_
                        ) -> Tuple[ExactScalar, ExactScalar]:
+    return _sides_subfam_zero(family, n, m, p, p)[0], (-1) ** n * math.factorial(n)
+
+
+def _sides_fib_posneg(family: Family, n: int, *_, compl: bool
+                      ) -> Tuple[ExactScalar, ExactScalar]:
     signed = _weights(n)
-    base = m - n
-    total = sum(signed[l] * l ** p * X(family, n - p, base + l) for l in range(1, n + 1))
-    return normalize(total), (-1) ** n * math.factorial(n)
-
-
-def _sides_fib_posneg(family: Family, n: int, *_) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _weights(n)
-    total = sum(signed[l] * l * (X(family, n, -l) - X(family, n, l)) for l in range(1, n + 1))
-    rhs = 0 if n % 2 == 0 else n * math.factorial(n + 1)
-    return total, rhs
-
-
-def _sides_fib_posneg_compl(family: Family, n: int, *_) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _weights(n)
-    sign = (-1) ** n
+    sign = (-1) ** n if compl else -1
     total = sum(signed[l] * l * (X(family, n, -l) + sign * X(family, n, l))
                 for l in range(1, n + 1))
-    return total, n * math.factorial(n + 1)
+    return total, n * math.factorial(n + 1) * (1 if compl else n % 2)
 
 
 def _sides_fib_poly(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
     return fibonacci_polynomial(n, m), X(family, n, m)
-
-
-def _params_dict(identity: Identity, n: int, m: Optional[int],
-                 p: Optional[int], q: Optional[int]) -> Dict[str, int]:
-    params = {"n": n}
-    if identity in USES_M:
-        params["m"] = m
-    if identity in USES_P:
-        params["p"] = p
-    if identity is Identity.SUBFAM_ZERO:
-        params["q"] = q
-    return params
-
-
-def _make_check(identity: Identity, family: Family, n: int, m: Optional[int],
-                p: Optional[int], q: Optional[int],
-                lhs: ExactScalar, rhs: ExactScalar) -> IdentityCheck:
-    residual = normalize(lhs - rhs)
-    return IdentityCheck(
-        identity=identity,
-        family=family,
-        params=_params_dict(identity, n, m, p, q),
-        lhs=normalize(lhs),
-        rhs=normalize(rhs),
-        residual=residual,
-        passed=residual == 0,
-    )
 
 
 def eval_identity(identity: Identity, family: Family, *, n: int,
@@ -268,29 +192,34 @@ def eval_identity(identity: Identity, family: Family, *, n: int,
     returned check, never as an exception.
     """
     identity = Identity(identity)
-    _validate(identity, family, n, m, p, q)
-    lhs, rhs = _ENTRIES[identity][0](family, n, m, p, q)
-    return _make_check(identity, family, n, m, p, q, lhs, rhs)
+    entry = CATALOG[identity]
 
+    def require(holds: bool, statement: str) -> None:
+        if not holds:
+            raise DomainError(f"{identity.value} requires {statement}")
 
-def eval_m_recursion(family: Family, n: int, m: int) -> IdentityCheck:
-    """Check the row recursion X(n,m+1) = sum_{l=0..n-1} (-1)^l C(n,l+1) X(n,m-l) + n!.
-
-    This is the member recursion of the catalog entry REC_M with the summation
-    reversed; both right-hand sides are computed and cross-asserted equal, so
-    the two transcriptions can never drift apart.
-    """
-    if n < 1:
-        raise DomainError(f"REC_M requires n >= 1 (got n={n})")
-    rhs = normalize(
-        sum((-1) ** l * math.comb(n, l + 1) * X(family, n, m - l) for l in range(n))
-        + math.factorial(n)
-    )
-    other = _rec_m_rhs(family, n, m)
-    if rhs != other:
-        raise ArithmeticError(
-            f"row-recursion transcriptions disagree at n={n}, m={m}: {rhs} != {other}")
-    return _make_check(Identity.REC_M, family, n, m, None, None, X(family, n, m + 1), rhs)
+    require(n >= 1, f"n >= 1 (got n={n})")
+    require(not entry.fib_only or family == FIB,
+            f"the generalized Fibonacci family lucas:-1 (got {family.label()})")
+    params = {"n": n}
+    if "m" in entry.params:
+        require(m is not None, "an m parameter")
+        if entry.m_hypothesis is not None:
+            holds, statement = entry.m_hypothesis
+            require(holds(n, m), f"{statement} (got n={n}, m={m})")
+        params["m"] = m
+    else:
+        m = 0  # an entry without m is read at m = 0
+    if "p" in entry.params:
+        require(p in P_SPAN.values(n), f"{P_SPAN.statement} (got n={n}, p={p})")
+        params["p"] = p
+    if "q" in entry.params:
+        require(q in Q_SPAN.values(p), f"{Q_SPAN.statement} (got p={p}, q={q})")
+        params["q"] = q
+    lhs, rhs = entry.sides(family, n, m, p, q)
+    residual = normalize(lhs - rhs)
+    return IdentityCheck(identity=identity, family=family, params=params, lhs=normalize(lhs),
+                         rhs=normalize(rhs), residual=residual, passed=residual == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +265,10 @@ class SweepRanges:
         return list(range(lo, hi + 1))
 
     def p_values(self, n: int) -> List[int]:
-        lo, hi = 1, n - 1
-        if self.p is not None:
-            lo, hi = max(lo, self.p[0]), min(hi, self.p[1])
-        return list(range(lo, hi + 1))
+        return list(P_SPAN.values(n, self.p))
 
     def q_values(self, p: int) -> List[int]:
-        lo, hi = 0, p - 1
-        if self.q is not None:
-            lo, hi = max(lo, self.q[0]), min(hi, self.q[1])
-        return list(range(lo, hi + 1))
+        return list(Q_SPAN.values(p, self.q))
 
 
 @dataclass
@@ -375,13 +298,10 @@ class SweepReport:
             "wall_time_s": self.wall_time_s,
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
 
 def _failure_key(check: IdentityCheck) -> Tuple:
     params = check.params
-    return (check.identity.value, family_label(check.family), params.get("n", 0),
+    return (check.identity.value, check.family.label(), params.get("n", 0),
             params.get("m", 0), params.get("p", 0), params.get("q", 0))
 
 
@@ -389,9 +309,10 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 # row X(r, .), so a sweep cell builds each row once, as ints over the row's
 # common denominator d, and decides every check as an integer equation: both
 # sides multiplied by one nonzero clearing factor (d, n!, m^(n-1), the (l - m)
-# product or 2).  A kernel yields (m, p, q, passed) for each check at one n;
-# ``rows[r]`` is (d, row), ``row[at[k]]`` is d * X(r, k), and every run of
-# consecutive labels that a kernel slices is in the window whole.
+# product or 2).  A kernel yields (m, p, q, passed) for each check at one n and
+# each admissible m in ``ms``; ``rows[r]`` is (d, row), ``row[at[k]]`` is
+# d * X(r, k), and every run of consecutive labels that a kernel slices is in
+# the window whole.
 
 Rows = List[Tuple[int, List[int]]]
 Index = Dict[int, int]
@@ -405,78 +326,75 @@ def _int_rows(family: Family, n_hi: int, labels: List[int]) -> Rows:
     return rows
 
 
-def _kernel_l1(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges):
-    d, row = rows[n]
-    fd = math.factorial(n) * d
-    total = sum(map(mul, _weights(n, 1), row[at[0]:at[0] + n + 1]))
-    yield None, None, None, script_X(family, n) * fd == (-1) ** n * total - n * (n + 1) // 2 * fd
-
-
-def _kernel_l2_shift(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges):
+def _kernel_l2_shift(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
+                     ranges: SweepRanges):
     d, row = rows[n]
     fd, sign, w = math.factorial(n) * d, (-1) ** n, _weights(n, 1)
     lhs = script_X(family, n) * fd
-    for m in ranges.m_values(n):
+    for m in ms:
         total = sum(map(mul, w, row[at[m]:at[m] + n + 1]))
         yield m, None, None, lhs == sign * total - (n * (n + 1) // 2 + n * m) * fd
 
 
-def _kernel_l2_scale(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges):
+def _kernel_l2_scale(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
+                     ranges: SweepRanges):
     d, row = rows[n]
     fd, sign, w = math.factorial(n) * d, (-1) ** n, _weights(n, 1)
     root_sum = script_X(family, n)
-    for m in filter(None, ranges.m_values(n)):  # m != 0
+    for m in ms:
         k = fd * m ** (n - 1)
         total = sum(map(mul, w, [row[at[l * m]] for l in range(n + 1)]))
         yield m, None, None, root_sum * k == sign * total - n * (n + 1) * m // 2 * k
 
 
-def _kernel_rec_m(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges):
+def _kernel_rec_m(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
+                  ranges: SweepRanges):
     d, row = rows[n]
     w = [(-1) ** (n + l) * math.comb(n, l - 1) for l in range(1, n + 1)]
     fd = math.factorial(n) * d
-    for m in ranges.m_values(n):
+    for m in ms:
         s = at[m]
         yield m, None, None, row[s + 1] == sum(map(mul, w, row[s - n + 1:s + 1])) + fd
 
 
-def _kernel_scale_id(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges):
+def _kernel_scale_id(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
+                     ranges: SweepRanges):
     d, row = rows[n]
     w = _weights(n, 1)
     plain = sum(map(mul, w, row[at[0]:at[0] + n + 1]))
     half = (-1) ** (n - 1) * n * math.factorial(n + 1) // 2 * d
-    for m in filter(None, ranges.m_values(n)):  # m != 0
+    for m in ms:
         scaled = sum(map(mul, w, [row[at[l * m]] for l in range(n + 1)]))
         yield m, None, None, scaled == m ** (n - 1) * (plain + (1 - m) * half)
 
 
-def _kernel_expl(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges, sign: int):
+def _kernel_expl(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
+                 ranges: SweepRanges, sign: int):
     d, row = rows[n]
     coeffs = [(-1) ** (n + l) * (n - l) * math.comb(n, l) for l in range(n)]
     values = row[at[0]:at[0] + n] if sign > 0 else row[at[1 - n]:at[0] + 1][::-1]  # X(n, sign*l)
-    for m in ranges.m_values(n):
-        if m >= n:
-            ff, c = math.perm(m, n), math.comb(m, n)
-            w = [a * c * (ff // (l - m)) for l, a in enumerate(coeffs)]
-            total = sum(map(mul, w, values)) + sign ** n * ff * ff * d
-            yield m, None, None, ff * row[at[sign * m]] == total
+    for m in ms:
+        ff, c = math.perm(m, n), math.comb(m, n)
+        w = [a * c * (ff // (l - m)) for l, a in enumerate(coeffs)]
+        total = sum(map(mul, w, values)) + sign ** n * ff * ff * d
+        yield m, None, None, ff * row[at[sign * m]] == total
 
 
-def _kernel_subfam(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges,
-                   fact: bool):
+def _kernel_subfam(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
+                   ranges: SweepRanges, fact: bool):
     weights = [_weights(n, k) for k in range(n)]
     target = (-1) ** n * math.factorial(n) if fact else 0
     for p in ranges.p_values(n):
         qs = [p] if fact else ranges.q_values(p)
         d, row = rows[n - p]
-        for m in ranges.m_values(n):
+        for m in ms:
             segment = row[at[m - n]:at[m] + 1]
             for q in qs:
                 yield m, p, None if fact else q, sum(map(mul, weights[q], segment)) == target * d
 
 
-def _kernel_fib_posneg(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges,
-                       compl: bool):
+def _kernel_fib_posneg(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
+                       ranges: SweepRanges, compl: bool):
     d, row = rows[n]
     w = _weights(n, 1)
     pos = sum(map(mul, w, row[at[0]:at[0] + n + 1]))
@@ -485,27 +403,56 @@ def _kernel_fib_posneg(rows: Rows, at: Index, family: Family, n: int, ranges: Sw
     yield None, None, None, (neg + (-1) ** n * pos == rhs) if compl else (neg - pos == n % 2 * rhs)
 
 
-def _kernel_fib_poly(rows: Rows, at: Index, family: Family, n: int, ranges: SweepRanges):
+def _kernel_fib_poly(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
+                     ranges: SweepRanges):
     d, row = rows[n]
-    for m in ranges.m_values(n):
+    for m in ms:
         yield m, None, None, row[at[m]] == fibonacci_polynomial(n, m) * d
 
 
-#: Per catalog entry: its exact sides at one point (the oracle) and its sweep kernel.
-_ENTRIES = {
-    Identity.L1: (_sides_l1, _kernel_l1),
-    Identity.L2_SHIFT: (_sides_l2_shift, _kernel_l2_shift),
-    Identity.L2_SCALE: (_sides_l2_scale, _kernel_l2_scale),
-    Identity.REC_M: (_sides_rec_m, _kernel_rec_m),
-    Identity.SCALE_ID: (_sides_scale_id, _kernel_scale_id),
-    Identity.EXPL_POS: (_sides_expl_pos, functools.partial(_kernel_expl, sign=1)),
-    Identity.EXPL_NEG: (_sides_expl_neg, functools.partial(_kernel_expl, sign=-1)),
-    Identity.SUBFAM_ZERO: (_sides_subfam_zero, functools.partial(_kernel_subfam, fact=False)),
-    Identity.SUBFAM_FACT: (_sides_subfam_fact, functools.partial(_kernel_subfam, fact=True)),
-    Identity.FIB_POSNEG: (_sides_fib_posneg, functools.partial(_kernel_fib_posneg, compl=False)),
-    Identity.FIB_POSNEG_COMPL: (_sides_fib_posneg_compl,
-                                functools.partial(_kernel_fib_posneg, compl=True)),
-    Identity.FIB_POLY: (_sides_fib_poly, _kernel_fib_poly),
+class Entry(NamedTuple):
+    """One catalog entry, defined once."""
+
+    params: str  # the parameters a point carries beyond n: "", "m", "mp" or "mpq"
+    m_hypothesis: Optional[Tuple[Callable[[int, int], bool], str]]  # holds(n, m), statement
+    fib_only: bool  # holds for the generalized Fibonacci family lucas:-1 only
+    scaled: bool  # also reads the labels l*m
+    sides: Callable[..., Tuple[ExactScalar, ExactScalar]]  # exact (lhs, rhs) at one point
+    kernel: Callable  # integer sweep kernel, yields (m, p, q, passed)
+
+    def m_values(self, n: int, ranges: SweepRanges) -> List[int]:
+        """The admissible m of a sweep at n; [0] for an entry without m."""
+        if "m" not in self.params:
+            return [0]
+        if self.m_hypothesis is None:
+            return ranges.m_values(n)
+        return [m for m in ranges.m_values(n) if self.m_hypothesis[0](n, m)]
+
+
+_M_NONZERO = (lambda n, m: m != 0, "m != 0")
+_M_AT_LEAST_N = (lambda n, m: m >= n, "m >= n")
+
+#: The identity catalog.  L1 is L2_SHIFT read at m = 0, EXPL_NEG is EXPL_POS
+#: over the labels -l and -m, and FIB_POSNEG_COMPL flips the sign of X(n, l).
+CATALOG: Dict[Identity, Entry] = {
+    Identity.L1: Entry("", None, False, False, _sides_l2_shift, _kernel_l2_shift),
+    Identity.L2_SHIFT: Entry("m", None, False, False, _sides_l2_shift, _kernel_l2_shift),
+    Identity.L2_SCALE: Entry("m", _M_NONZERO, False, True, _sides_l2_scale, _kernel_l2_scale),
+    Identity.REC_M: Entry("m", None, False, False, _sides_rec_m, _kernel_rec_m),
+    Identity.SCALE_ID: Entry("m", _M_NONZERO, False, True, _sides_scale_id, _kernel_scale_id),
+    Identity.EXPL_POS: Entry("m", _M_AT_LEAST_N, False, False, partial(_sides_expl, sign=1),
+                             partial(_kernel_expl, sign=1)),
+    Identity.EXPL_NEG: Entry("m", _M_AT_LEAST_N, False, False, partial(_sides_expl, sign=-1),
+                             partial(_kernel_expl, sign=-1)),
+    Identity.SUBFAM_ZERO: Entry("mpq", None, False, False, _sides_subfam_zero,
+                                partial(_kernel_subfam, fact=False)),
+    Identity.SUBFAM_FACT: Entry("mp", None, False, False, _sides_subfam_fact,
+                                partial(_kernel_subfam, fact=True)),
+    Identity.FIB_POSNEG: Entry("", None, True, False, partial(_sides_fib_posneg, compl=False),
+                               partial(_kernel_fib_posneg, compl=False)),
+    Identity.FIB_POSNEG_COMPL: Entry("", None, True, False, partial(_sides_fib_posneg, compl=True),
+                                     partial(_kernel_fib_posneg, compl=True)),
+    Identity.FIB_POLY: Entry("m", None, True, False, _sides_fib_poly, _kernel_fib_poly),
 }
 
 
@@ -514,22 +461,24 @@ def _run_cell(identity: Identity, family: Family, ranges: SweepRanges
     """Evaluate every admissible point of one (identity, family) pair.
 
     Each failing point is recorded as :func:`eval_identity` checks it."""
+    entry = CATALOG[identity]
     n_values = range(max(ranges.n[0], 1), ranges.n[1] + 1)
-    if (identity in FIB_ONLY and family != FIB) or not n_values:
+    if (entry.fib_only and family != FIB) or not n_values:
         return 0, []
+    admissible = {n: entry.m_values(n, ranges) for n in n_values}
     read = set()  # labels of the members the cell reads: near 0, near m and near -m
-    for n in n_values:
-        ms = ranges.m_values(n) or [0]
+    for n, ms in admissible.items():
+        ms = ms or [0]
         read.update(range(-n, n + 1), range(ms[0] - n, ms[-1] + n + 1), range(-ms[-1], 1 - ms[0]))
-        if identity in (Identity.L2_SCALE, Identity.SCALE_ID):
+        if entry.scaled:
             read.update(l * m for m in ms for l in range(n + 1))
     labels = sorted(read)
     rows = _int_rows(family, n_values[-1], labels)
     at = {label: i for i, label in enumerate(labels)}
     count = 0
     failures: List[IdentityCheck] = []
-    for n in n_values:
-        for m, p, q, passed in _ENTRIES[identity][1](rows, at, family, n, ranges):
+    for n, ms in admissible.items():
+        for m, p, q, passed in entry.kernel(rows, at, family, n, ms, ranges):
             count += 1
             if not passed:
                 failures.append(eval_identity(identity, family, n=n, m=m, p=p, q=q))
@@ -573,7 +522,7 @@ def sweep(identities: Sequence[Identity], families: Sequence[Family],
     failures.sort(key=_failure_key)
     return SweepReport(
         identities=[i.value for i in identities],
-        families=[family_label(f) for f in families],
+        families=[f.label() for f in families],
         ranges=ranges.describe(),
         total_checks=total,
         failures=failures,

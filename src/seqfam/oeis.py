@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .families import Family, X, family_label
+from .families import Family, X
 
 SEARCH_URL = "https://oeis.org/search?q=signed:{terms}&fmt=json"
 B_FILE_URL = "https://oeis.org/{ident}/b{digits}.txt"
@@ -148,9 +149,14 @@ class OeisClient:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._cache_path(terms)
         record = {"terms": list(terms), "ids": list(ids), "captured_at": time.time()}
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(record) + "\n")
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")  # one per writer
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(json.dumps(record) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     # -- network ----------------------------------------------------------
 
@@ -250,11 +256,6 @@ def parse_b_file(text: str) -> List[int]:
     return values
 
 
-def search_by_terms(terms: Sequence[int], offline: bool = False,
-                    cache_dir: Optional[Path] = None) -> OeisMatch:
-    return OeisClient(offline=offline, cache_dir=cache_dir).search_by_terms(terms)
-
-
 def window_terms(family: Family, axis: str, fixed: int, rng: Tuple[int, int]) -> List[int]:
     """Integer terms of one row (fixed n, m varying) or column (fixed m, n varying)."""
     lo, hi = rng
@@ -268,7 +269,7 @@ def window_terms(family: Family, axis: str, fixed: int, rng: Tuple[int, int]) ->
     for value in values:
         if not isinstance(value, int):
             raise ValueError(
-                f"{family_label(family)} produces non-integer terms; cannot query the catalog")
+                f"{family.label()} produces non-integer terms; cannot query the catalog")
         terms.append(value)
     return terms
 

@@ -1,8 +1,12 @@
 """End-to-end CLI tests: selectors, formats, exit codes, report round-trips."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqfam.cli import main, parse_families, parse_m_range, parse_range
 
@@ -153,10 +157,21 @@ def test_float_check_overflow_is_a_failure_row(capsys):
     assert code == 1 and "Traceback" not in err
     failures = json.loads(out)["failures"]
     assert [f["n"] for f in failures] == list(range(286, 401))
-    assert all(f["float_real"] == f["relative_error"] == float("inf") for f in failures)
+    assert all(f["float_real"] == f["relative_error"] == "inf" for f in failures)
     code, out, _ = run(capsys, "float-check", "--family", "power:2", "--n", "1..400",
                        "--m", "10..10")
     assert code == 1 and "FAIL power:2 n=286 m=10" in out
+
+
+def test_float_check_json_is_strict(capsys):
+    code, out, _ = run(capsys, "float-check", "--family", "power:2", "--n", "280..290",
+                       "--m", "10..10", "--tol", "inf", "--format", "json")
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert code == 1 and payload["tolerance"] == payload["max_relative_error"] == "inf"
 
 
 def test_float_check_passes(capsys):
@@ -296,3 +311,79 @@ def test_roots_file_validation(tmp_path, capsys):
     path.write_text(json.dumps({"roots": {"2": ["1"]}}))  # wrong arity
     code, _, err = run(capsys, "table", "--family", f"roots:{path}", "--n", "2..2", "--m", "0..0")
     assert code == 2 and "exactly" in err
+
+
+def test_table_renders_members_past_the_digit_limit(capsys):
+    # 12^9000 has 9,713 digits, past the 4,300 Python's str() allows
+    code, out, err = run(capsys, "table", "--family", "power:2", "--n", "9000..9000",
+                         "--m", "10..10", "--format", "json")
+    assert code == 0, err
+    (text,), = json.loads(out)["values"]
+    value = 0
+    for i in range(0, len(text), 1000):  # chunks short enough for int()
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == 12 ** 9000
+
+
+def test_zero_denominator_family_is_usage_error(capsys):
+    code, _, err = run(capsys, "table", "--family", "power:1/0", "--n", "0..2", "--m", "0..1")
+    assert code == 2 and "power:1/0" in err
+
+
+def test_zero_denominator_root_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"roots": {"1": ["1/0"]}}))
+    code, _, err = run(capsys, "table", "--family", f"roots:{path}", "--n", "1..1", "--m", "0..0")
+    assert code == 2 and "zero denominator" in err
+
+
+# -- no argument ever ends in a traceback --
+
+@pytest.fixture(scope="module")
+def roots_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("roots")
+    path = folder / "thirds.json"
+    path.write_text(json.dumps({"roots": {str(n): ["1/3"] * n for n in range(1, 7)}}))
+    return str(path), str(folder / "missing.json")
+
+
+@st.composite
+def cli_argv(draw, roots_files):
+    present, missing = roots_files
+    number = st.integers(-3, 9).map(str)
+    numeric = st.tuples(number, number).map("..".join)  # a few dozen points at most
+    symbolic = st.tuples(number | st.just("n"), number | st.just("n")).map("..".join)
+    malformed = st.sampled_from(["1-7", "a..b", "", "1..2..3", "..", "3..", "1.5..2"])
+    span = st.one_of(numeric, numeric, symbolic, malformed)
+    family = st.sampled_from([
+        "power", "power:2", "power:-3/2", "pochhammer", "fib", "lucas:2", "all", "fib,power:1/2",
+        f"roots:{present}", "power:1/0", "power:", "lucas:0", "lucas:x", f"roots:{missing}",
+        "mystery"])
+    command = draw(st.sampled_from(["table", "verify", "float-check", "oeis"]))
+    argv = [command, "--family", draw(family), "--format",
+            draw(st.sampled_from(["text", "csv", "json"]))]
+    options = {
+        "table": {"--n": span, "--m": span},
+        "verify": {"--n": span, "--m": span, "--p": span, "--q": span,
+                   "--identity": st.sampled_from(["all", "L1,REC_M", "expl_pos", "NOPE", ","]),
+                   "--workers": st.sampled_from(["0", "1", "x"])},
+        "float-check": {"--n": span, "--m": span,
+                        "--tol": st.sampled_from(["1e-9", "0", "inf", "nan", "x"])},
+        "oeis": {"--n": span, "--m": span, "--row": number, "--column": number},
+    }[command]
+    for flag, value in options.items():
+        if command == "table" or draw(st.booleans()):  # table requires --n and --m
+            argv += [flag, draw(value)]
+    if command == "oeis":
+        argv.append("--offline")
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_no_argument_ends_in_a_traceback(roots_files, data):
+    argv = data.draw(cli_argv(roots_files), label="argv")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)

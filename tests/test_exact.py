@@ -4,55 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from seqfam.exact import (binomial, falling_factorial, format_exact, gould_sum, normalize,
-                          parse_exact, pochhammer)
-
-
-def pascal_triangle(rows):
-    """Independent binomial oracle: build Pascal's triangle by addition only."""
-    triangle = [[1]]
-    for a in range(1, rows + 1):
-        prev = triangle[-1]
-        triangle.append([1] + [prev[k - 1] + prev[k] for k in range(1, a)] + [1])
-    return triangle
-
-
-def test_binomial_against_pascal_oracle():
-    triangle = pascal_triangle(64)
-    for a in range(65):
-        for k in range(a + 1):
-            assert binomial(a, k) == triangle[a][k]
-
-
-def test_binomial_out_of_range_is_zero():
-    assert binomial(3, 4) == 0
-    assert binomial(3, -1) == 0
-    assert binomial(0, 1) == 0
-
-
-def test_binomial_known_values():
-    assert binomial(5, 2) == 10
-    assert all(binomial(n, 0) == 1 for n in range(20))
-
-
-def test_binomial_rejects_negative_upper_index():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-@given(st.integers(0, 64), st.integers(-5, 70))
-def test_binomial_symmetry(a, k):
-    assert binomial(a, k) == binomial(a, a - k)
-
-
-@given(st.integers(1, 64), st.integers(1, 64))
-@settings(max_examples=200)
-def test_binomial_pascal_rule(a, k):
-    if k <= a:
-        assert binomial(a, k) == binomial(a - 1, k - 1) + binomial(a - 1, k)
+from seqfam.exact import (falling_factorial, format_exact, gould_sum, normalize, parse_exact,
+                          pochhammer)
 
 
 def test_pochhammer_factorial_oracle():
@@ -123,3 +76,24 @@ def test_normalize_and_formatting():
     assert parse_exact("-7") == -7
     assert parse_exact("4/6") == Fraction(2, 3)
     assert parse_exact("6/3") == 2
+
+
+def test_parse_exact_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_exact("1/0")
+    with pytest.raises(ValueError):
+        parse_exact("-3/0")
+
+
+def test_format_exact_renders_past_the_digit_limit():
+    value = -(12 ** 9000)  # 9,713 digits, past the interpreter's 4,300 for str()
+    text = format_exact(value)
+    assert text.startswith("-4277") and len(text) == 9714
+    # read back in chunks short enough for int()
+    digits = text[1:]
+    back = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        back = back * 10 ** len(chunk) + int(chunk)
+    assert -back == value
+    assert format_exact(Fraction(12 ** 9000, 7)).endswith("/7")

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqfam.exact import normalize
 from seqfam.families import (FIB, ExplicitRootsFamily, LucasFamily, PochhammerFamily,
                              PowerFamily, X)
-from seqfam.identities import (ALL_IDENTITIES, FIB_ONLY, USES_M, USES_P, DomainError, Identity,
-                               SweepRanges, eval_identity, eval_m_recursion, sweep)
+from seqfam.identities import (ALL_IDENTITIES, CATALOG, DomainError, Identity, SweepRanges,
+                               _weights, eval_identity, sweep)
 
 SMALL_FAMILIES = [PowerFamily(0), PowerFamily(2), PowerFamily(Fraction(1, 2)),
                   PochhammerFamily(), FIB, LucasFamily(2)]
@@ -58,34 +59,46 @@ def test_residual_is_lhs_minus_rhs():
     assert check.params == {"n": 5, "m": 3}
 
 
-# -- the row recursion in m --
+# -- the row recursion in m, against a second transcription of REC_M --
+
+def m_recursion_rhs(family, n, m):
+    """REC_M's right side with the summation reversed:
+    X(n,m+1) = sum_{l=0..n-1} (-1)^l C(n,l+1) X(n,m-l) + n!."""
+    return normalize(sum((-1) ** l * math.comb(n, l + 1) * X(family, n, m - l) for l in range(n))
+                     + math.factorial(n))
+
 
 def test_m_recursion_power_point():
-    check = eval_m_recursion(PowerFamily(0), 2, 4)
     # 25 = 2*16 - 9 + 2!
-    assert check.lhs == 25 and check.passed
+    assert m_recursion_rhs(PowerFamily(0), 2, 4) == X(PowerFamily(0), 2, 5) == 25
 
 
 def test_m_recursion_pochhammer_point():
-    check = eval_m_recursion(PochhammerFamily(), 3, 3)
     # 210 = 3*120 - 3*60 + 24 + 3!
-    assert check.lhs == 210 and check.passed
+    assert m_recursion_rhs(PochhammerFamily(), 3, 3) == X(PochhammerFamily(), 3, 4) == 210
 
 
 def test_m_recursion_fibonacci_point():
-    check = eval_m_recursion(FIB, 4, 3)
     # 305 = 4*109 - 6*29 + 4*5 - 1 + 4!
-    assert check.lhs == 305 and check.passed
+    assert m_recursion_rhs(FIB, 4, 3) == X(FIB, 4, 4) == 305
 
 
 def test_m_recursion_agrees_with_catalog_entry():
     for family in SMALL_FAMILIES:
         for n in range(1, 9):
             for m in range(-6, 7):
-                rearranged = eval_m_recursion(family, n, m)
                 catalog = eval_identity(Identity.REC_M, family, n=n, m=m)
-                assert rearranged.rhs == catalog.rhs
-                assert rearranged.passed and catalog.passed
+                assert m_recursion_rhs(family, n, m) == catalog.rhs == catalog.lhs
+                assert catalog.passed
+
+
+def test_weights_against_pascal_oracle():
+    # Pascal's triangle built by addition only
+    row = [1]
+    for n in range(1, 41):
+        row = [1] + [row[k - 1] + row[k] for k in range(1, n)] + [1]
+        for k in range(3):
+            assert _weights(n, k) == [(-1) ** l * c * l ** k for l, c in enumerate(row)]
 
 
 # -- whole-catalog soundness at reduced scale (the acceptance suite goes bigger) --
@@ -148,6 +161,14 @@ def test_domain_violations_name_the_constraint():
         eval_identity(Identity.FIB_POLY, PowerFamily(0), n=3, m=1)
     with pytest.raises(DomainError, match="n >= 1"):
         eval_identity(Identity.L1, FIB, n=0)
+    with pytest.raises(DomainError, match="m != 0"):
+        eval_identity(Identity.SCALE_ID, FIB, n=3, m=0)
+    with pytest.raises(DomainError, match="m >= n"):
+        eval_identity(Identity.EXPL_NEG, FIB, n=5, m=-6)
+    with pytest.raises(DomainError, match="p >= 1"):
+        eval_identity(Identity.SUBFAM_FACT, FIB, n=3, m=0, p=0)
+    with pytest.raises(DomainError, match="an m parameter"):
+        eval_identity(Identity.REC_M, FIB, n=3)
 
 
 def test_sweep_domain_filtering():
@@ -250,13 +271,13 @@ def test_check_serialization_uses_decimal_strings():
 
 # -- every entry can fail, and the integer kernel agrees with the exact oracle --
 
-GENERIC = [i for i in ALL_IDENTITIES if i not in FIB_ONLY]
+GENERIC = [i for i in ALL_IDENTITIES if not CATALOG[i].fib_only]
 HALF = PowerFamily(Fraction(1, 2))
 
 # generic entries on a rational family, so that denominator clearing is exercised;
 # EXPL_NEG reads only labels m <= 0
 MUTATIONS = ([(i, HALF, (3, -2 if i is Identity.EXPL_NEG else 2)) for i in GENERIC]
-             + [(i, FIB, (3, 2)) for i in ALL_IDENTITIES if i in FIB_ONLY])
+             + [(i, FIB, (3, 2)) for i in ALL_IDENTITIES if CATALOG[i].fib_only])
 
 
 @pytest.mark.parametrize("entry, family, member", MUTATIONS, ids=[c[0].value for c in MUTATIONS])
@@ -278,12 +299,17 @@ PROPERTY_FAMILIES = [PowerFamily(Fraction(-3, 2)), ExplicitRootsFamily(_rational
 
 
 def oracle_sweep(entry, family, ranges):
-    """Checks and failures of one sweep cell, point by point through eval_identity."""
+    """Checks and failures of one sweep cell, point by point through eval_identity,
+    which alone decides which p and q are admissible."""
+    def within(values, bounds):
+        return [v for v in values if bounds is None or bounds[0] <= v <= bounds[1]]
+
+    params = CATALOG[entry].params
     count, failures = 0, []
     for n in range(ranges.n[0], ranges.n[1] + 1):
-        for p in (ranges.p_values(n) if entry in USES_P else [None]):
-            for q in (ranges.q_values(p) if entry is Identity.SUBFAM_ZERO else [None]):
-                for m in (ranges.m_values(n) if entry in USES_M else [None]):
+        for p in (within(range(-1, n + 2), ranges.p) if "p" in params else [None]):
+            for q in (within(range(-1, p + 2), ranges.q) if "q" in params else [None]):
+                for m in (ranges.m_values(n) if "m" in params else [None]):
                     try:
                         check = eval_identity(entry, family, n=n, m=m, p=p, q=q)
                     except DomainError:

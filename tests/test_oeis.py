@@ -5,12 +5,14 @@ No test here touches the real network; the transport is always either unused
 """
 
 import json
+import os
+import threading
 
 import pytest
 
 from seqfam.families import FIB, PochhammerFamily, PowerFamily
 from seqfam.oeis import (OeisClient, ParseError, TransportError, cross_check,
-                         parse_b_file, search_by_terms, window_terms)
+                         parse_b_file, window_terms)
 
 
 def offline_client():
@@ -161,7 +163,7 @@ def test_parse_b_file():
 
 
 def test_module_level_search_offline():
-    match = search_by_terms([0, 1, 4, 9, 16, 25, 36, 49], offline=True)
+    match = OeisClient(offline=True).search_by_terms([0, 1, 4, 9, 16, 25, 36, 49])
     assert "A000290" in match.ids
 
 
@@ -172,3 +174,47 @@ def test_cache_dir_from_environment(tmp_path, monkeypatch):
     client = OeisClient(transport=transport, min_interval=0.0)
     client.search_by_terms(terms)
     assert list((tmp_path / "envcache").glob("terms-*.json"))
+
+
+def test_concurrent_cache_writers_do_not_collide(tmp_path, monkeypatch):
+    # two clients answer the same query at once; both write their record
+    # before either moves it into place
+    terms = [2, 7, 1, 8, 2, 8, 1, 8]
+    meet = threading.Barrier(2, timeout=10)
+    real_replace = os.replace
+
+    def replace(src, dst):
+        meet.wait()
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    errors = []
+
+    def lookup():
+        transport = _canned_transport({"search": search_payload(123456, terms)})
+        client = OeisClient(cache_dir=tmp_path, transport=transport, min_interval=0.0)
+        try:
+            client.search_by_terms(terms)
+        except Exception as exc:  # noqa: BLE001 - collected for the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=lookup) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert [p.name for p in tmp_path.iterdir() if not p.name.startswith("terms-")] == []
+    reader = OeisClient(cache_dir=tmp_path, transport=_forbidden_transport)
+    assert reader.search_by_terms(terms).ids == ("A123456",)
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        OeisClient(cache_dir=tmp_path)._cache_write([1, 2, 3, 4, 5, 6, 7, 8], ["A000001"])
+    assert list(tmp_path.iterdir()) == []
