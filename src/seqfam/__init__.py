@@ -11,8 +11,7 @@ cross-checks.
 from .exact import (ExactScalar, falling_factorial, format_exact, gould_sum, normalize,
                     parse_exact, pochhammer)
 from .families import (FIB, ExplicitRootsFamily, Family, LucasFamily, PochhammerFamily,
-                       PowerFamily, SequenceWindow, X, fibonacci_polynomial, roots_float,
-                       script_X, table)
+                       PowerFamily, SequenceWindow, X, fibonacci_polynomial, table)
 from .floatcheck import (FloatCompareResult, chebyshev_zero_sum, classic_fibonacci,
                          classic_fibonacci_products, compare_grid, float_product)
 from .identities import (ALL_IDENTITIES, DomainError, Identity, IdentityCheck, SweepRanges,
@@ -25,8 +24,7 @@ __all__ = [
     "ExactScalar", "falling_factorial", "format_exact", "gould_sum", "normalize",
     "parse_exact", "pochhammer",
     "FIB", "ExplicitRootsFamily", "Family", "LucasFamily", "PochhammerFamily",
-    "PowerFamily", "SequenceWindow", "X", "fibonacci_polynomial", "roots_float",
-    "script_X", "table",
+    "PowerFamily", "SequenceWindow", "X", "fibonacci_polynomial", "table",
     "FloatCompareResult", "chebyshev_zero_sum", "classic_fibonacci",
     "classic_fibonacci_products", "compare_grid", "float_product",
     "ALL_IDENTITIES", "DomainError", "Identity", "IdentityCheck", "SweepRanges",

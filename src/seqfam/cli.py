@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure (failed checks or no catalog
 match), 2 usage error, 3 external-service error.  Reports go to stdout in
-text, csv or json; diagnostics go to stderr.  Big integers are rendered as
-decimal strings in all machine formats.
+text, csv or json; diagnostics go to stderr.  Exact values of any length are
+decimal strings in the machine formats, except OEIS JSON ``terms``: JSON numbers.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .exact import format_exact, parse_exact
+from .exact import format_exact, parse_exact, unlimited_digits
 from .families import (FIB, ExplicitRootsFamily, Family, LucasFamily, PochhammerFamily,
                        PowerFamily, SequenceWindow, table)
 from .floatcheck import FloatCompareResult, compare_grid, json_float
@@ -37,32 +37,19 @@ class UsageError(ValueError):
     pass
 
 
-def parse_range(text: str) -> Tuple[int, int]:
+def m_bound(text: str) -> Bound:
+    """An m range bound: an integer, or 'n' for the member index of each point."""
+    return "n" if text.strip() == "n" else int(text)
+
+
+def parse_range(text: str, bound: Callable[[str], Bound] = int) -> Tuple[Bound, Bound]:
+    """Parse 'a..b', reading each end with ``bound``; a <= b when both are integers."""
     try:
         lo_text, hi_text = text.split("..")
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = bound(lo_text), bound(hi_text)
     except ValueError:
-        raise UsageError(f"range must be 'a..b' with integers, got {text!r}") from None
-    if lo > hi:
-        raise UsageError(f"range must have a <= b, got {text!r}")
-    return lo, hi
-
-
-def _parse_m_bound(text: str) -> Bound:
-    if text.strip() == "n":
-        return "n"
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"m bound must be an integer or 'n', got {text!r}") from None
-
-
-def parse_m_range(text: str) -> Tuple[Bound, Bound]:
-    try:
-        lo_text, hi_text = text.split("..")
-    except ValueError:
-        raise UsageError(f"range must be 'a..b', got {text!r}") from None
-    lo, hi = _parse_m_bound(lo_text), _parse_m_bound(hi_text)
+        raise UsageError(f"range must be 'a..b' with integer ends (verify --m also takes "
+                         f"'n'), got {text!r}") from None
     if isinstance(lo, int) and isinstance(hi, int) and lo > hi:
         raise UsageError(f"range must have a <= b, got {text!r}")
     return lo, hi
@@ -171,14 +158,19 @@ def render_table_text(window: SequenceWindow) -> str:
     return "\n".join(lines)
 
 
-def render_table_csv(window: SequenceWindow) -> str:
+def _csv(header: List[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    m_lo, m_hi = window.m_range
-    writer.writerow(["n"] + [str(m) for m in range(m_lo, m_hi + 1)])
-    for n in range(window.n_range[0], window.n_range[1] + 1):
-        writer.writerow([str(n)] + [format_exact(v) for v in window.row(n)])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
+
+
+def render_table_csv(window: SequenceWindow) -> str:
+    m_lo, m_hi = window.m_range
+    return _csv(["n"] + [str(m) for m in range(m_lo, m_hi + 1)],
+                ([str(n)] + [format_exact(v) for v in window.row(n)]
+                 for n in range(window.n_range[0], window.n_range[1] + 1)))
 
 
 def window_json_dict(window: SequenceWindow) -> dict:
@@ -192,7 +184,8 @@ def window_json_dict(window: SequenceWindow) -> dict:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, allow_nan=False))
+    with unlimited_digits():  # OEIS terms are JSON numbers of any length
+        print(json.dumps(obj, indent=2, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +210,7 @@ def cmd_verify(args) -> int:
     identities = parse_identities(args.identity)
     ranges = SweepRanges(
         n=parse_range(args.n),
-        m=parse_m_range(args.m) if args.m else None,
+        m=parse_range(args.m, m_bound) if args.m else None,
         p=parse_range(args.p) if args.p else None,
         q=parse_range(args.q) if args.q else None,
     )
@@ -225,19 +218,13 @@ def cmd_verify(args) -> int:
     if report.total_checks == 0:
         print("warning: no admissible points in the sweep domain", file=sys.stderr)
 
+    payload = report.to_json_dict()
     if args.format == "json":
-        _emit_json(report.to_json_dict())
+        _emit_json(payload)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["identity", "family", "n", "m", "p", "q", "lhs", "rhs", "residual"])
-        for check in report.failures:
-            p = check.params
-            writer.writerow([check.identity.value, check.family.label(),
-                             p.get("n", ""), p.get("m", ""), p.get("p", ""), p.get("q", ""),
-                             format_exact(check.lhs), format_exact(check.rhs),
-                             format_exact(check.residual)])
-        print(buf.getvalue().rstrip("\n"))
+        print(_csv(["identity", "family", "n", "m", "p", "q", "lhs", "rhs", "residual"],
+                   ([r["identity"], r["family"], *(r["params"].get(k, "") for k in "nmpq"),
+                     r["lhs"], r["rhs"], r["residual"]] for r in payload["failures"])))
         print(f"# total_checks={report.total_checks} failures={len(report.failures)}",
               file=sys.stderr)
     else:
@@ -246,10 +233,9 @@ def cmd_verify(args) -> int:
         print(f"ranges:     {report.ranges}")
         print(f"checks:     {report.total_checks} "
               f"({len(report.failures)} failed) in {report.wall_time_s:.2f}s")
-        for check in report.failures:
-            print(f"FAIL {check.identity.value} {check.family.label()} "
-                  f"{check.params}: lhs={format_exact(check.lhs)} "
-                  f"rhs={format_exact(check.rhs)} residual={format_exact(check.residual)}")
+        for r in payload["failures"]:
+            print(f"FAIL {r['identity']} {r['family']} {r['params']}: lhs={r['lhs']} "
+                  f"rhs={r['rhs']} residual={r['residual']}")
     return 0 if report.passed else 1
 
 
@@ -280,14 +266,9 @@ def cmd_float_check(args) -> int:
             "failures": [r.to_json_dict() for r in failures],
         })
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["family", "n", "m", "exact", "float_real", "float_imag",
-                         "relative_error", "imaginary_residual"])
-        for r in failures:
-            writer.writerow([r.family, r.n, r.m, format_exact(r.exact), repr(r.real), repr(r.imag),
-                             repr(r.relative_error), repr(r.imaginary_residual)])
-        print(buf.getvalue().rstrip("\n"))
+        header = ["family", "n", "m", "exact", "float_real", "float_imag",
+                  "relative_error", "imaginary_residual"]  # the keys of to_json_dict()
+        print(_csv(header, ([r.to_json_dict()[k] for k in header] for r in failures)))
         print(f"# total_checks={len(results)} failures={len(failures)}", file=sys.stderr)
     else:
         print(f"families: {', '.join(f.label() for f in families)}")
@@ -329,15 +310,12 @@ def cmd_oeis(args) -> int:
         })
         _emit_json(payload)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["family", "axis", "fixed", "terms", "ids", "source", "verdict"])
-        writer.writerow([family.label(), axis, fixed,
-                         " ".join(str(t) for t in match.terms),
-                         " ".join(match.ids), match.source, verdict])
-        print(buf.getvalue().rstrip("\n"))
+        print(_csv(["family", "axis", "fixed", "terms", "ids", "source", "verdict"],
+                   [[family.label(), axis, fixed, " ".join(map(format_exact, match.terms)),
+                     " ".join(match.ids), match.source, verdict]]))
     else:
-        print(f"family: {family.label()}  {axis} {fixed}  terms {list(match.terms)}")
+        terms = ", ".join(map(format_exact, match.terms))
+        print(f"family: {family.label()}  {axis} {fixed}  terms [{terms}]")
         status = "MATCH" if verdict else ("AMBIGUOUS" if match.ambiguous else "NO MATCH")
         print(f"{status}: {', '.join(match.ids) if match.ids else '-'} [{match.source}]")
     return 0 if verdict else 1

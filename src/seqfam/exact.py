@@ -8,8 +8,11 @@ itself rational or when an identity divides by a power of the sequence label.
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 ExactScalar = Union[int, Fraction]
 
@@ -32,6 +35,24 @@ def parse_exact(text: str) -> ExactScalar:
     return int(text)
 
 
+_DIGIT_LIMIT_LOCK = threading.RLock()  # the limit is process-wide: one lifter at a time
+
+
+@contextmanager
+def unlimited_digits() -> Iterator[None]:
+    """Lift the int <-> str digit limit in the block; for the program's own output only."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
+        yield
+        return
+    with _DIGIT_LIMIT_LOCK:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+
 def format_exact(value: ExactScalar) -> str:
     """Render an exact scalar as a decimal string (``p/q`` for rationals), of any length."""
     value = normalize(value)
@@ -40,10 +61,8 @@ def format_exact(value: ExactScalar) -> str:
             return f"{value.numerator}/{value.denominator}"
         return str(value)
     except ValueError:  # past the interpreter's digit limit for int -> str
-        from decimal import Decimal
-        if isinstance(value, Fraction):
-            return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
-        return str(Decimal(value))
+        with unlimited_digits():
+            return format_exact(value)
 
 
 def pochhammer(a: int, n: int) -> int:

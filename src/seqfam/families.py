@@ -17,15 +17,18 @@ sequence.  Four concrete families are provided:
 * ``ExplicitRootsFamily(generator)`` -- caller-supplied exact roots, with
   X(n, m) evaluated as the literal product.
 
-Each family evaluates its members one column at a time: ``column(m, n_lo,
-n_hi)`` returns X(n_lo..n_hi, m) in one pass of the family's own recurrence
-(a factor (m + c) per step for powers, (m + n) for rising products, the Lucas
-recursion, or the literal product per n for explicit roots).  ``X`` and
-``table`` both read this one path, and nothing is cached between calls.
-Lucas-type roots are irrational (complex for q < 0), so those members come
-from the integer recursion rather than the product; the literal cosine
-product is exercised in floating point by :mod:`seqfam.floatcheck`.  All
-evaluators are exact for every integer m, positive or negative.
+Every family answers four methods, and no other module tests a family's
+type.  ``label()`` names it in reports.  ``column(m, n_lo, n_hi)`` returns
+X(n_lo..n_hi, m) in one pass of the family's own recurrence (a factor (m + c)
+per step for powers, (m + n) for rising products, the Lucas recursion, or the
+literal product per n for explicit roots); ``X`` and ``table`` both read this
+one path, and nothing is cached between calls.  ``root_sum(n)`` is the exact
+root sum sum_l x[n,l], which the identities read.  ``float_roots(n)`` gives
+the roots as floats in increasing l order, for :mod:`seqfam.floatcheck`;
+those of LucasFamily(q) with q < 0 are purely imaginary, ``complex(0.0, v)``.
+Lucas-type roots are irrational, so those members come from the integer
+recursion rather than the product.  All evaluators are exact for every
+integer m, positive or negative.
 """
 
 from __future__ import annotations
@@ -54,6 +57,12 @@ class PowerFamily:
             out.append(out[-1] * base)
         return out
 
+    def root_sum(self, n: int) -> ExactScalar:
+        return normalize(n * self.c)
+
+    def float_roots(self, n: int) -> List[float]:
+        return [float(self.c)] * n
+
 
 @dataclass(frozen=True)
 class PochhammerFamily:
@@ -68,6 +77,12 @@ class PochhammerFamily:
         for n in range(n_lo + 1, n_hi + 1):
             out.append(out[-1] * (m + n))
         return out
+
+    def root_sum(self, n: int) -> int:
+        return n * (n + 1) // 2
+
+    def float_roots(self, n: int) -> List[float]:
+        return [float(l) for l in range(1, n + 1)]
 
 
 @dataclass(frozen=True)
@@ -96,6 +111,17 @@ class LucasFamily:
             prev, value = value, m * value - self.q * prev
         return out
 
+    def root_sum(self, n: int) -> int:
+        return 0  # the scaled Chebyshev zeros are symmetric about 0
+
+    def float_roots(self, n: int) -> List[complex]:
+        """-2*sqrt(q)*cos(l*pi/(n+1)); for q < 0 each is i*v, returned as complex(0.0, v)."""
+        # the midpoint zero (2l = n+1) is exact by symmetry; cos(pi/2) is not
+        scale = 2.0 * math.sqrt(abs(self.q))
+        roots = [0.0 if 2 * l == n + 1 else -scale * math.cos(l * math.pi / (n + 1))
+                 for l in range(1, n + 1)]
+        return [complex(0.0, v) for v in roots] if self.q < 0 else roots
+
 
 class ExplicitRootsFamily:
     """Family with caller-supplied exact roots.
@@ -118,6 +144,12 @@ class ExplicitRootsFamily:
                                     start=1))
                 for n in range(n_lo, n_hi + 1)]
 
+    def root_sum(self, n: int) -> ExactScalar:
+        return normalize(sum(self.generator(n, l) for l in range(1, n + 1)))
+
+    def float_roots(self, n: int) -> List[float]:
+        return [float(self.generator(n, l)) for l in range(1, n + 1)]
+
     def __repr__(self) -> str:
         return f"ExplicitRootsFamily({self._label!r})"
 
@@ -139,28 +171,6 @@ def X(family: Family, n: int, m: int) -> ExactScalar:
     return family.column(m, n, n)[0]
 
 
-def script_X(family: Family, n: int) -> ExactScalar:
-    """Sum of the root set for member index n.
-
-    Power(c) -> n*c; Pochhammer -> n(n+1)/2; Lucas -> 0 (the scaled Chebyshev
-    zeros are symmetric about 0); explicit roots -> their literal sum.
-    """
-    if n < 1:
-        raise ValueError(f"root-sum index n must be >= 1, got {n}")
-    if isinstance(family, PowerFamily):
-        return normalize(n * family.c)
-    if isinstance(family, PochhammerFamily):
-        return n * (n + 1) // 2
-    if isinstance(family, LucasFamily):
-        return 0
-    if isinstance(family, ExplicitRootsFamily):
-        total: ExactScalar = 0
-        for l in range(1, n + 1):
-            total += family.generator(n, l)
-        return normalize(total)
-    raise TypeError(f"unsupported family: {family!r}")
-
-
 def fibonacci_polynomial(n: int, m: int) -> int:
     """Closed form sum_{l=0..floor(n/2)} C(n-l, l) m^(n-2l).
 
@@ -170,28 +180,6 @@ def fibonacci_polynomial(n: int, m: int) -> int:
     if n < 0:
         raise ValueError(f"degree n must be >= 0, got {n}")
     return sum(math.comb(n - l, l) * m ** (n - 2 * l) for l in range(n // 2 + 1))
-
-
-def roots_float(family: Family, n: int) -> List[float]:
-    """The n roots x[n,l] as floats, in increasing l order.
-
-    For LucasFamily(q) with q < 0 the roots are purely imaginary; the returned
-    values are their imaginary parts (the evaluated factor is m + i*value).
-    """
-    if n < 1:
-        raise ValueError(f"member index n must be >= 1, got {n}")
-    if isinstance(family, PowerFamily):
-        return [float(family.c)] * n
-    if isinstance(family, PochhammerFamily):
-        return [float(l) for l in range(1, n + 1)]
-    if isinstance(family, LucasFamily):
-        # the midpoint zero (2l = n+1) is exact by symmetry; cos(pi/2) is not
-        scale = 2.0 * math.sqrt(abs(family.q))
-        return [0.0 if 2 * l == n + 1 else -scale * math.cos(l * math.pi / (n + 1))
-                for l in range(1, n + 1)]
-    if isinstance(family, ExplicitRootsFamily):
-        return [float(family.generator(n, l)) for l in range(1, n + 1)]
-    raise TypeError(f"unsupported family: {family!r}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .exact import ExactScalar, format_exact
-from .families import FIB, Family, LucasFamily, X, roots_float, table
+from .families import FIB, Family, X, table
 
 
 @dataclass(frozen=True)
@@ -88,46 +88,30 @@ def _relative_error(real: float, exact: ExactScalar) -> float:
 def float_product(family: Family, n: int, m: int) -> FloatCompareResult:
     """Multiply the n root factors (m + x[n,l]) in double precision.
 
-    For LucasFamily(q < 0) the factors are complex, m + i*value, and the
+    Where the family's float roots are complex (LucasFamily with q < 0) the
     product's imaginary part is expected to cancel to rounding noise.
     """
-    return _compare(family, n, m, X(family, n, m))
-
-
-def _compare(family: Family, n: int, m: int, exact: ExactScalar) -> FloatCompareResult:
-    roots = roots_float(family, n)
-    if isinstance(family, LucasFamily) and family.q < 0:
-        product = complex(1.0, 0.0)
-        for r in roots:
-            product *= complex(m, r)
-        real, imag = product.real, product.imag
-    else:
-        real = 1.0
-        for r in roots:
-            real *= m + r
-        imag = 0.0
-
-    return FloatCompareResult(
-        family=family.label(),
-        n=n,
-        m=m,
-        exact=exact,
-        real=real,
-        imag=imag,
-        relative_error=_relative_error(real, exact),
-        imaginary_residual=abs(imag),
-    )
+    return compare_grid(family, (n, n), (m, m))[0]
 
 
 def compare_grid(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int]
                  ) -> List[FloatCompareResult]:
     """float_product over an inclusive (n, m) rectangle, n-major."""
     window = table(family, n_range, m_range)
-    return [
-        _compare(family, n, m, exact)
-        for n, row in zip(range(n_range[0], n_range[1] + 1), window.values)
-        for m, exact in zip(range(m_range[0], m_range[1] + 1), row)
-    ]
+    if n_range[0] < 1:
+        raise ValueError(f"member index n must be >= 1, got {n_range[0]}")
+    results = []
+    for n, row in zip(range(n_range[0], n_range[1] + 1), window.values):
+        roots = family.float_roots(n)
+        for m, exact in zip(range(m_range[0], m_range[1] + 1), row):
+            product = 1.0  # complex only for complex roots, so real rows keep imag = 0.0
+            for r in roots:
+                product *= m + r
+            results.append(FloatCompareResult(
+                family=family.label(), n=n, m=m, exact=exact, real=product.real,
+                imag=product.imag, relative_error=_relative_error(product.real, exact),
+                imaginary_residual=abs(product.imag)))
+    return results
 
 
 def chebyshev_zero_sum(n: int) -> float:

@@ -12,7 +12,7 @@ sides (the oracle) and its integer sweep kernel.  ``eval_identity`` and
 ``sweep`` both read it, so they agree on what is admissible; the admissible
 p and q are stated once, in ``P_SPAN`` and ``Q_SPAN``.
 
-The entries, with S_n denoting the root sum ``script_X(family, n)``:
+The entries, with S_n denoting the root sum ``family.root_sum(n)``:
 
     L1                S_n = (-1)^n/n! * sum_{l=1..n} (-1)^l C(n,l) l X(n,l) - n(n+1)/2
     L2_SHIFT          same with X(n,l+m), extra term -n*m  (L1 is its m = 0 case)
@@ -50,7 +50,7 @@ from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import ExactScalar, falling_factorial, format_exact, normalize
-from .families import FIB, Family, X, fibonacci_polynomial, script_X
+from .families import FIB, Family, X, fibonacci_polynomial
 
 
 class Identity(str, Enum):
@@ -126,7 +126,7 @@ def _sides_l2_shift(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, Ex
     signed = _weights(n)
     total = sum(signed[l] * l * X(family, n, l + m) for l in range(1, n + 1))
     rhs = Fraction((-1) ** n, math.factorial(n)) * total - Fraction(n * (n + 1), 2) - n * m
-    return script_X(family, n), normalize(rhs)
+    return family.root_sum(n), rhs
 
 
 def _sides_l2_scale(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
@@ -134,12 +134,12 @@ def _sides_l2_scale(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, Ex
     total = sum(signed[l] * l * X(family, n, l * m) for l in range(1, n + 1))
     rhs = (Fraction((-1) ** n, math.factorial(n) * m ** (n - 1)) * total
            - Fraction(n * (n + 1) * m, 2))
-    return script_X(family, n), normalize(rhs)
+    return family.root_sum(n), rhs
 
 
 def _sides_rec_m(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
     total = sum((-1) ** l * math.comb(n, l - 1) * X(family, n, l + m - n) for l in range(1, n + 1))
-    return X(family, n, m + 1), normalize((-1) ** n * total + math.factorial(n))
+    return X(family, n, m + 1), (-1) ** n * total + math.factorial(n)
 
 
 def _sides_scale_id(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
@@ -148,20 +148,20 @@ def _sides_scale_id(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, Ex
     plain = sum(signed[l] * l * X(family, n, l) for l in range(1, n + 1))
     lhs = Fraction(1, m ** (n - 1)) * scaled
     rhs = plain + Fraction((-1) ** (n - 1) * (1 - m) * n * math.factorial(n + 1), 2)
-    return normalize(lhs), normalize(rhs)
+    return lhs, rhs
 
 
 def _sides_expl(family: Family, n: int, m: int, *_, sign: int) -> Tuple[ExactScalar, ExactScalar]:
     c_mn = math.comb(m, n)
     total = sum(Fraction((-1) ** (n + l) * (n - l) * c_mn * math.comb(n, l), l - m)
                 * X(family, n, sign * l) for l in range(n))
-    return X(family, n, sign * m), normalize(total + sign ** n * falling_factorial(m, n))
+    return X(family, n, sign * m), total + sign ** n * falling_factorial(m, n)
 
 
 def _sides_subfam_zero(family: Family, n: int, m: int, p: int, q: int
                        ) -> Tuple[ExactScalar, ExactScalar]:
     total = sum(w * X(family, n - p, m - n + l) for l, w in enumerate(_weights(n, q)))
-    return normalize(total), 0
+    return total, 0
 
 
 def _sides_subfam_fact(family: Family, n: int, m: int, p: int, *_
@@ -264,12 +264,6 @@ class SweepRanges:
         hi = resolve_bound(self.m[1], n)
         return list(range(lo, hi + 1))
 
-    def p_values(self, n: int) -> List[int]:
-        return list(P_SPAN.values(n, self.p))
-
-    def q_values(self, p: int) -> List[int]:
-        return list(Q_SPAN.values(p, self.q))
-
 
 @dataclass
 class SweepReport:
@@ -330,7 +324,7 @@ def _kernel_l2_shift(rows: Rows, at: Index, family: Family, n: int, ms: List[int
                      ranges: SweepRanges):
     d, row = rows[n]
     fd, sign, w = math.factorial(n) * d, (-1) ** n, _weights(n, 1)
-    lhs = script_X(family, n) * fd
+    lhs = family.root_sum(n) * fd
     for m in ms:
         total = sum(map(mul, w, row[at[m]:at[m] + n + 1]))
         yield m, None, None, lhs == sign * total - (n * (n + 1) // 2 + n * m) * fd
@@ -340,7 +334,7 @@ def _kernel_l2_scale(rows: Rows, at: Index, family: Family, n: int, ms: List[int
                      ranges: SweepRanges):
     d, row = rows[n]
     fd, sign, w = math.factorial(n) * d, (-1) ** n, _weights(n, 1)
-    root_sum = script_X(family, n)
+    root_sum = family.root_sum(n)
     for m in ms:
         k = fd * m ** (n - 1)
         total = sum(map(mul, w, [row[at[l * m]] for l in range(n + 1)]))
@@ -384,8 +378,8 @@ def _kernel_subfam(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
                    ranges: SweepRanges, fact: bool):
     weights = [_weights(n, k) for k in range(n)]
     target = (-1) ** n * math.factorial(n) if fact else 0
-    for p in ranges.p_values(n):
-        qs = [p] if fact else ranges.q_values(p)
+    for p in P_SPAN.values(n, ranges.p):
+        qs = [p] if fact else Q_SPAN.values(p, ranges.q)
         d, row = rows[n - p]
         for m in ms:
             segment = row[at[m - n]:at[m] + 1]
@@ -505,19 +499,17 @@ def sweep(identities: Sequence[Identity], families: Sequence[Family],
     if workers > 1 and not _picklable(families):
         workers = 1
 
-    total = 0
-    failures: List[IdentityCheck] = []
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for count, cell_failures in pool.map(_run_cell_star, cells, chunksize=1):
-                total += count
-                failures.extend(cell_failures)
+            results = list(pool.map(_run_cell_star, cells, chunksize=1))
     else:
-        for cell in cells:
-            count, cell_failures = _run_cell_star(cell)
-            total += count
-            failures.extend(cell_failures)
+        results = map(_run_cell_star, cells)
+    total = 0
+    failures: List[IdentityCheck] = []
+    for count, cell_failures in results:
+        total += count
+        failures.extend(cell_failures)
 
     failures.sort(key=_failure_key)
     return SweepReport(

@@ -13,6 +13,7 @@ the catalog identifiers carried in fixtures and responses are opaque labels.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -24,7 +25,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .families import Family, X
+from .exact import format_exact, unlimited_digits
+from .families import Family, table
 
 SEARCH_URL = "https://oeis.org/search?q=signed:{terms}&fmt=json"
 B_FILE_URL = "https://oeis.org/{ident}/b{digits}.txt"
@@ -75,19 +77,11 @@ def _contains_run(haystack: Sequence[int], needle: Sequence[int]) -> bool:
     return False
 
 
-def _load_fixtures() -> List[Dict]:
+@functools.cache
+def fixture_entries() -> List[Dict]:
+    """The bundled catalog snapshot, read once per process."""
     text = resources.files("seqfam").joinpath("data/oeis_fixtures.jsonl").read_text()
     return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
-_fixtures_cache: Optional[List[Dict]] = None
-
-
-def fixture_entries() -> List[Dict]:
-    global _fixtures_cache
-    if _fixtures_cache is None:
-        _fixtures_cache = _load_fixtures()
-    return _fixtures_cache
 
 
 def default_cache_dir() -> Path:
@@ -132,13 +126,14 @@ class OeisClient:
     # -- cache ------------------------------------------------------------
 
     def _cache_path(self, terms: Sequence[int]) -> Path:
-        digest = hashlib.sha256(",".join(str(t) for t in terms).encode()).hexdigest()[:24]
+        digest = hashlib.sha256(",".join(map(format_exact, terms)).encode()).hexdigest()[:24]
         return self.cache_dir / f"terms-{digest}.json"
 
     def _cache_read(self, terms: Sequence[int]) -> Optional[Tuple[str, ...]]:
         path = self._cache_path(terms)
         try:
-            record = json.loads(path.read_text())
+            with unlimited_digits():  # the cache holds this program's own output
+                record = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
         if record.get("terms") != list(terms):
@@ -149,10 +144,12 @@ class OeisClient:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._cache_path(terms)
         record = {"terms": list(terms), "ids": list(ids), "captured_at": time.time()}
+        with unlimited_digits():
+            text = json.dumps(record) + "\n"
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")  # one per writer
         try:
             with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(record) + "\n")
+                handle.write(text)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -177,7 +174,7 @@ class OeisClient:
             raise TransportError(f"giving up on {url} after {MAX_ATTEMPTS} attempts") from error
 
     def _search_network(self, terms: Sequence[int]) -> Tuple[str, ...]:
-        url = SEARCH_URL.format(terms=",".join(str(t) for t in terms))
+        url = SEARCH_URL.format(terms=",".join(map(format_exact, terms)))
         payload = self._fetch(url)
         try:
             body = json.loads(payload)
@@ -258,11 +255,10 @@ def parse_b_file(text: str) -> List[int]:
 
 def window_terms(family: Family, axis: str, fixed: int, rng: Tuple[int, int]) -> List[int]:
     """Integer terms of one row (fixed n, m varying) or column (fixed m, n varying)."""
-    lo, hi = rng
     if axis == "row":
-        values = [X(family, fixed, m) for m in range(lo, hi + 1)]
+        values = table(family, (fixed, fixed), rng).values[0]
     elif axis == "column":
-        values = [X(family, n, fixed) for n in range(lo, hi + 1)]
+        values = [row[0] for row in table(family, rng, (fixed, fixed)).values]
     else:
         raise ValueError(f"axis must be 'row' or 'column', got {axis!r}")
     terms = []
@@ -281,8 +277,6 @@ def cross_check(family: Family, axis: str, fixed: int, rng: Tuple[int, int],
     The verdict is true iff at least one catalog entry matched.
     """
     terms = window_terms(family, axis, fixed, rng)
-    if len(terms) < MIN_QUERY_TERMS:
-        raise ValueError(f"range yields {len(terms)} terms; need >= {MIN_QUERY_TERMS}")
     client = client or OeisClient()
     match = client.search_by_terms(terms)
     return match, bool(match.ids)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: selectors, formats, exit codes, report round-trips."""
 
 import contextlib
+import csv
 import io
 import json
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqfam.cli import main, parse_families, parse_m_range, parse_range
+from seqfam.cli import UsageError, m_bound, main, parse_families, parse_range
+from seqfam.exact import unlimited_digits
 
 from grids import FIBONACCI_GRID, POCHHAMMER_GRID, POWER0_GRID
 
@@ -31,8 +33,12 @@ def test_parse_range():
 
 
 def test_parse_m_range_symbolic():
-    assert parse_m_range("n..20") == ("n", 20)
-    assert parse_m_range("-3..n") == (-3, "n")
+    assert parse_range("n..20", m_bound) == ("n", 20)
+    assert parse_range("-3..n", m_bound) == (-3, "n")
+    with pytest.raises(UsageError, match="'n'"):
+        parse_range("x..20", m_bound)
+    with pytest.raises(UsageError, match="a <= b"):
+        parse_range("5..2", m_bound)
 
 
 def test_parse_families_selector_grammar():
@@ -188,6 +194,12 @@ def test_float_check_impossible_tolerance_fails(capsys):
     assert "FAIL" in out
 
 
+def test_float_check_rejects_member_index_zero(capsys):
+    code, out, err = run(capsys, "float-check", "--family", "fib", "--n", "0..3", "--m", "0..1")
+    assert code == 2 and out == ""
+    assert "member index n must be >= 1, got 0" in err
+
+
 def test_float_check_json(capsys):
     code, out, _ = run(capsys, "float-check", "--family", "lucas:2", "--n", "1..20",
                        "--m", "-5..5", "--format", "json")
@@ -225,6 +237,24 @@ def test_oeis_no_match_exits_one(capsys):
                        "--m", "0..9", "--offline")
     assert code == 1
     assert "NO MATCH" in out
+
+
+def test_oeis_terms_past_the_digit_limit(capsys):
+    # 12^4000..12^4011 have 4,317 digits and more, past the 4,300 Python's str() allows
+    with unlimited_digits():
+        expected = [str(12 ** n) for n in range(4000, 4012)]
+    for fmt in ("json", "text", "csv"):
+        code, out, err = run(capsys, "oeis", "--family", "power:2", "--column", "10",
+                             "--n", "4000..4011", "--offline", "--format", fmt)
+        assert code == 1, err  # no catalog entry holds these terms
+        if fmt == "json":
+            with unlimited_digits():
+                terms = [str(t) for t in json.loads(out)["terms"]]
+        elif fmt == "csv":
+            terms = next(csv.DictReader(io.StringIO(out)))["terms"].split()
+        else:
+            terms = out.splitlines()[0].split("terms [", 1)[1].rstrip("]").split(", ")
+        assert terms == expected, fmt
 
 
 def test_oeis_network_error_exits_three(capsys, monkeypatch, tmp_path):

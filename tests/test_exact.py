@@ -1,6 +1,7 @@
 """Tests for the exact combinatorial primitives."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,3 +98,6 @@ def test_format_exact_renders_past_the_digit_limit():
         back = back * 10 ** len(chunk) + int(chunk)
     assert -back == value
     assert format_exact(Fraction(12 ** 9000, 7)).endswith("/7")
+    if hasattr(sys, "get_int_max_str_digits"):  # the interpreter's limit is back in force
+        with pytest.raises(ValueError):
+            str(value)

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqfam.families import (FIB, ExplicitRootsFamily, LucasFamily, PochhammerFamily,
-                             PowerFamily, X, fibonacci_polynomial, roots_float, script_X,
-                             table)
+                             PowerFamily, X, fibonacci_polynomial, table)
 
 from grids import FIBONACCI_GRID, POCHHAMMER_GRID, POWER0_GRID
 
@@ -68,14 +67,14 @@ def test_power_family_rational_parameter():
     family = PowerFamily(Fraction(1, 2))
     assert X(family, 2, 1) == Fraction(9, 4)
     assert X(family, 2, 0) == Fraction(1, 4)
-    assert script_X(family, 3) == Fraction(3, 2)
+    assert family.root_sum(3) == Fraction(3, 2)
 
 
 def test_root_sums():
-    assert all(script_X(FIB, n) == 0 for n in range(1, 30))
-    assert all(script_X(LucasFamily(q), 9) == 0 for q in (-2, 1, 2))
-    assert script_X(PochhammerFamily(), 4) == 10
-    assert script_X(PowerFamily(2), 3) == 6
+    assert all(FIB.root_sum(n) == 0 for n in range(1, 30))
+    assert all(LucasFamily(q).root_sum(9) == 0 for q in (-2, 1, 2))
+    assert PochhammerFamily().root_sum(4) == 10
+    assert PowerFamily(2).root_sum(3) == 6
 
 
 def test_fibonacci_and_pell_columns():
@@ -145,11 +144,14 @@ def test_lucas_rejects_zero_q():
 
 
 def test_roots_float_values():
-    assert roots_float(PowerFamily(2), 5) == [2.0] * 5
-    assert roots_float(PochhammerFamily(), 3) == [1.0, 2.0, 3.0]
-    assert roots_float(LucasFamily(1), 1) == [0.0]
-    assert abs(sum(roots_float(FIB, 10))) < 1e-12
-    assert len(roots_float(FIB, 25)) == 25
+    assert PowerFamily(2).float_roots(5) == [2.0] * 5
+    assert PochhammerFamily().float_roots(3) == [1.0, 2.0, 3.0]
+    assert LucasFamily(1).float_roots(1) == [0.0]
+    assert abs(sum(FIB.float_roots(10))) < 1e-12
+    assert len(FIB.float_roots(25)) == 25
+    # q < 0: purely imaginary roots i*v, carried as complex(0.0, v)
+    assert all(isinstance(r, complex) and r.real == 0.0 for r in FIB.float_roots(10))
+    assert all(isinstance(r, float) for r in LucasFamily(2).float_roots(10))
 
 
 def test_window_matches_reference_grid():

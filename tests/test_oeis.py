@@ -119,6 +119,16 @@ def test_cache_round_trip(tmp_path):
     assert third.source == "cache" and third.ids == first.ids
 
 
+def test_cache_round_trips_terms_past_the_digit_limit(tmp_path):
+    terms = [12 ** n for n in range(4000, 4008)]  # 4,317 digits and more
+    transport = _canned_transport({"search": json.dumps({"results": None})})
+    client = OeisClient(cache_dir=tmp_path, transport=transport, min_interval=0.0)
+    assert client.search_by_terms(terms).source == "network"
+    again = client.search_by_terms(terms)
+    assert again.source == "cache" and again.terms == tuple(terms) and again.ids == ()
+    assert len(transport.calls) == 1
+
+
 def test_fixture_hit_short_circuits_network(tmp_path):
     terms = window_terms(PowerFamily(0), "row", 3, (0, 9))
     client = OeisClient(cache_dir=tmp_path, transport=_forbidden_transport)
