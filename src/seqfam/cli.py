@@ -1,9 +1,12 @@
 """Command-line front end: tables, identity sweeps, float checks, OEIS lookup.
 
 Exit codes: 0 success, 1 verification failure (failed checks or no catalog
-match), 2 usage error, 3 external-service error.  Reports go to stdout in
-text, csv or json; diagnostics go to stderr.  Exact values of any length are
-decimal strings in the machine formats, except OEIS JSON ``terms``: JSON numbers.
+match) or stdout closed by its reader (nothing on stderr), 2 usage error, 3
+external-service error.  Reports go to stdout in text, csv or json;
+diagnostics go to stderr.  Exact values of any length are decimal strings in
+the machine formats, except OEIS JSON ``terms``: JSON numbers.  ``table``
+streams its report a row at a time, so its memory is the exact window (plus
+the formatted cells for text, whose column widths need them all).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import format_exact, parse_exact, unlimited_digits
 from .families import (FIB, ExplicitRootsFamily, Family, LucasFamily, PochhammerFamily,
@@ -147,15 +150,48 @@ def parse_identities(text: str) -> List[Identity]:
 # ---------------------------------------------------------------------------
 # Rendering
 
-def render_table_text(window: SequenceWindow) -> str:
+def table_lines(window: SequenceWindow, fmt: str) -> Iterator[str]:
+    """The ``table`` report in ``fmt`` (json, csv or text), one table row at a time.
+
+    Each item is one or more whole lines without the final "\\n" (a json row of
+    values spans a line per cell).  Rows are formatted as they are yielded; only
+    text keeps every cell, for the column widths.  The json is that of
+    ``json.dumps(window_json_dict(w), indent=2)`` and the csv that of
+    ``csv.writer`` (lines end in "\\r"): ``format_exact`` cells hold only
+    digits, "-" and "/", which need no escaping or quoting.
+    """
     n_lo, n_hi = window.n_range
     m_lo, m_hi = window.m_range
-    header = ["n\\m"] + [str(m) for m in range(m_lo, m_hi + 1)]
-    rows = [[str(n)] + [format_exact(v) for v in window.row(n)] for n in range(n_lo, n_hi + 1)]
-    widths = [max(len(line[j]) for line in [header] + rows) for j in range(len(header))]
-    lines = ["  ".join(cell.rjust(widths[j]) for j, cell in enumerate(line))
-             for line in [header] + rows]
-    return "\n".join(lines)
+    n_labels = [str(n) for n in range(n_lo, n_hi + 1)]
+    m_labels = [str(m) for m in range(m_lo, m_hi + 1)]
+    if fmt == "json":
+        head = {"kind": "table", "family": window.family.label(),
+                "n": list(window.n_range), "m": list(window.m_range)}
+        yield json.dumps(head, indent=2)[:-2] + ","  # drop the closing "\n}"
+        yield '  "values": ['
+        last = len(window.values) - 1
+        for i, row in enumerate(window.values):
+            cells = '",\n      "'.join(map(format_exact, row))
+            yield f'    [\n      "{cells}"\n    ]{"," if i < last else ""}'
+        yield "  ]\n}"
+    elif fmt == "csv":
+        yield ",".join(["n", *m_labels]) + "\r"
+        for n, row in zip(n_labels, window.values):
+            yield ",".join([n, *map(format_exact, row)]) + "\r"
+    else:
+        lines = [["n\\m", *m_labels]]
+        lines += ([n, *map(format_exact, row)] for n, row in zip(n_labels, window.values))
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        for line in lines:
+            yield "  ".join(cell.rjust(width) for cell, width in zip(line, widths))
+
+
+def render_table_text(window: SequenceWindow) -> str:
+    return "\n".join(table_lines(window, "text"))
+
+
+def render_table_csv(window: SequenceWindow) -> str:
+    return "\n".join(table_lines(window, "csv"))
 
 
 def _csv(header: List[str], rows) -> str:
@@ -164,13 +200,6 @@ def _csv(header: List[str], rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
-
-
-def render_table_csv(window: SequenceWindow) -> str:
-    m_lo, m_hi = window.m_range
-    return _csv(["n"] + [str(m) for m in range(m_lo, m_hi + 1)],
-                ([str(n)] + [format_exact(v) for v in window.row(n)]
-                 for n in range(window.n_range[0], window.n_range[1] + 1)))
 
 
 def window_json_dict(window: SequenceWindow) -> dict:
@@ -196,12 +225,10 @@ def cmd_table(args) -> int:
     if len(families) != 1:
         raise UsageError("table takes exactly one family")
     window = table(families[0], parse_range(args.n), parse_range(args.m))
-    if args.format == "json":
-        _emit_json(window_json_dict(window))
-    elif args.format == "csv":
-        print(render_table_csv(window))
-    else:
-        print(render_table_text(window))
+    write = sys.stdout.write
+    for piece in table_lines(window, args.format):
+        write(piece)
+        write("\n")
     return 0
 
 
@@ -429,7 +456,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's exit
+    except BrokenPipeError:  # the reader went away, as in `seqfam table ... | head`
+        import os
+        # Python's SIGPIPE recipe: point stdout at devnull so the final flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -55,8 +55,10 @@ def unlimited_digits() -> Iterator[None]:
 
 def format_exact(value: ExactScalar) -> str:
     """Render an exact scalar as a decimal string (``p/q`` for rationals), of any length."""
-    value = normalize(value)
     try:
+        if type(value) is int:  # most values; skips the ABC instance checks below
+            return str(value)
+        value = normalize(value)
         if isinstance(value, Fraction):
             return f"{value.numerator}/{value.denominator}"
         return str(value)

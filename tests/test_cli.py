@@ -4,13 +4,19 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqfam.cli import UsageError, m_bound, main, parse_families, parse_range
-from seqfam.exact import unlimited_digits
+import seqfam
+from seqfam.cli import UsageError, m_bound, main, parse_families, parse_range, window_json_dict
+from seqfam.exact import format_exact, unlimited_digits
+from seqfam.families import table
 
 from grids import FIBONACCI_GRID, POCHHAMMER_GRID, POWER0_GRID
 
@@ -97,6 +103,106 @@ def test_table_rational_family(capsys):
 def test_table_rejects_multiple_families(capsys):
     code, _, err = run(capsys, "table", "--family", "fib,pochhammer", "--n", "1..2", "--m", "0..2")
     assert code == 2 and "exactly one family" in err
+
+
+# -- table streaming: byte-identical to the reference renderings --
+
+def reference_csv(window):
+    buf = io.StringIO()
+    writer = csv.writer(buf)  # the default dialect: "\r\n" line ends
+    writer.writerow(["n", *range(window.m_range[0], window.m_range[1] + 1)])
+    for n, row in zip(range(window.n_range[0], window.n_range[1] + 1), window.values):
+        writer.writerow([n, *map(format_exact, row)])
+    return buf.getvalue()
+
+
+def reference_text(window):
+    header = ["n\\m"] + [str(m) for m in range(window.m_range[0], window.m_range[1] + 1)]
+    rows = [[str(n)] + [format_exact(v) for v in window.row(n)]
+            for n in range(window.n_range[0], window.n_range[1] + 1)]
+    widths = [max(len(line[j]) for line in [header] + rows) for j in range(len(header))]
+    return "".join("  ".join(cell.rjust(widths[j]) for j, cell in enumerate(line)) + "\n"
+                   for line in [header] + rows)
+
+
+REFERENCE = {
+    "json": lambda window: json.dumps(window_json_dict(window), indent=2) + "\n",
+    "csv": reference_csv,
+    "text": reference_text,
+}
+
+STREAM_WINDOWS = [
+    ("power:1/2", "0..12", "-6..6"),
+    ("lucas:2", "0..40", "-8..8"),
+    ("pochhammer", "0..20", "-10..10"),
+    ("power:0", "1..1", "0..0"),  # a single cell
+    ("power:2", "9000..9001", "10..11"),  # members past 4,300 digits
+]
+
+
+def assert_streams_reference(capsys, selector, n, m):
+    window = table(parse_families(selector)[0], parse_range(n), parse_range(m))
+    for fmt, reference in REFERENCE.items():
+        code, out, err = run(capsys, "table", "--family", selector, "--n", n, "--m", m,
+                             "--format", fmt)
+        assert code == 0 and err == ""
+        assert out == reference(window), fmt
+
+
+@pytest.mark.parametrize("selector, n, m", STREAM_WINDOWS)
+def test_table_stream_matches_reference(capsys, selector, n, m):
+    assert_streams_reference(capsys, selector, n, m)
+
+
+def test_table_stream_escapes_a_roots_file_label(tmp_path, capsys):
+    label = 'say "hi", back\\slash \u00e9t\u00e9'
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"label": label, "roots": {"1": ["1/2"], "2": ["3", "-1/3"]}}))
+    assert_streams_reference(capsys, f"roots:{path}", "1..2", "-3..3")
+    _, out, _ = run(capsys, "table", "--family", f"roots:{path}", "--n", "1..2", "--m", "0..0",
+                    "--format", "json")
+    assert json.loads(out)["family"] == f"roots:{label}"
+
+
+def cli_env():
+    """The environment for a `python -m seqfam.cli` child: this checkout's package."""
+    return dict(os.environ, PYTHONPATH=str(Path(seqfam.__file__).resolve().parents[1]))
+
+
+#: Spawns argv from this small interpreter and prints the child's exit code and
+#: ru_maxrss in KiB.  Linux hands a spawning process's memory high-water mark on
+#: to its child, so the test process must not spawn the measured command itself.
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_table_memory_is_the_window():
+    argv = [sys.executable, "-m", "seqfam.cli", "table", "--family", "lucas:2",
+            "--n", "0..600", "--m", "-60..60", "--format", "json"]  # writes 30 MB
+    done = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], env=cli_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, rss_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert rss_kib / 1024 < 80, f"peak RSS {rss_kib / 1024:.1f} MB"
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    argv = [sys.executable, "-m", "seqfam.cli", "table", "--family", "pochhammer",
+            "--n", "0..300", "--m", "-60..60", "--format", "text"]  # a few MB of output
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1
+    assert err == b"", err.decode()
 
 
 # -- verify --

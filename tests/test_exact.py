@@ -79,6 +79,13 @@ def test_normalize_and_formatting():
     assert parse_exact("6/3") == 2
 
 
+def test_format_exact_plain_ints_and_whole_fractions():
+    for value in (0, 1, -1, 10 ** 40, -(3 ** 100)):
+        assert format_exact(value) == str(value)
+        assert format_exact(Fraction(value * 7, 7)) == str(value)  # collapses to an int
+    assert format_exact(True) == "True"  # an int subclass keeps the general path
+
+
 def test_parse_exact_rejects_a_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator"):
         parse_exact("1/0")
