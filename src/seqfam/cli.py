@@ -271,6 +271,8 @@ def cmd_float_check(args) -> int:
     n_range = parse_range(args.n)
     m_range = parse_range(args.m)
     tol = args.tol
+    if not tol > 0:  # nan, 0 or below: even an exact point would fail; inf passes every finite one
+        raise UsageError(f"--tol must be positive, got {tol:g}")
 
     results: List[FloatCompareResult] = []
     for family in families:
@@ -387,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_float.add_argument("--family", required=True)
     p_float.add_argument("--n", default="1..25", metavar="A..B")
     p_float.add_argument("--m", default="-10..10", metavar="A..B")
-    p_float.add_argument("--tol", type=float, default=1e-9)
+    p_float.add_argument("--tol", type=float, default=1e-9,
+                         help="relative tolerance, > 0 (default 1e-9)")
     add_format(p_float)
     p_float.set_defaults(func=cmd_float_check)
 

@@ -77,17 +77,6 @@ def pochhammer(a: int, n: int) -> int:
     return result
 
 
-def falling_factorial(m: int, n: int) -> int:
-    """m * (m-1) * ... * (m-n+1) for m >= n >= 0.
-
-    Computed as the short product (math.perm), never as a quotient of two
-    large factorials.
-    """
-    if not m >= n >= 0:
-        raise ValueError(f"falling_factorial requires m >= n >= 0, got m={m}, n={n}")
-    return math.perm(m, n)
-
-
 def gould_sum(n: int) -> int:
     """Alternating binomial power sum  sum_{l=1..n} (-1)^l C(n,l) l^(n+1).
 

@@ -85,18 +85,14 @@ def _relative_error(real: float, exact: ExactScalar) -> float:
         return float(abs(Fraction(real) - exact) / abs(exact))
 
 
-def float_product(family: Family, n: int, m: int) -> FloatCompareResult:
-    """Multiply the n root factors (m + x[n,l]) in double precision.
+def compare_grid(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int]
+                 ) -> List[FloatCompareResult]:
+    """Multiply the n root factors (m + x[n,l]) in double precision at each point
+    of an inclusive (n, m) rectangle, n-major, against the exact member.
 
     Where the family's float roots are complex (LucasFamily with q < 0) the
     product's imaginary part is expected to cancel to rounding noise.
     """
-    return compare_grid(family, (n, n), (m, m))[0]
-
-
-def compare_grid(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int]
-                 ) -> List[FloatCompareResult]:
-    """float_product over an inclusive (n, m) rectangle, n-major."""
     window = table(family, n_range, m_range)
     if n_range[0] < 1:
         raise ValueError(f"member index n must be >= 1, got {n_range[0]}")

@@ -2,15 +2,17 @@
 
 Every entry names one identity between members X(n, m) of a single family,
 written so that ``lhs - rhs`` is exactly zero whenever the identity holds.
-All arithmetic is exact (ints, with Fractions wherever an entry divides by
-n! or by a power of m); a check passes iff its residual is the exact zero.
+All arithmetic is exact: an entry's integer kernel computes both sides times
+one nonzero clearing factor k, a check passes iff the two integers are equal,
+and the sides it reports are the exact rationals lhs/k and rhs/k.
 
 ``CATALOG`` is the one definition of each entry: the parameters a point
 carries beyond n, the entry's hypothesis on m, whether it is specific to the
-generalized Fibonacci family, whether it reads the labels l*m, its exact
-sides (the oracle) and its integer sweep kernel.  ``eval_identity`` and
-``sweep`` both read it, so they agree on what is admissible; the admissible
-p and q are stated once, in ``P_SPAN`` and ``Q_SPAN``.
+generalized Fibonacci family, whether it reads the labels l*m, and its
+integer kernel, the one evaluation of its two sides.  ``eval_identity`` (one
+point) and ``sweep`` (a grid) both run that kernel, so they agree on what is
+admissible and on every value; the admissible p and q are stated once, in
+``P_SPAN`` and ``Q_SPAN``.
 
 The entries, with S_n denoting the root sum ``family.root_sum(n)``:
 
@@ -47,10 +49,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from operator import mul
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .exact import ExactScalar, falling_factorial, format_exact, normalize
-from .families import FIB, Family, X, fibonacci_polynomial
+from .exact import ExactScalar, format_exact, normalize
+from .families import FIB, Family, fibonacci_polynomial
 
 
 class Identity(str, Enum):
@@ -122,70 +124,11 @@ def _weights(n: int, k: int = 0) -> List[int]:
     return [(math.comb(n, l) if l % 2 == 0 else -math.comb(n, l)) * l ** k for l in range(n + 1)]
 
 
-def _sides_l2_shift(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _weights(n)
-    total = sum(signed[l] * l * X(family, n, l + m) for l in range(1, n + 1))
-    rhs = Fraction((-1) ** n, math.factorial(n)) * total - Fraction(n * (n + 1), 2) - n * m
-    return family.root_sum(n), rhs
-
-
-def _sides_l2_scale(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _weights(n)
-    total = sum(signed[l] * l * X(family, n, l * m) for l in range(1, n + 1))
-    rhs = (Fraction((-1) ** n, math.factorial(n) * m ** (n - 1)) * total
-           - Fraction(n * (n + 1) * m, 2))
-    return family.root_sum(n), rhs
-
-
-def _sides_rec_m(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
-    total = sum((-1) ** l * math.comb(n, l - 1) * X(family, n, l + m - n) for l in range(1, n + 1))
-    return X(family, n, m + 1), (-1) ** n * total + math.factorial(n)
-
-
-def _sides_scale_id(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _weights(n)
-    scaled = sum(signed[l] * l * X(family, n, l * m) for l in range(1, n + 1))
-    plain = sum(signed[l] * l * X(family, n, l) for l in range(1, n + 1))
-    lhs = Fraction(1, m ** (n - 1)) * scaled
-    rhs = plain + Fraction((-1) ** (n - 1) * (1 - m) * n * math.factorial(n + 1), 2)
-    return lhs, rhs
-
-
-def _sides_expl(family: Family, n: int, m: int, *_, sign: int) -> Tuple[ExactScalar, ExactScalar]:
-    c_mn = math.comb(m, n)
-    total = sum(Fraction((-1) ** (n + l) * (n - l) * c_mn * math.comb(n, l), l - m)
-                * X(family, n, sign * l) for l in range(n))
-    return X(family, n, sign * m), total + sign ** n * falling_factorial(m, n)
-
-
-def _sides_subfam_zero(family: Family, n: int, m: int, p: int, q: int
-                       ) -> Tuple[ExactScalar, ExactScalar]:
-    total = sum(w * X(family, n - p, m - n + l) for l, w in enumerate(_weights(n, q)))
-    return total, 0
-
-
-def _sides_subfam_fact(family: Family, n: int, m: int, p: int, *_
-                       ) -> Tuple[ExactScalar, ExactScalar]:
-    return _sides_subfam_zero(family, n, m, p, p)[0], (-1) ** n * math.factorial(n)
-
-
-def _sides_fib_posneg(family: Family, n: int, *_, compl: bool
-                      ) -> Tuple[ExactScalar, ExactScalar]:
-    signed = _weights(n)
-    sign = (-1) ** n if compl else -1
-    total = sum(signed[l] * l * (X(family, n, -l) + sign * X(family, n, l))
-                for l in range(1, n + 1))
-    return total, n * math.factorial(n + 1) * (1 if compl else n % 2)
-
-
-def _sides_fib_poly(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
-    return fibonacci_polynomial(n, m), X(family, n, m)
-
-
 def eval_identity(identity: Identity, family: Family, *, n: int,
                   m: Optional[int] = None, p: Optional[int] = None,
                   q: Optional[int] = None) -> IdentityCheck:
-    """Evaluate one catalog entry at one parameter point, exactly.
+    """Evaluate one catalog entry at one parameter point, exactly: the sweep
+    of the one-point grid, through the same kernel.
 
     Raises :class:`DomainError` when the point violates the entry's stated
     hypothesis; an identity that merely fails to hold is reported through the
@@ -201,25 +144,19 @@ def eval_identity(identity: Identity, family: Family, *, n: int,
     require(n >= 1, f"n >= 1 (got n={n})")
     require(not entry.fib_only or family == FIB,
             f"the generalized Fibonacci family lucas:-1 (got {family.label()})")
-    params = {"n": n}
     if "m" in entry.params:
         require(m is not None, "an m parameter")
         if entry.m_hypothesis is not None:
             holds, statement = entry.m_hypothesis
             require(holds(n, m), f"{statement} (got n={n}, m={m})")
-        params["m"] = m
-    else:
-        m = 0  # an entry without m is read at m = 0
     if "p" in entry.params:
         require(p in P_SPAN.values(n), f"{P_SPAN.statement} (got n={n}, p={p})")
-        params["p"] = p
     if "q" in entry.params:
         require(q in Q_SPAN.values(p), f"{Q_SPAN.statement} (got p={p}, q={q})")
-        params["q"] = q
-    lhs, rhs = entry.sides(family, n, m, p, q)
-    residual = normalize(lhs - rhs)
-    return IdentityCheck(identity=identity, family=family, params=params, lhs=normalize(lhs),
-                         rhs=normalize(rhs), residual=residual, passed=residual == 0)
+    ((_, checks),) = _kernels(identity, family, SweepRanges(n=(n, n), m=(m, m), p=(p, p),
+                                                            q=(q, q)))
+    (check,) = checks
+    return _record(identity, family, n, *check)
 
 
 # ---------------------------------------------------------------------------
@@ -299,24 +236,25 @@ def _failure_key(check: IdentityCheck) -> Tuple:
             params.get("m", 0), params.get("p", 0), params.get("q", 0))
 
 
-# Fraction-free sweep kernels.  Every entry is linear in the members of one
-# row X(r, .), so a sweep cell builds each row once, as ints over the row's
-# common denominator d, and decides every check as an integer equation: both
-# sides multiplied by one nonzero clearing factor (d, n!, m^(n-1), the (l - m)
-# product or 2).  A kernel yields (m, p, q, passed) for each check at one n and
-# each admissible m in ``ms``; ``rows[r]`` is (d, row), ``row[at[k]]`` is
-# d * X(r, k), and every run of consecutive labels that a kernel slices is in
-# the window whole.
+# Fraction-free kernels, the one evaluation of every entry.  Each entry is
+# linear in the members of one row X(r, .), so a cell builds each row once, as
+# ints over the row's common denominator d.  A kernel yields
+# (m, p, q, lhs, rhs, k) for each check at one n and each admissible m in
+# ``ms``: lhs and rhs are the entry's two sides, each multiplied by one nonzero
+# clearing factor k (d, n!*d, n!*d*m^(n-1), m!/(m-n)!*d or m^(n-1)*d), so the
+# check passes iff lhs == rhs, and its exact sides are lhs/k and rhs/k.
+# ``rows[r]`` is (d, row), ``row[at[x]]`` is d * X(r, x), and every run of
+# consecutive labels that a kernel slices is in the window whole.
 
-Rows = List[Tuple[int, List[int]]]
+Rows = Dict[int, Tuple[int, List[int]]]
 Index = Dict[int, int]
 
 
-def _int_rows(family: Family, n_hi: int, labels: List[int]) -> Rows:
-    rows = []
-    for row in zip(*(family.column(m, 0, n_hi) for m in labels)):
+def _int_rows(family: Family, r_lo: int, r_hi: int, labels: List[int]) -> Rows:
+    rows = {}
+    for r, row in enumerate(zip(*(family.column(m, r_lo, r_hi) for m in labels)), r_lo):
         d = math.lcm(*(v.denominator for v in row))
-        rows.append((d, [v.numerator * (d // v.denominator) for v in row]))
+        rows[r] = d, [v.numerator * (d // v.denominator) for v in row]
     return rows
 
 
@@ -327,7 +265,7 @@ def _kernel_l2_shift(rows: Rows, at: Index, family: Family, n: int, ms: List[int
     lhs = family.root_sum(n) * fd
     for m in ms:
         total = sum(map(mul, w, row[at[m]:at[m] + n + 1]))
-        yield m, None, None, lhs == sign * total - (n * (n + 1) // 2 + n * m) * fd
+        yield m, None, None, lhs, sign * total - (n * (n + 1) // 2 + n * m) * fd, fd
 
 
 def _kernel_l2_scale(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
@@ -338,7 +276,7 @@ def _kernel_l2_scale(rows: Rows, at: Index, family: Family, n: int, ms: List[int
     for m in ms:
         k = fd * m ** (n - 1)
         total = sum(map(mul, w, [row[at[l * m]] for l in range(n + 1)]))
-        yield m, None, None, root_sum * k == sign * total - n * (n + 1) * m // 2 * k
+        yield m, None, None, root_sum * k, sign * total - n * (n + 1) * m // 2 * k, k
 
 
 def _kernel_rec_m(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
@@ -348,7 +286,7 @@ def _kernel_rec_m(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
     fd = math.factorial(n) * d
     for m in ms:
         s = at[m]
-        yield m, None, None, row[s + 1] == sum(map(mul, w, row[s - n + 1:s + 1])) + fd
+        yield m, None, None, row[s + 1], sum(map(mul, w, row[s - n + 1:s + 1])) + fd, d
 
 
 def _kernel_scale_id(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
@@ -358,8 +296,9 @@ def _kernel_scale_id(rows: Rows, at: Index, family: Family, n: int, ms: List[int
     plain = sum(map(mul, w, row[at[0]:at[0] + n + 1]))
     half = (-1) ** (n - 1) * n * math.factorial(n + 1) // 2 * d
     for m in ms:
+        power = m ** (n - 1)
         scaled = sum(map(mul, w, [row[at[l * m]] for l in range(n + 1)]))
-        yield m, None, None, scaled == m ** (n - 1) * (plain + (1 - m) * half)
+        yield m, None, None, scaled, power * (plain + (1 - m) * half), power * d
 
 
 def _kernel_expl(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
@@ -371,7 +310,7 @@ def _kernel_expl(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
         ff, c = math.perm(m, n), math.comb(m, n)
         w = [a * c * (ff // (l - m)) for l, a in enumerate(coeffs)]
         total = sum(map(mul, w, values)) + sign ** n * ff * ff * d
-        yield m, None, None, ff * row[at[sign * m]] == total
+        yield m, None, None, ff * row[at[sign * m]], total, ff * d
 
 
 def _kernel_subfam(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
@@ -381,10 +320,11 @@ def _kernel_subfam(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
     for p in P_SPAN.values(n, ranges.p):
         qs = [p] if fact else Q_SPAN.values(p, ranges.q)
         d, row = rows[n - p]
+        rhs = target * d
         for m in ms:
             segment = row[at[m - n]:at[m] + 1]
             for q in qs:
-                yield m, p, None if fact else q, sum(map(mul, weights[q], segment)) == target * d
+                yield m, p, None if fact else q, sum(map(mul, weights[q], segment)), rhs, d
 
 
 def _kernel_fib_posneg(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
@@ -393,15 +333,15 @@ def _kernel_fib_posneg(rows: Rows, at: Index, family: Family, n: int, ms: List[i
     w = _weights(n, 1)
     pos = sum(map(mul, w, row[at[0]:at[0] + n + 1]))
     neg = sum(map(mul, w, row[at[-n]:at[0] + 1][::-1]))
-    rhs = n * math.factorial(n + 1) * d
-    yield None, None, None, (neg + (-1) ** n * pos == rhs) if compl else (neg - pos == n % 2 * rhs)
+    rhs = n * math.factorial(n + 1) * d * (1 if compl else n % 2)
+    yield None, None, None, neg + ((-1) ** n if compl else -1) * pos, rhs, d
 
 
 def _kernel_fib_poly(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
                      ranges: SweepRanges):
     d, row = rows[n]
     for m in ms:
-        yield m, None, None, row[at[m]] == fibonacci_polynomial(n, m) * d
+        yield m, None, None, fibonacci_polynomial(n, m) * d, row[at[m]], d
 
 
 class Entry(NamedTuple):
@@ -411,8 +351,7 @@ class Entry(NamedTuple):
     m_hypothesis: Optional[Tuple[Callable[[int, int], bool], str]]  # holds(n, m), statement
     fib_only: bool  # holds for the generalized Fibonacci family lucas:-1 only
     scaled: bool  # also reads the labels l*m
-    sides: Callable[..., Tuple[ExactScalar, ExactScalar]]  # exact (lhs, rhs) at one point
-    kernel: Callable  # integer sweep kernel, yields (m, p, q, passed)
+    kernel: Callable  # the integer kernel: yields (m, p, q, lhs, rhs, k) per check
 
     def m_values(self, n: int, ranges: SweepRanges) -> List[int]:
         """The admissible m of a sweep at n; [0] for an entry without m."""
@@ -429,36 +368,30 @@ _M_AT_LEAST_N = (lambda n, m: m >= n, "m >= n")
 #: The identity catalog.  L1 is L2_SHIFT read at m = 0, EXPL_NEG is EXPL_POS
 #: over the labels -l and -m, and FIB_POSNEG_COMPL flips the sign of X(n, l).
 CATALOG: Dict[Identity, Entry] = {
-    Identity.L1: Entry("", None, False, False, _sides_l2_shift, _kernel_l2_shift),
-    Identity.L2_SHIFT: Entry("m", None, False, False, _sides_l2_shift, _kernel_l2_shift),
-    Identity.L2_SCALE: Entry("m", _M_NONZERO, False, True, _sides_l2_scale, _kernel_l2_scale),
-    Identity.REC_M: Entry("m", None, False, False, _sides_rec_m, _kernel_rec_m),
-    Identity.SCALE_ID: Entry("m", _M_NONZERO, False, True, _sides_scale_id, _kernel_scale_id),
-    Identity.EXPL_POS: Entry("m", _M_AT_LEAST_N, False, False, partial(_sides_expl, sign=1),
-                             partial(_kernel_expl, sign=1)),
-    Identity.EXPL_NEG: Entry("m", _M_AT_LEAST_N, False, False, partial(_sides_expl, sign=-1),
-                             partial(_kernel_expl, sign=-1)),
-    Identity.SUBFAM_ZERO: Entry("mpq", None, False, False, _sides_subfam_zero,
-                                partial(_kernel_subfam, fact=False)),
-    Identity.SUBFAM_FACT: Entry("mp", None, False, False, _sides_subfam_fact,
-                                partial(_kernel_subfam, fact=True)),
-    Identity.FIB_POSNEG: Entry("", None, True, False, partial(_sides_fib_posneg, compl=False),
-                               partial(_kernel_fib_posneg, compl=False)),
-    Identity.FIB_POSNEG_COMPL: Entry("", None, True, False, partial(_sides_fib_posneg, compl=True),
+    Identity.L1: Entry("", None, False, False, _kernel_l2_shift),
+    Identity.L2_SHIFT: Entry("m", None, False, False, _kernel_l2_shift),
+    Identity.L2_SCALE: Entry("m", _M_NONZERO, False, True, _kernel_l2_scale),
+    Identity.REC_M: Entry("m", None, False, False, _kernel_rec_m),
+    Identity.SCALE_ID: Entry("m", _M_NONZERO, False, True, _kernel_scale_id),
+    Identity.EXPL_POS: Entry("m", _M_AT_LEAST_N, False, False, partial(_kernel_expl, sign=1)),
+    Identity.EXPL_NEG: Entry("m", _M_AT_LEAST_N, False, False, partial(_kernel_expl, sign=-1)),
+    Identity.SUBFAM_ZERO: Entry("mpq", None, False, False, partial(_kernel_subfam, fact=False)),
+    Identity.SUBFAM_FACT: Entry("mp", None, False, False, partial(_kernel_subfam, fact=True)),
+    Identity.FIB_POSNEG: Entry("", None, True, False, partial(_kernel_fib_posneg, compl=False)),
+    Identity.FIB_POSNEG_COMPL: Entry("", None, True, False,
                                      partial(_kernel_fib_posneg, compl=True)),
-    Identity.FIB_POLY: Entry("m", None, True, False, _sides_fib_poly, _kernel_fib_poly),
+    Identity.FIB_POLY: Entry("m", None, True, False, _kernel_fib_poly),
 }
 
 
-def _run_cell(identity: Identity, family: Family, ranges: SweepRanges
-              ) -> Tuple[int, List[IdentityCheck]]:
-    """Evaluate every admissible point of one (identity, family) pair.
-
-    Each failing point is recorded as :func:`eval_identity` checks it."""
+def _kernels(identity: Identity, family: Family, ranges: SweepRanges
+             ) -> Iterator[Tuple[int, Iterator[Tuple]]]:
+    """(n, the kernel's checks at n) for each n of one (identity, family) cell,
+    its rows built once for the whole cell."""
     entry = CATALOG[identity]
     n_values = range(max(ranges.n[0], 1), ranges.n[1] + 1)
     if (entry.fib_only and family != FIB) or not n_values:
-        return 0, []
+        return iter(())
     admissible = {n: entry.m_values(n, ranges) for n in n_values}
     read = set()  # labels of the members the cell reads: near 0, near m and near -m
     for n, ms in admissible.items():
@@ -467,15 +400,33 @@ def _run_cell(identity: Identity, family: Family, ranges: SweepRanges
         if entry.scaled:
             read.update(l * m for m in ms for l in range(n + 1))
     labels = sorted(read)
-    rows = _int_rows(family, n_values[-1], labels)
+    r_lo = 1 if "p" in entry.params else n_values[0]  # SUBFAM_* read the rows n - p
+    rows = _int_rows(family, r_lo, n_values[-1], labels)
     at = {label: i for i, label in enumerate(labels)}
+    return ((n, entry.kernel(rows, at, family, n, ms, ranges)) for n, ms in admissible.items())
+
+
+def _record(identity: Identity, family: Family, n: int, m: Optional[int], p: Optional[int],
+            q: Optional[int], lhs: ExactScalar, rhs: ExactScalar, k: int) -> IdentityCheck:
+    """The check at one point, from its kernel's cleared sides."""
+    point = {"n": n, "m": m, "p": p, "q": q}
+    params = {name: point[name] for name in "n" + CATALOG[identity].params}
+    lhs, rhs = normalize(Fraction(lhs, k)), normalize(Fraction(rhs, k))
+    residual = normalize(lhs - rhs)
+    return IdentityCheck(identity=identity, family=family, params=params, lhs=lhs, rhs=rhs,
+                         residual=residual, passed=residual == 0)
+
+
+def _run_cell(identity: Identity, family: Family, ranges: SweepRanges
+              ) -> Tuple[int, List[IdentityCheck]]:
+    """The check count and the failing checks of one (identity, family) cell."""
     count = 0
     failures: List[IdentityCheck] = []
-    for n, ms in admissible.items():
-        for m, p, q, passed in entry.kernel(rows, at, family, n, ms, ranges):
+    for n, checks in _kernels(identity, family, ranges):
+        for m, p, q, lhs, rhs, k in checks:
             count += 1
-            if not passed:
-                failures.append(eval_identity(identity, family, n=n, m=m, p=p, q=q))
+            if lhs != rhs:
+                failures.append(_record(identity, family, n, m, p, q, lhs, rhs, k))
     return count, failures
 
 

@@ -300,6 +300,25 @@ def test_float_check_impossible_tolerance_fails(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_float_check_rejects_a_tolerance_that_is_not_positive(capsys, tol):
+    # each of these would fail every point, exact ones (relative error 0) included
+    code, out, err = run(capsys, "float-check", "--family", "fib", "--n", "1..3", "--m", "0..1",
+                         f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert "--tol must be positive" in err and "Traceback" not in err
+
+
+def test_float_check_small_tolerance_output(capsys):
+    code, out, _ = run(capsys, "float-check", "--family", "fib", "--n", "1..3", "--m", "0..1",
+                       "--tol=1e-9")
+    assert code == 0
+    assert out == ("families: lucas:-1\n"
+                   "checks:   6  tolerance 1e-09\n"
+                   "worst relative error:  2.220e-16\n"
+                   "worst imaginary ratio: 3.331e-16\n")
+
+
 def test_float_check_rejects_member_index_zero(capsys):
     code, out, err = run(capsys, "float-check", "--family", "fib", "--n", "0..3", "--m", "0..1")
     assert code == 2 and out == ""

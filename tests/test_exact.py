@@ -5,8 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from seqfam.exact import (falling_factorial, format_exact, gould_sum, normalize, parse_exact,
-                          pochhammer)
+from seqfam.exact import format_exact, gould_sum, normalize, parse_exact, pochhammer
 
 
 def test_pochhammer_factorial_oracle():
@@ -31,25 +30,6 @@ def test_pochhammer_shift_identity():
         for l in range(1, 13):
             for n in range(11):
                 assert l * pochhammer(l * m + 1, n) * m == pochhammer(l * m, n + 1)
-
-
-def test_falling_factorial_factorial_oracle():
-    for m in range(13):
-        for n in range(m + 1):
-            assert falling_factorial(m, n) == math.factorial(m) // math.factorial(m - n)
-
-
-def test_falling_factorial_known_values():
-    assert falling_factorial(3, 2) == 6
-    assert falling_factorial(6, 6) == 720
-    assert falling_factorial(5, 0) == 1
-
-
-def test_falling_factorial_contract():
-    with pytest.raises(ValueError):
-        falling_factorial(2, 3)
-    with pytest.raises(ValueError):
-        falling_factorial(3, -1)
 
 
 def test_gould_sum_small_values():

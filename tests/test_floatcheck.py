@@ -4,11 +4,11 @@ import pytest
 
 from seqfam.families import FIB, LucasFamily, PochhammerFamily, PowerFamily, X
 from seqfam.floatcheck import (chebyshev_zero_sum, classic_fibonacci,
-                               classic_fibonacci_products, compare_grid, float_product)
+                               classic_fibonacci_products, compare_grid)
 
 
 def test_fibonacci_member_product():
-    result = float_product(FIB, 6, 1)
+    result = compare_grid(FIB, (6, 6), (1, 1))[0]
     assert result.exact == 13
     assert result.relative_error < 1e-12
     assert result.imaginary_residual < 1e-12
@@ -16,14 +16,14 @@ def test_fibonacci_member_product():
 
 def test_single_factor_is_exact():
     # one factor, cos(pi/2) contributes nothing to the real part
-    result = float_product(FIB, 1, 5)
+    result = compare_grid(FIB, (1, 1), (5, 5))[0]
     assert result.exact == 5
     assert result.real == 5.0
 
 
 def test_positive_q_product():
     # recursion oracle for q=2, m=3: 0, 1, 3, 7, 15, 31
-    result = float_product(LucasFamily(2), 4, 3)
+    result = compare_grid(LucasFamily(2), (4, 4), (3, 3))[0]
     assert result.exact == 31
     assert result.imag == 0.0
     assert result.relative_error < 1e-12
@@ -33,7 +33,7 @@ def test_real_family_products():
     for family in (PowerFamily(2), PochhammerFamily()):
         for n in range(1, 12):
             for m in range(-6, 7):
-                result = float_product(family, n, m)
+                result = compare_grid(family, (n, n), (m, m))[0]
                 assert result.relative_error < 1e-12
                 assert result.imag == 0.0
 
@@ -46,7 +46,7 @@ def test_lucas_grid_within_tolerance(q):
 
 def test_relative_error_guard_at_exact_zero():
     # X = 0 here; the max(1, |exact|) denominator keeps the ratio finite
-    result = float_product(FIB, 1, 0)
+    result = compare_grid(FIB, (1, 1), (0, 0))[0]
     assert result.exact == 0
     assert result.relative_error < 1e-12
 
@@ -80,7 +80,7 @@ def test_classic_fibonacci_oracle():
 
 
 def test_result_serialization():
-    payload = float_product(FIB, 6, 1).to_json_dict()
+    payload = compare_grid(FIB, (6, 6), (1, 1))[0].to_json_dict()
     assert payload["family"] == "lucas:-1"
     assert payload["exact"] == "13"
     assert isinstance(payload["relative_error"], float)

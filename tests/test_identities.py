@@ -6,16 +6,18 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
+from typing import Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqfam.exact import normalize
-from seqfam.families import (FIB, ExplicitRootsFamily, LucasFamily, PochhammerFamily,
-                             PowerFamily, X)
-from seqfam.identities import (ALL_IDENTITIES, CATALOG, DomainError, Identity, SweepRanges,
-                               _weights, eval_identity, sweep)
+from seqfam.exact import ExactScalar, normalize
+from seqfam.families import (FIB, ExplicitRootsFamily, Family, LucasFamily, PochhammerFamily,
+                             PowerFamily, X, fibonacci_polynomial)
+from seqfam.identities import (ALL_IDENTITIES, CATALOG, DomainError, Identity, IdentityCheck,
+                               SweepRanges, _weights, eval_identity, sweep)
 
 SMALL_FAMILIES = [PowerFamily(0), PowerFamily(2), PowerFamily(Fraction(1, 2)),
                   PochhammerFamily(), FIB, LucasFamily(2)]
@@ -269,7 +271,7 @@ def test_check_serialization_uses_decimal_strings():
     assert payload["family"] == "lucas:-1"
 
 
-# -- every entry can fail, and the integer kernel agrees with the exact oracle --
+# -- every entry can fail, and the integer kernels agree with the Fraction reference --
 
 GENERIC = [i for i in ALL_IDENTITIES if not CATALOG[i].fib_only]
 HALF = PowerFamily(Fraction(1, 2))
@@ -290,6 +292,95 @@ def test_every_entry_detects_a_corrupted_member(monkeypatch, entry, family, memb
         assert check.residual == check.lhs - check.rhs != 0
 
 
+# -- the reference: each entry's two sides transcribed a second time, in Fractions,
+#    independently of the integer kernels that eval_identity and sweep run --
+
+def _sides_l2_shift(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
+    signed = _weights(n)
+    total = sum(signed[l] * l * X(family, n, l + m) for l in range(1, n + 1))
+    rhs = Fraction((-1) ** n, math.factorial(n)) * total - Fraction(n * (n + 1), 2) - n * m
+    return family.root_sum(n), rhs
+
+
+def _sides_l2_scale(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
+    signed = _weights(n)
+    total = sum(signed[l] * l * X(family, n, l * m) for l in range(1, n + 1))
+    rhs = (Fraction((-1) ** n, math.factorial(n) * m ** (n - 1)) * total
+           - Fraction(n * (n + 1) * m, 2))
+    return family.root_sum(n), rhs
+
+
+def _sides_rec_m(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
+    total = sum((-1) ** l * math.comb(n, l - 1) * X(family, n, l + m - n) for l in range(1, n + 1))
+    return X(family, n, m + 1), (-1) ** n * total + math.factorial(n)
+
+
+def _sides_scale_id(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
+    signed = _weights(n)
+    scaled = sum(signed[l] * l * X(family, n, l * m) for l in range(1, n + 1))
+    plain = sum(signed[l] * l * X(family, n, l) for l in range(1, n + 1))
+    lhs = Fraction(1, m ** (n - 1)) * scaled
+    rhs = plain + Fraction((-1) ** (n - 1) * (1 - m) * n * math.factorial(n + 1), 2)
+    return lhs, rhs
+
+
+def _sides_expl(family: Family, n: int, m: int, *_, sign: int) -> Tuple[ExactScalar, ExactScalar]:
+    c_mn = math.comb(m, n)
+    total = sum(Fraction((-1) ** (n + l) * (n - l) * c_mn * math.comb(n, l), l - m)
+                * X(family, n, sign * l) for l in range(n))
+    return X(family, n, sign * m), total + sign ** n * math.perm(m, n)
+
+
+def _sides_subfam_zero(family: Family, n: int, m: int, p: int, q: int
+                       ) -> Tuple[ExactScalar, ExactScalar]:
+    total = sum(w * X(family, n - p, m - n + l) for l, w in enumerate(_weights(n, q)))
+    return total, 0
+
+
+def _sides_subfam_fact(family: Family, n: int, m: int, p: int, *_
+                       ) -> Tuple[ExactScalar, ExactScalar]:
+    return _sides_subfam_zero(family, n, m, p, p)[0], (-1) ** n * math.factorial(n)
+
+
+def _sides_fib_posneg(family: Family, n: int, *_, compl: bool
+                      ) -> Tuple[ExactScalar, ExactScalar]:
+    signed = _weights(n)
+    sign = (-1) ** n if compl else -1
+    total = sum(signed[l] * l * (X(family, n, -l) + sign * X(family, n, l))
+                for l in range(1, n + 1))
+    return total, n * math.factorial(n + 1) * (1 if compl else n % 2)
+
+
+def _sides_fib_poly(family: Family, n: int, m: int, *_) -> Tuple[ExactScalar, ExactScalar]:
+    return fibonacci_polynomial(n, m), X(family, n, m)
+
+
+REFERENCE = {
+    Identity.L1: _sides_l2_shift,
+    Identity.L2_SHIFT: _sides_l2_shift,
+    Identity.L2_SCALE: _sides_l2_scale,
+    Identity.REC_M: _sides_rec_m,
+    Identity.SCALE_ID: _sides_scale_id,
+    Identity.EXPL_POS: partial(_sides_expl, sign=1),
+    Identity.EXPL_NEG: partial(_sides_expl, sign=-1),
+    Identity.SUBFAM_ZERO: _sides_subfam_zero,
+    Identity.SUBFAM_FACT: _sides_subfam_fact,
+    Identity.FIB_POSNEG: partial(_sides_fib_posneg, compl=False),
+    Identity.FIB_POSNEG_COMPL: partial(_sides_fib_posneg, compl=True),
+    Identity.FIB_POLY: _sides_fib_poly,
+}
+
+
+def reference_check(entry, family, *, n, m=None, p=None, q=None):
+    """The record of one admissible point, from the reference sides; a point
+    without m is read at m = 0."""
+    lhs, rhs = REFERENCE[entry](family, n, 0 if m is None else m, p, q)
+    residual = normalize(lhs - rhs)
+    params = {name: value for name, value in zip("nmpq", (n, m, p, q)) if value is not None}
+    return IdentityCheck(identity=entry, family=family, params=params, lhs=normalize(lhs),
+                         rhs=normalize(rhs), residual=residual, passed=residual == 0).to_json_dict()
+
+
 def _rational_roots(n, l):
     return Fraction(2 * l - n, l + 1)
 
@@ -298,25 +389,33 @@ PROPERTY_FAMILIES = [PowerFamily(Fraction(-3, 2)), ExplicitRootsFamily(_rational
                      PochhammerFamily(), FIB, LucasFamily(2)]
 
 
-def oracle_sweep(entry, family, ranges):
-    """Checks and failures of one sweep cell, point by point through eval_identity,
-    which alone decides which p and q are admissible."""
+def admissible_points(entry, family, ranges):
+    """(point, eval_identity's check) at every point of the grid that eval_identity
+    admits; it alone decides which p and q are admissible."""
     def within(values, bounds):
         return [v for v in values if bounds is None or bounds[0] <= v <= bounds[1]]
 
     params = CATALOG[entry].params
-    count, failures = 0, []
     for n in range(ranges.n[0], ranges.n[1] + 1):
         for p in (within(range(-1, n + 2), ranges.p) if "p" in params else [None]):
             for q in (within(range(-1, p + 2), ranges.q) if "q" in params else [None]):
                 for m in (ranges.m_values(n) if "m" in params else [None]):
+                    point = {"n": n, "m": m, "p": p, "q": q}
                     try:
-                        check = eval_identity(entry, family, n=n, m=m, p=p, q=q)
+                        check = eval_identity(entry, family, **point)
                     except DomainError:
                         continue
-                    count += 1
-                    if not check.passed:
-                        failures.append(check.to_json_dict())
+                    yield point, check
+
+
+def oracle_sweep(entry, family, ranges):
+    """Checks and failures of one sweep cell, point by point through the reference."""
+    count, failures = 0, []
+    for point, _ in admissible_points(entry, family, ranges):
+        count += 1
+        check = reference_check(entry, family, **point)
+        if not check["pass"]:
+            failures.append(check)
     return count, failures
 
 
@@ -342,6 +441,18 @@ def test_kernel_agrees_with_oracle(entry, family, n_lo, n_len, m, p, q, data):
     assert report.total_checks == count
     recorded = [check.to_json_dict() for check in report.failures]
     assert sorted(recorded, key=json.dumps) == sorted(failures, key=json.dumps)
+
+
+@pytest.mark.parametrize("family", PROPERTY_FAMILIES, ids=lambda f: f.label())
+def test_eval_identity_agrees_with_reference(monkeypatch, family):
+    # every admissible point, passing or not; the corrupted member makes some fail
+    corrupt_member(monkeypatch, type(family), 4, 2)
+    failed = 0
+    for entry in ALL_IDENTITIES:
+        for point, check in admissible_points(entry, family, SweepRanges(n=(1, 5), m=(-3, 6))):
+            assert check.to_json_dict() == reference_check(entry, family, **point), point
+            failed += not check.passed
+    assert failed
 
 
 class OffByOne(PowerFamily):
