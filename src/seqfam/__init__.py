@@ -8,11 +8,10 @@ cosine products and OEIS leading-term lookups provide independent
 cross-checks.
 """
 
-from .exact import ExactScalar, format_exact, gould_sum, normalize, parse_exact, pochhammer
+from .exact import ExactScalar, format_exact, normalize, parse_exact, pochhammer
 from .families import (FIB, ExplicitRootsFamily, Family, LucasFamily, PochhammerFamily,
                        PowerFamily, SequenceWindow, X, fibonacci_polynomial, table)
-from .floatcheck import (FloatCompareResult, chebyshev_zero_sum, classic_fibonacci,
-                         classic_fibonacci_products, compare_grid)
+from .floatcheck import FloatCompareResult, compare_grid
 from .identities import (ALL_IDENTITIES, DomainError, Identity, IdentityCheck, SweepRanges,
                          SweepReport, eval_identity, sweep)
 from .oeis import OeisClient, OeisMatch, ParseError, TransportError, cross_check
@@ -20,11 +19,10 @@ from .oeis import OeisClient, OeisMatch, ParseError, TransportError, cross_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactScalar", "format_exact", "gould_sum", "normalize", "parse_exact", "pochhammer",
+    "ExactScalar", "format_exact", "normalize", "parse_exact", "pochhammer",
     "FIB", "ExplicitRootsFamily", "Family", "LucasFamily", "PochhammerFamily",
     "PowerFamily", "SequenceWindow", "X", "fibonacci_polynomial", "table",
-    "FloatCompareResult", "chebyshev_zero_sum", "classic_fibonacci",
-    "classic_fibonacci_products", "compare_grid",
+    "FloatCompareResult", "compare_grid",
     "ALL_IDENTITIES", "DomainError", "Identity", "IdentityCheck", "SweepRanges",
     "SweepReport", "eval_identity", "sweep",
     "OeisClient", "OeisMatch", "ParseError", "TransportError", "cross_check",

@@ -7,7 +7,6 @@ itself rational or when an identity divides by a power of the sequence label.
 
 from __future__ import annotations
 
-import math
 import sys
 import threading
 from contextlib import contextmanager
@@ -76,18 +75,3 @@ def pochhammer(a: int, n: int) -> int:
         result *= a + i
     return result
 
-
-def gould_sum(n: int) -> int:
-    """Alternating binomial power sum  sum_{l=1..n} (-1)^l C(n,l) l^(n+1).
-
-    Closed form: (-1)^n * n! * n(n+1)/2.  The sign of this sum is load-bearing
-    for the root-sum identity of the catalog, so the closed form is re-checked
-    on every call.
-    """
-    if n < 1:
-        raise ValueError(f"gould_sum requires n >= 1, got {n}")
-    total = sum((-1) ** l * math.comb(n, l) * l ** (n + 1) for l in range(1, n + 1))
-    closed = (-1) ** n * math.factorial(n) * (n * (n + 1) // 2)
-    if total != closed:
-        raise ArithmeticError(f"gould_sum closed form mismatch at n={n}: {total} != {closed}")
-    return total

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .exact import ExactScalar, format_exact
-from .families import FIB, Family, X, table
+from .families import Family, table
 
 
 @dataclass(frozen=True)
@@ -109,34 +109,3 @@ def compare_grid(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, i
                 imaginary_residual=abs(product.imag)))
     return results
 
-
-def chebyshev_zero_sum(n: int) -> float:
-    """sum_{l=1..n} cos(l*pi/(n+1)); symmetric zeros, so ~0 to rounding."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return sum(math.cos(l * math.pi / (n + 1)) for l in range(1, n + 1))
-
-
-def classic_fibonacci_products(n: int) -> Tuple[float, float]:
-    """Both product forms for the classic Fibonacci number F_n, n >= 2.
-
-    Returns (real_form, complex_form): the product of (3 + 2cos(2*l*pi/n))
-    over l = 1..floor((n-1)/2), and the real part of the product of
-    (1 - 2i*cos(l*pi/n)) over l = 1..n-1.  Both equal F_n.
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    real_form = 1.0
-    for l in range(1, (n - 1) // 2 + 1):
-        real_form *= 3.0 + 2.0 * math.cos(2.0 * l * math.pi / n)
-    complex_form = complex(1.0, 0.0)
-    for l in range(1, n):
-        complex_form *= complex(1.0, -2.0 * math.cos(l * math.pi / n))
-    return real_form, complex_form.real
-
-
-def classic_fibonacci(n: int) -> int:
-    """Exact F_n (F_0 = 0, F_1 = 1) via the generalized Fibonacci family."""
-    if n == 0:
-        return 0
-    return X(FIB, n - 1, 1)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import ExactScalar, format_exact, normalize
@@ -153,10 +153,10 @@ def eval_identity(identity: Identity, family: Family, *, n: int,
         require(p in P_SPAN.values(n), f"{P_SPAN.statement} (got n={n}, p={p})")
     if "q" in entry.params:
         require(q in Q_SPAN.values(p), f"{Q_SPAN.statement} (got p={p}, q={q})")
-    ((_, checks),) = _kernels(identity, family, SweepRanges(n=(n, n), m=(m, m), p=(p, p),
+    ((_, blocks),) = _kernels(identity, family, SweepRanges(n=(n, n), m=(m, m), p=(p, p),
                                                             q=(q, q)))
-    (check,) = checks
-    return _record(identity, family, n, *check)
+    (((m,), p, (q,), lhs, rhs, k),) = blocks
+    return _record(identity, family, n, m, p, q, lhs, rhs, k)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +238,19 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 
 # Fraction-free kernels, the one evaluation of every entry.  Each entry is
 # linear in the members of one row X(r, .), so a cell builds each row once, as
-# ints over the row's common denominator d.  A kernel yields
-# (m, p, q, lhs, rhs, k) for each check at one n and each admissible m in
-# ``ms``: lhs and rhs are the entry's two sides, each multiplied by one nonzero
-# clearing factor k (d, n!*d, n!*d*m^(n-1), m!/(m-n)!*d or m^(n-1)*d), so the
-# check passes iff lhs == rhs, and its exact sides are lhs/k and rhs/k.
+# ints over the row's common denominator d.  A kernel yields blocks
+# (ms, p, qs, lhs, rhs, k) at one n: the checks at every m in ms and q in qs
+# share the entry's two sides lhs and rhs, each multiplied by one nonzero
+# clearing factor k (d, n!*d, n!*d*m^(n-1), m!/(m-n)!*d or m^(n-1)*d), so
+# those checks pass iff lhs == rhs, and their exact sides are lhs/k and rhs/k.
+# Most blocks hold one point, (m,) and (q,), with None for a parameter the
+# entry does not carry; the SUBFAM_* kernel yields whole blocks, below.
 # ``rows[r]`` is (d, row), ``row[at[x]]`` is d * X(r, x), and every run of
 # consecutive labels that a kernel slices is in the window whole.
 
 Rows = Dict[int, Tuple[int, List[int]]]
 Index = Dict[int, int]
+_ONE = (None,)  # the values of a parameter that a block does not carry
 
 
 def _int_rows(family: Family, r_lo: int, r_hi: int, labels: List[int]) -> Rows:
@@ -265,7 +268,7 @@ def _kernel_l2_shift(rows: Rows, at: Index, family: Family, n: int, ms: List[int
     lhs = family.root_sum(n) * fd
     for m in ms:
         total = sum(map(mul, w, row[at[m]:at[m] + n + 1]))
-        yield m, None, None, lhs, sign * total - (n * (n + 1) // 2 + n * m) * fd, fd
+        yield (m,), None, _ONE, lhs, sign * total - (n * (n + 1) // 2 + n * m) * fd, fd
 
 
 def _kernel_l2_scale(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
@@ -276,7 +279,7 @@ def _kernel_l2_scale(rows: Rows, at: Index, family: Family, n: int, ms: List[int
     for m in ms:
         k = fd * m ** (n - 1)
         total = sum(map(mul, w, [row[at[l * m]] for l in range(n + 1)]))
-        yield m, None, None, root_sum * k, sign * total - n * (n + 1) * m // 2 * k, k
+        yield (m,), None, _ONE, root_sum * k, sign * total - n * (n + 1) * m // 2 * k, k
 
 
 def _kernel_rec_m(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
@@ -286,7 +289,7 @@ def _kernel_rec_m(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
     fd = math.factorial(n) * d
     for m in ms:
         s = at[m]
-        yield m, None, None, row[s + 1], sum(map(mul, w, row[s - n + 1:s + 1])) + fd, d
+        yield (m,), None, _ONE, row[s + 1], sum(map(mul, w, row[s - n + 1:s + 1])) + fd, d
 
 
 def _kernel_scale_id(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
@@ -298,7 +301,7 @@ def _kernel_scale_id(rows: Rows, at: Index, family: Family, n: int, ms: List[int
     for m in ms:
         power = m ** (n - 1)
         scaled = sum(map(mul, w, [row[at[l * m]] for l in range(n + 1)]))
-        yield m, None, None, scaled, power * (plain + (1 - m) * half), power * d
+        yield (m,), None, _ONE, scaled, power * (plain + (1 - m) * half), power * d
 
 
 def _kernel_expl(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
@@ -310,21 +313,36 @@ def _kernel_expl(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
         ff, c = math.perm(m, n), math.comb(m, n)
         w = [a * c * (ff // (l - m)) for l, a in enumerate(coeffs)]
         total = sum(map(mul, w, values)) + sign ** n * ff * ff * d
-        yield m, None, None, ff * row[at[sign * m]], total, ff * d
+        yield (m,), None, _ONE, ff * row[at[sign * m]], total, ff * d
 
 
 def _kernel_subfam(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
                    ranges: SweepRanges, fact: bool):
-    weights = [_weights(n, k) for k in range(n)]
-    target = (-1) ** n * math.factorial(n) if fact else 0
+    # With f = d*X(n-p, .), r = n-p and Stirling numbers S(q, j), the entry's sum is
+    # T_q(m) = (-1)^n sum_{j<=q} S(q,j) n!/(n-j)! Delta^(n-j) f(m-n+j).  Where
+    # Delta^r f is constant on the window ms[0]-n..ms[-1] that the (n, p) checks
+    # read, every term with j < p vanishes: T_q = 0 for every q < p and every m,
+    # and T_p = (-1)^n n!/(n-p)! Delta^r f.  Elsewhere each check is its own dot
+    # product, so failing sides stay exact.
+    sign = (-1) ** n
     for p in P_SPAN.values(n, ranges.p):
-        qs = [p] if fact else Q_SPAN.values(p, ranges.q)
+        qs = _ONE if fact else Q_SPAN.values(p, ranges.q)
+        if not (ms and qs):
+            continue
         d, row = rows[n - p]
-        rhs = target * d
+        rhs = sign * math.factorial(n) * d if fact else 0
+        diffs = row[at[ms[0] - n]:at[ms[-1]] + 1]
+        for _ in range(n - p):
+            diffs = list(map(sub, diffs[1:], diffs))
+        if diffs.count(diffs[0]) == len(diffs):
+            lhs = sign * math.perm(n, p) * diffs[0] if fact else 0
+            yield ms, p, qs, lhs, rhs, d
+            continue
+        weights = [_weights(n, p if fact else q) for q in qs]
         for m in ms:
             segment = row[at[m - n]:at[m] + 1]
-            for q in qs:
-                yield m, p, None if fact else q, sum(map(mul, weights[q], segment)), rhs, d
+            for q, w in zip(qs, weights):
+                yield (m,), p, (q,), sum(map(mul, w, segment)), rhs, d
 
 
 def _kernel_fib_posneg(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
@@ -334,14 +352,14 @@ def _kernel_fib_posneg(rows: Rows, at: Index, family: Family, n: int, ms: List[i
     pos = sum(map(mul, w, row[at[0]:at[0] + n + 1]))
     neg = sum(map(mul, w, row[at[-n]:at[0] + 1][::-1]))
     rhs = n * math.factorial(n + 1) * d * (1 if compl else n % 2)
-    yield None, None, None, neg + ((-1) ** n if compl else -1) * pos, rhs, d
+    yield _ONE, None, _ONE, neg + ((-1) ** n if compl else -1) * pos, rhs, d
 
 
 def _kernel_fib_poly(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
                      ranges: SweepRanges):
     d, row = rows[n]
     for m in ms:
-        yield m, None, None, fibonacci_polynomial(n, m) * d, row[at[m]], d
+        yield (m,), None, _ONE, fibonacci_polynomial(n, m) * d, row[at[m]], d
 
 
 class Entry(NamedTuple):
@@ -351,7 +369,7 @@ class Entry(NamedTuple):
     m_hypothesis: Optional[Tuple[Callable[[int, int], bool], str]]  # holds(n, m), statement
     fib_only: bool  # holds for the generalized Fibonacci family lucas:-1 only
     scaled: bool  # also reads the labels l*m
-    kernel: Callable  # the integer kernel: yields (m, p, q, lhs, rhs, k) per check
+    kernel: Callable  # the integer kernel: yields blocks (ms, p, qs, lhs, rhs, k) of checks
 
     def m_values(self, n: int, ranges: SweepRanges) -> List[int]:
         """The admissible m of a sweep at n; [0] for an entry without m."""
@@ -400,8 +418,11 @@ def _kernels(identity: Identity, family: Family, ranges: SweepRanges
         if entry.scaled:
             read.update(l * m for m in ms for l in range(n + 1))
     labels = sorted(read)
-    r_lo = 1 if "p" in entry.params else n_values[0]  # SUBFAM_* read the rows n - p
-    rows = _int_rows(family, r_lo, n_values[-1], labels)
+    if "p" in entry.params:  # SUBFAM_* read the rows n - p
+        r_values = [n - p for n in n_values for p in P_SPAN.values(n, ranges.p)]
+    else:
+        r_values = n_values
+    rows = _int_rows(family, min(r_values), max(r_values), labels) if r_values else {}
     at = {label: i for i, label in enumerate(labels)}
     return ((n, entry.kernel(rows, at, family, n, ms, ranges)) for n, ms in admissible.items())
 
@@ -422,11 +443,12 @@ def _run_cell(identity: Identity, family: Family, ranges: SweepRanges
     """The check count and the failing checks of one (identity, family) cell."""
     count = 0
     failures: List[IdentityCheck] = []
-    for n, checks in _kernels(identity, family, ranges):
-        for m, p, q, lhs, rhs, k in checks:
-            count += 1
+    for n, blocks in _kernels(identity, family, ranges):
+        for ms, p, qs, lhs, rhs, k in blocks:
+            count += len(ms) * len(qs)
             if lhs != rhs:
-                failures.append(_record(identity, family, n, m, p, q, lhs, rhs, k))
+                failures.extend(_record(identity, family, n, m, p, q, lhs, rhs, k)
+                                for m in ms for q in qs)
     return count, failures
 
 

@@ -15,12 +15,12 @@ import time
 import pytest
 
 from seqfam.cli import STANDARD_FAMILIES, main
-from seqfam.exact import gould_sum
 from seqfam.families import FIB, X, fibonacci_polynomial
-from seqfam.floatcheck import (classic_fibonacci, classic_fibonacci_products, compare_grid)
+from seqfam.floatcheck import compare_grid
 from seqfam.identities import (ALL_IDENTITIES, Identity, SweepRanges, eval_identity, sweep)
 from seqfam.oeis import OeisClient
 
+from classic import classic_fibonacci, classic_fibonacci_products, gould_sum
 from grids import FIBONACCI_GRID, POCHHAMMER_GRID, POWER0_GRID
 
 FAMILY_IDS = [f.label() for f in STANDARD_FAMILIES]

@@ -3,8 +3,9 @@
 import pytest
 
 from seqfam.families import FIB, LucasFamily, PochhammerFamily, PowerFamily, X
-from seqfam.floatcheck import (chebyshev_zero_sum, classic_fibonacci,
-                               classic_fibonacci_products, compare_grid)
+from seqfam.floatcheck import compare_grid
+
+from classic import chebyshev_zero_sum, classic_fibonacci, classic_fibonacci_products
 
 
 def test_fibonacci_member_product():

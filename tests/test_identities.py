@@ -206,6 +206,26 @@ def test_sweep_far_from_the_origin_builds_few_members(monkeypatch):
     assert len(built) < 1000  # labels near 0, near m and near -m; not every label between
 
 
+@pytest.mark.parametrize("entry", [Identity.SUBFAM_ZERO, Identity.SUBFAM_FACT],
+                         ids=lambda e: e.value)
+def test_subfam_builds_only_the_rows_n_minus_p(monkeypatch, entry):
+    asked = set()
+    real = LucasFamily.column
+
+    def column(self, m, n_lo, n_hi):
+        asked.add((n_lo, n_hi))
+        return real(self, m, n_lo, n_hi)
+
+    monkeypatch.setattr(LucasFamily, "column", column)
+    q = 5 if entry is Identity.SUBFAM_ZERO else None
+    assert eval_identity(entry, FIB, n=20, m=3, p=19, q=q).passed
+    assert asked == {(1, 1)}  # the one row n - p, not rows 1..n
+    asked.clear()
+    report = sweep([entry], [FIB], SweepRanges(n=(10, 12), m=(-2, 2), p=(3, 4)))
+    assert report.total_checks > 0 and report.failures == []
+    assert asked == {(6, 9)}  # rows 10-4 .. 12-3
+
+
 def test_sweep_rational_family():
     report = sweep([Identity.L1], [PowerFamily(Fraction(1, 2))], SweepRanges(n=(1, 10)))
     assert report.total_checks == 10 and report.failures == []
@@ -453,6 +473,65 @@ def test_eval_identity_agrees_with_reference(monkeypatch, family):
             assert check.to_json_dict() == reference_check(entry, family, **point), point
             failed += not check.passed
     assert failed
+
+
+def assert_sweep_matches_oracle(entry, family, ranges):
+    report = sweep([entry], [family], ranges)
+    count, failures = oracle_sweep(entry, family, ranges)
+    assert report.total_checks == count
+    recorded = [check.to_json_dict() for check in report.failures]
+    assert sorted(recorded, key=json.dumps) == sorted(failures, key=json.dumps)
+    return report
+
+
+SUBFAM = [Identity.SUBFAM_ZERO, Identity.SUBFAM_FACT]
+
+
+# The SUBFAM_* kernel decides every check at one (n, p) from the differences of the
+# row X(n-p, .) over the labels m_lo-n..m_hi, and falls back to one dot product per
+# check where a difference of order n-p+1 is nonzero; a corrupted member at either
+# end of that window sends exactly one (n, p) to the fallback.
+@pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
+@pytest.mark.parametrize("family", [HALF, PochhammerFamily(), FIB], ids=lambda f: f.label())
+@pytest.mark.parametrize("label", [-3 - 7, 4], ids=["left-edge", "right-edge"])
+def test_subfam_window_edges_agree_with_oracle(monkeypatch, entry, family, label):
+    corrupt_member(monkeypatch, type(family), 7 - 2, label)  # row n - p at n = 7, p = 2
+    report = assert_sweep_matches_oracle(entry, family, SweepRanges(n=(5, 7), m=(-3, 4)))
+    failed = {(c.params["n"], c.params["p"]) for c in report.failures}
+    if entry is Identity.SUBFAM_FACT and label < 0:
+        assert failed == set()  # its sum weighs the label m-n by 0^p = 0
+    else:
+        assert (7, 2) in failed
+
+
+@pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
+@pytest.mark.parametrize("p, q", [((2, 3), (1, 1)), ((1, 2), None), ((3, 5), (0, 2))])
+def test_subfam_restricted_p_and_q_agree_with_oracle(monkeypatch, entry, p, q):
+    corrupt_member(monkeypatch, PowerFamily, 4, 0)
+    corrupt_member(monkeypatch, PowerFamily, 2, 9)
+    ranges = SweepRanges(n=(4, 8), m=(-4, 5), p=p, q=q)
+    report = assert_sweep_matches_oracle(entry, PowerFamily(Fraction(-3, 2)), ranges)
+    assert report.failures
+
+
+class Doubled(PowerFamily):
+    """A power family with every member doubled: rows of degree r, leading coefficient 2."""
+
+    def column(self, m, n_lo, n_hi):
+        return [2 * v for v in super().column(m, n_lo, n_hi)]
+
+
+@pytest.mark.parametrize("family", [Doubled(2), Doubled(Fraction(1, 2))], ids=["int", "half"])
+def test_subfam_on_rows_that_are_not_monic(family):
+    ranges = SweepRanges(n=(1, 8), m=(-5, 5))
+    # SUBFAM_ZERO needs only degree <= n-p; SUBFAM_FACT needs the leading coefficient 1
+    zero = assert_sweep_matches_oracle(Identity.SUBFAM_ZERO, family, ranges)
+    assert zero.total_checks > 0 and zero.failures == []
+    fact = assert_sweep_matches_oracle(Identity.SUBFAM_FACT, family, ranges)
+    assert fact.total_checks > 0 and len(fact.failures) == fact.total_checks
+    for check in fact.failures:
+        assert check.lhs == 2 * check.rhs == 2 * (-1) ** check.params["n"] * math.factorial(
+            check.params["n"])
 
 
 class OffByOne(PowerFamily):
