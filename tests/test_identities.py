@@ -439,6 +439,15 @@ def oracle_sweep(entry, family, ranges):
     return count, failures
 
 
+def assert_sweep_matches_oracle(entry, family, ranges):
+    report = sweep([entry], [family], ranges)
+    count, failures = oracle_sweep(entry, family, ranges)
+    assert report.total_checks == count
+    recorded = [check.to_json_dict() for check in report.failures]
+    assert sorted(recorded, key=json.dumps) == sorted(failures, key=json.dumps)
+    return report
+
+
 labels = st.integers(-8, 8)
 m_ranges = (st.tuples(labels, labels).map(sorted).map(tuple)
             | st.tuples(st.just("n"), st.integers(0, 12)) | st.tuples(labels, st.just("n")))
@@ -456,11 +465,7 @@ def test_kernel_agrees_with_oracle(entry, family, n_lo, n_len, m, p, q, data):
                                  st.integers(-8, 10)), label="member")
     with pytest.MonkeyPatch.context() as patch:
         corrupt_member(patch, type(family), *member)
-        report = sweep([entry], [family], ranges)
-        count, failures = oracle_sweep(entry, family, ranges)
-    assert report.total_checks == count
-    recorded = [check.to_json_dict() for check in report.failures]
-    assert sorted(recorded, key=json.dumps) == sorted(failures, key=json.dumps)
+        assert_sweep_matches_oracle(entry, family, ranges)
 
 
 @pytest.mark.parametrize("family", PROPERTY_FAMILIES, ids=lambda f: f.label())
@@ -475,22 +480,13 @@ def test_eval_identity_agrees_with_reference(monkeypatch, family):
     assert failed
 
 
-def assert_sweep_matches_oracle(entry, family, ranges):
-    report = sweep([entry], [family], ranges)
-    count, failures = oracle_sweep(entry, family, ranges)
-    assert report.total_checks == count
-    recorded = [check.to_json_dict() for check in report.failures]
-    assert sorted(recorded, key=json.dumps) == sorted(failures, key=json.dumps)
-    return report
-
-
 SUBFAM = [Identity.SUBFAM_ZERO, Identity.SUBFAM_FACT]
 
 
 # The SUBFAM_* kernel decides every check at one (n, p) from the differences of the
 # row X(n-p, .) over the labels m_lo-n..m_hi, and falls back to one dot product per
 # check where a difference of order n-p+1 is nonzero; a corrupted member at either
-# end of that window sends exactly one (n, p) to the fallback.
+# end of the window of (n, p) = (7, 2) sends that (n, p) to the fallback.
 @pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
 @pytest.mark.parametrize("family", [HALF, PochhammerFamily(), FIB], ids=lambda f: f.label())
 @pytest.mark.parametrize("label", [-3 - 7, 4], ids=["left-edge", "right-edge"])
