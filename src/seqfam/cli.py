@@ -126,7 +126,10 @@ def parse_one_family(text: str) -> Family:
 def parse_families(text: str) -> List[Family]:
     if text.strip() == "all":
         return list(STANDARD_FAMILIES)
-    return [parse_one_family(item) for item in text.split(",") if item.strip()]
+    out = [parse_one_family(item) for item in text.split(",") if item.strip()]
+    if not out:
+        raise UsageError("no families selected")
+    return out
 
 
 def parse_identities(text: str) -> List[Identity]:
@@ -235,6 +238,8 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     families = parse_families(args.family)
     identities = parse_identities(args.identity)
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     ranges = SweepRanges(
         n=parse_range(args.n),
         m=parse_range(args.m, m_bound) if args.m else None,
@@ -318,6 +323,8 @@ def cmd_oeis(args) -> int:
 
     if (args.row is None) == (args.column is None):
         raise UsageError("give exactly one of --row N or --column M")
+    if (args.n if args.row is not None else args.m) is not None:
+        raise UsageError("--row N takes --m A..B and --column M takes --n A..B")
     if args.row is not None:
         axis, fixed, rng = "row", args.row, parse_range(args.m or "0..9")
     else:

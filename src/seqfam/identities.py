@@ -8,10 +8,10 @@ and the sides it reports are the exact rationals lhs/k and rhs/k.
 
 ``CATALOG`` is the one definition of each entry: the parameters a point
 carries beyond n, the entry's hypothesis on m, whether it is specific to the
-generalized Fibonacci family, whether it reads the labels l*m, and its
-integer kernel, the one evaluation of its two sides.  ``eval_identity`` (one
-point) and ``sweep`` (a grid) both run that kernel, so they agree on what is
-admissible and on every value; the admissible p and q are stated once, in
+generalized Fibonacci family, the labels x of the members X(r, x) it reads,
+and its integer kernel, the one evaluation of its two sides.  ``eval_identity``
+(one point) and ``sweep`` (a grid) both run that kernel, so they agree on what
+is admissible and on every value; the admissible p and q are stated once, in
 ``P_SPAN`` and ``Q_SPAN``.
 
 The entries, with S_n denoting the root sum ``family.root_sum(n)``:
@@ -238,86 +238,82 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 
 # Fraction-free kernels, the one evaluation of every entry.  Each entry is
 # linear in the members of one row X(r, .), so a cell builds each row once, as
-# ints over the row's common denominator d.  A kernel yields blocks
-# (ms, p, qs, lhs, rhs, k) at one n: the checks at every m in ms and q in qs
-# share the entry's two sides lhs and rhs, each multiplied by one nonzero
-# clearing factor k (d, n!*d, n!*d*m^(n-1), m!/(m-n)!*d or m^(n-1)*d), so
-# those checks pass iff lhs == rhs, and their exact sides are lhs/k and rhs/k.
-# Most blocks hold one point, (m,) and (q,), with None for a parameter the
-# entry does not carry; the SUBFAM_* kernel yields whole blocks, below.
-# ``rows[r]`` is (d, row), ``row[at[x]]`` is d * X(r, x), and every run of
-# consecutive labels that a kernel slices is in the window whole.
+# ints over its common denominator d: ``rows[r]`` is (d, row), and ``row[x]`` is
+# d * X(r, x) for each label x that the entry's ``reads`` names at some n of the
+# cell.  A kernel yields blocks (ms, p, qs, lhs, rhs, k) at one n: the checks at
+# every m in ms and q in qs share the two sides lhs and rhs, each times one
+# nonzero clearing factor k (d, n!*d, n!*d*m^(n-1), m!/(m-n)!*d or m^(n-1)*d),
+# so they pass iff lhs == rhs, and their exact sides are lhs/k and rhs/k.  Most
+# blocks hold one point, (m,) and (q,), with None for a parameter the entry
+# does not carry; the SUBFAM_* kernel yields whole blocks, below.
 
-Rows = Dict[int, Tuple[int, List[int]]]
-Index = Dict[int, int]
+Rows = Dict[int, Tuple[int, Dict[int, int]]]
+PQs = List[Tuple[Optional[int], Sequence[Optional[int]]]]  # (p, the q at p) at one n
 _ONE = (None,)  # the values of a parameter that a block does not carry
 
 
 def _int_rows(family: Family, r_lo: int, r_hi: int, labels: List[int]) -> Rows:
     rows = {}
-    for r, row in enumerate(zip(*(family.column(m, r_lo, r_hi) for m in labels)), r_lo):
+    for r, row in enumerate(zip(*(family.column(x, r_lo, r_hi) for x in labels)), r_lo):
         d = math.lcm(*(v.denominator for v in row))
-        rows[r] = d, [v.numerator * (d // v.denominator) for v in row]
+        rows[r] = d, {x: v.numerator * (d // v.denominator) for x, v in zip(labels, row)}
     return rows
 
 
-def _kernel_l2_shift(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
-                     ranges: SweepRanges):
+def _dot(weights: Sequence[int], row: Dict[int, int], labels: Sequence[int]) -> int:
+    return sum(map(mul, weights, map(row.__getitem__, labels)))
+
+
+def _kernel_l2_shift(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs):
     d, row = rows[n]
-    fd, sign, w = math.factorial(n) * d, (-1) ** n, _weights(n, 1)
+    fd, sign, w = math.factorial(n) * d, (-1) ** n, _weights(n, 1)[1:]
     lhs = family.root_sum(n) * fd
     for m in ms:
-        total = sum(map(mul, w, row[at[m]:at[m] + n + 1]))
+        total = _dot(w, row, range(m + 1, m + n + 1))
         yield (m,), None, _ONE, lhs, sign * total - (n * (n + 1) // 2 + n * m) * fd, fd
 
 
-def _kernel_l2_scale(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
-                     ranges: SweepRanges):
+def _kernel_l2_scale(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs):
     d, row = rows[n]
-    fd, sign, w = math.factorial(n) * d, (-1) ** n, _weights(n, 1)
+    fd, sign, w = math.factorial(n) * d, (-1) ** n, _weights(n, 1)[1:]
     root_sum = family.root_sum(n)
     for m in ms:
         k = fd * m ** (n - 1)
-        total = sum(map(mul, w, [row[at[l * m]] for l in range(n + 1)]))
+        total = _dot(w, row, range(m, (n + 1) * m, m))  # l * m for l = 1..n
         yield (m,), None, _ONE, root_sum * k, sign * total - n * (n + 1) * m // 2 * k, k
 
 
-def _kernel_rec_m(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
-                  ranges: SweepRanges):
+def _kernel_rec_m(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs):
     d, row = rows[n]
     w = [(-1) ** (n + l) * math.comb(n, l - 1) for l in range(1, n + 1)]
     fd = math.factorial(n) * d
     for m in ms:
-        s = at[m]
-        yield (m,), None, _ONE, row[s + 1], sum(map(mul, w, row[s - n + 1:s + 1])) + fd, d
+        yield (m,), None, _ONE, row[m + 1], _dot(w, row, range(m - n + 1, m + 1)) + fd, d
 
 
-def _kernel_scale_id(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
-                     ranges: SweepRanges):
+def _kernel_scale_id(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs):
     d, row = rows[n]
-    w = _weights(n, 1)
-    plain = sum(map(mul, w, row[at[0]:at[0] + n + 1]))
+    w = _weights(n, 1)[1:]
+    plain = _dot(w, row, range(1, n + 1))
     half = (-1) ** (n - 1) * n * math.factorial(n + 1) // 2 * d
     for m in ms:
         power = m ** (n - 1)
-        scaled = sum(map(mul, w, [row[at[l * m]] for l in range(n + 1)]))
+        scaled = _dot(w, row, range(m, (n + 1) * m, m))
         yield (m,), None, _ONE, scaled, power * (plain + (1 - m) * half), power * d
 
 
-def _kernel_expl(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
-                 ranges: SweepRanges, sign: int):
+def _kernel_expl(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, sign: int):
     d, row = rows[n]
     coeffs = [(-1) ** (n + l) * (n - l) * math.comb(n, l) for l in range(n)]
-    values = row[at[0]:at[0] + n] if sign > 0 else row[at[1 - n]:at[0] + 1][::-1]  # X(n, sign*l)
+    values = [row[sign * l] for l in range(n)]  # X(n, sign*l)
     for m in ms:
         ff, c = math.perm(m, n), math.comb(m, n)
         w = [a * c * (ff // (l - m)) for l, a in enumerate(coeffs)]
         total = sum(map(mul, w, values)) + sign ** n * ff * ff * d
-        yield (m,), None, _ONE, ff * row[at[sign * m]], total, ff * d
+        yield (m,), None, _ONE, ff * row[sign * m], total, ff * d
 
 
-def _kernel_subfam(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
-                   ranges: SweepRanges, fact: bool):
+def _kernel_subfam(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, fact: bool):
     # With f = d*X(n-p, .), r = n-p and Stirling numbers S(q, j), the entry's sum is
     # T_q(m) = (-1)^n sum_{j<=q} S(q,j) n!/(n-j)! Delta^(n-j) f(m-n+j).  Where
     # Delta^r f is constant on the window ms[0]-n..ms[-1] that the (n, p) checks
@@ -325,13 +321,10 @@ def _kernel_subfam(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
     # and T_p = (-1)^n n!/(n-p)! Delta^r f.  Elsewhere each check is its own dot
     # product, so failing sides stay exact.
     sign = (-1) ** n
-    for p in P_SPAN.values(n, ranges.p):
-        qs = _ONE if fact else Q_SPAN.values(p, ranges.q)
-        if not (ms and qs):
-            continue
+    for p, qs in pqs:
         d, row = rows[n - p]
         rhs = sign * math.factorial(n) * d if fact else 0
-        diffs = row[at[ms[0] - n]:at[ms[-1]] + 1]
+        diffs = [row[x] for x in range(ms[0] - n, ms[-1] + 1)]
         for _ in range(n - p):
             diffs = list(map(sub, diffs[1:], diffs))
         if diffs.count(diffs[0]) == len(diffs):
@@ -340,26 +333,22 @@ def _kernel_subfam(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
             continue
         weights = [_weights(n, p if fact else q) for q in qs]
         for m in ms:
-            segment = row[at[m - n]:at[m] + 1]
             for q, w in zip(qs, weights):
-                yield (m,), p, (q,), sum(map(mul, w, segment)), rhs, d
+                yield (m,), p, (q,), _dot(w, row, range(m - n, m + 1)), rhs, d
 
 
-def _kernel_fib_posneg(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
-                       ranges: SweepRanges, compl: bool):
+def _kernel_fib_posneg(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, compl: bool):
     d, row = rows[n]
-    w = _weights(n, 1)
-    pos = sum(map(mul, w, row[at[0]:at[0] + n + 1]))
-    neg = sum(map(mul, w, row[at[-n]:at[0] + 1][::-1]))
+    w = _weights(n, 1)[1:]
+    pos, neg = _dot(w, row, range(1, n + 1)), _dot(w, row, range(-1, -n - 1, -1))
     rhs = n * math.factorial(n + 1) * d * (1 if compl else n % 2)
     yield _ONE, None, _ONE, neg + ((-1) ** n if compl else -1) * pos, rhs, d
 
 
-def _kernel_fib_poly(rows: Rows, at: Index, family: Family, n: int, ms: List[int],
-                     ranges: SweepRanges):
+def _kernel_fib_poly(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs):
     d, row = rows[n]
     for m in ms:
-        yield (m,), None, _ONE, fibonacci_polynomial(n, m) * d, row[at[m]], d
+        yield (m,), None, _ONE, fibonacci_polynomial(n, m) * d, row[m], d
 
 
 class Entry(NamedTuple):
@@ -368,16 +357,27 @@ class Entry(NamedTuple):
     params: str  # the parameters a point carries beyond n: "", "m", "mp" or "mpq"
     m_hypothesis: Optional[Tuple[Callable[[int, int], bool], str]]  # holds(n, m), statement
     fib_only: bool  # holds for the generalized Fibonacci family lucas:-1 only
-    scaled: bool  # also reads the labels l*m
+    reads: Callable[[int, List[int]], Sequence[int]]  # (n, ms) -> the labels the kernel reads
     kernel: Callable  # the integer kernel: yields blocks (ms, p, qs, lhs, rhs, k) of checks
 
-    def m_values(self, n: int, ranges: SweepRanges) -> List[int]:
-        """The admissible m of a sweep at n; [0] for an entry without m."""
-        if "m" not in self.params:
-            return [0]
-        if self.m_hypothesis is None:
-            return ranges.m_values(n)
-        return [m for m in ranges.m_values(n) if self.m_hypothesis[0](n, m)]
+    def points(self, n: int, ranges: SweepRanges) -> Tuple[List[int], PQs]:
+        """The admissible m of a sweep at n, and its admissible p that have an admissible q,
+        each with those q; [0] and [(None, (None,))] for an entry without m or p."""
+        holds = self.m_hypothesis[0] if self.m_hypothesis else lambda n, m: True
+        ms = [m for m in ranges.m_values(n) if holds(n, m)] if "m" in self.params else [0]
+        if "p" not in self.params:
+            return ms, [(None, _ONE)]
+        pqs = [(p, Q_SPAN.values(p, ranges.q) if "q" in self.params else _ONE)
+               for p in P_SPAN.values(n, ranges.p)]
+        return ms, [(p, qs) for p, qs in pqs if qs]
+
+
+def _shifted(n: int, ms: Sequence[int]) -> List[int]:
+    return [l + m for m in ms for l in range(1, n + 1)]
+
+
+def _scaled(n: int, ms: Sequence[int]) -> List[int]:
+    return [l * m for m in ms for l in range(1, n + 1)]
 
 
 _M_NONZERO = (lambda n, m: m != 0, "m != 0")
@@ -386,45 +386,44 @@ _M_AT_LEAST_N = (lambda n, m: m >= n, "m >= n")
 #: The identity catalog.  L1 is L2_SHIFT read at m = 0, EXPL_NEG is EXPL_POS
 #: over the labels -l and -m, and FIB_POSNEG_COMPL flips the sign of X(n, l).
 CATALOG: Dict[Identity, Entry] = {
-    Identity.L1: Entry("", None, False, False, _kernel_l2_shift),
-    Identity.L2_SHIFT: Entry("m", None, False, False, _kernel_l2_shift),
-    Identity.L2_SCALE: Entry("m", _M_NONZERO, False, True, _kernel_l2_scale),
-    Identity.REC_M: Entry("m", None, False, False, _kernel_rec_m),
-    Identity.SCALE_ID: Entry("m", _M_NONZERO, False, True, _kernel_scale_id),
-    Identity.EXPL_POS: Entry("m", _M_AT_LEAST_N, False, False, partial(_kernel_expl, sign=1)),
-    Identity.EXPL_NEG: Entry("m", _M_AT_LEAST_N, False, False, partial(_kernel_expl, sign=-1)),
-    Identity.SUBFAM_ZERO: Entry("mpq", None, False, False, partial(_kernel_subfam, fact=False)),
-    Identity.SUBFAM_FACT: Entry("mp", None, False, False, partial(_kernel_subfam, fact=True)),
-    Identity.FIB_POSNEG: Entry("", None, True, False, partial(_kernel_fib_posneg, compl=False)),
-    Identity.FIB_POSNEG_COMPL: Entry("", None, True, False,
+    Identity.L1: Entry("", None, False, _shifted, _kernel_l2_shift),
+    Identity.L2_SHIFT: Entry("m", None, False, _shifted, _kernel_l2_shift),
+    Identity.L2_SCALE: Entry("m", _M_NONZERO, False, _scaled, _kernel_l2_scale),
+    Identity.REC_M: Entry("m", None, False, lambda n, ms: _shifted(n + 1, [m - n for m in ms]),
+                          _kernel_rec_m),  # X(n, l+m-n) for l = 1..n+1
+    Identity.SCALE_ID: Entry("m", _M_NONZERO, False, lambda n, ms: _scaled(n, [1, *ms]),
+                             _kernel_scale_id),
+    Identity.EXPL_POS: Entry("m", _M_AT_LEAST_N, False, lambda n, ms: [*range(n), *ms],
+                             partial(_kernel_expl, sign=1)),
+    Identity.EXPL_NEG: Entry("m", _M_AT_LEAST_N, False,
+                             lambda n, ms: [*range(1 - n, 1), *(-m for m in ms)],
+                             partial(_kernel_expl, sign=-1)),
+    Identity.SUBFAM_ZERO: Entry("mpq", None, False, lambda n, ms: range(ms[0] - n, ms[-1] + 1),
+                                partial(_kernel_subfam, fact=False)),
+    Identity.SUBFAM_FACT: Entry("mp", None, False, lambda n, ms: range(ms[0] - n, ms[-1] + 1),
+                                partial(_kernel_subfam, fact=True)),
+    Identity.FIB_POSNEG: Entry("", None, True, lambda n, ms: _scaled(n, (1, -1)),
+                               partial(_kernel_fib_posneg, compl=False)),
+    Identity.FIB_POSNEG_COMPL: Entry("", None, True, lambda n, ms: _scaled(n, (1, -1)),
                                      partial(_kernel_fib_posneg, compl=True)),
-    Identity.FIB_POLY: Entry("m", None, True, False, _kernel_fib_poly),
+    Identity.FIB_POLY: Entry("m", None, True, lambda n, ms: ms, _kernel_fib_poly),
 }
 
 
 def _kernels(identity: Identity, family: Family, ranges: SweepRanges
              ) -> Iterator[Tuple[int, Iterator[Tuple]]]:
-    """(n, the kernel's checks at n) for each n of one (identity, family) cell,
-    its rows built once for the whole cell."""
+    """(n, the kernel's checks at n) for each n of one (identity, family) cell
+    that has an admissible point, building once for the whole cell exactly the
+    members its kernel reads at those n."""
     entry = CATALOG[identity]
-    n_values = range(max(ranges.n[0], 1), ranges.n[1] + 1)
-    if (entry.fib_only and family != FIB) or not n_values:
+    points = {n: entry.points(n, ranges) for n in range(max(ranges.n[0], 1), ranges.n[1] + 1)}
+    points = {n: (ms, pqs) for n, (ms, pqs) in points.items() if ms and pqs}
+    if not points or (entry.fib_only and family != FIB):
         return iter(())
-    admissible = {n: entry.m_values(n, ranges) for n in n_values}
-    read = set()  # labels of the members the cell reads: near 0, near m and near -m
-    for n, ms in admissible.items():
-        ms = ms or [0]
-        read.update(range(-n, n + 1), range(ms[0] - n, ms[-1] + n + 1), range(-ms[-1], 1 - ms[0]))
-        if entry.scaled:
-            read.update(l * m for m in ms for l in range(n + 1))
-    labels = sorted(read)
-    if "p" in entry.params:  # SUBFAM_* read the rows n - p
-        r_values = [n - p for n in n_values for p in P_SPAN.values(n, ranges.p)]
-    else:
-        r_values = n_values
-    rows = _int_rows(family, min(r_values), max(r_values), labels) if r_values else {}
-    at = {label: i for i, label in enumerate(labels)}
-    return ((n, entry.kernel(rows, at, family, n, ms, ranges)) for n, ms in admissible.items())
+    labels = sorted(set().union(*(entry.reads(n, ms) for n, (ms, _) in points.items())))
+    r_values = [n - (p or 0) for n, (_, pqs) in points.items() for p, _ in pqs]  # rows n - p
+    rows = _int_rows(family, min(r_values), max(r_values), labels)
+    return ((n, entry.kernel(rows, family, n, ms, pqs)) for n, (ms, pqs) in points.items())
 
 
 def _record(identity: Identity, family: Family, n: int, m: Optional[int], p: Optional[int],

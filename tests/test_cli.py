@@ -260,6 +260,13 @@ def test_verify_unknown_identity_is_usage_error(capsys):
     assert code == 2 and "unknown identity" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_workers_below_one_is_usage_error(capsys, workers):
+    code, out, err = run(capsys, "verify", "--identity", "L1", "--family", "fib", "--n", "1..3",
+                         "--workers", workers)
+    assert code == 2 and out == "" and "--workers must be at least 1" in err
+
+
 # -- float-check --
 
 def test_float_check_overflow_is_a_failure_row(capsys):
@@ -420,6 +427,13 @@ def test_oeis_malformed_reply_exits_three(capsys, monkeypatch, tmp_path):
     assert code == 3 and "service error: unparseable search response" in err
 
 
+@pytest.mark.parametrize("axis, other", [(["--row", "3"], ["--n", "0..9"]),
+                                         (["--column", "1"], ["--m", "0..11"])])
+def test_oeis_range_of_the_other_axis_is_usage_error(capsys, axis, other):
+    code, out, err = run(capsys, "oeis", "--family", "fib", *axis, *other, "--offline")
+    assert code == 2 and out == "" and "--row N takes --m" in err
+
+
 def test_oeis_requires_exactly_one_axis(capsys):
     code, _, err = run(capsys, "oeis", "--family", "fib", "--offline")
     assert code == 2 and "--row N or --column M" in err
@@ -433,6 +447,14 @@ def test_oeis_requires_exactly_one_axis(capsys):
 def test_unknown_family_is_usage_error(capsys):
     code, _, err = run(capsys, "table", "--family", "mystery", "--n", "1..2", "--m", "0..2")
     assert code == 2 and "unknown family" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--family", ","],
+                                  ["float-check", "--family", ""],
+                                  ["table", "--family", " , ", "--n", "1..2", "--m", "0..2"]])
+def test_empty_family_selection_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2 and out == "" and "no families selected" in err
 
 
 def test_bad_range_is_usage_error(capsys):

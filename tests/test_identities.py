@@ -192,38 +192,76 @@ def test_sweep_symbolic_m_bound():
     assert report.failures == []
 
 
-def test_sweep_far_from_the_origin_builds_few_members(monkeypatch):
-    built = []
-    real = LucasFamily.column
+def record_columns(monkeypatch, family_type):
+    """The (m, n_lo, n_hi) of every ``column`` call on families of this type, in order."""
+    asked = []
+    real = family_type.column
 
     def column(self, m, n_lo, n_hi):
-        built.append(m)
+        asked.append((m, n_lo, n_hi))
         return real(self, m, n_lo, n_hi)
 
-    monkeypatch.setattr(LucasFamily, "column", column)
+    monkeypatch.setattr(family_type, "column", column)
+    return asked
+
+
+def test_sweep_far_from_the_origin_builds_few_members(monkeypatch):
+    built = record_columns(monkeypatch, LucasFamily)
     report = sweep(ALL_IDENTITIES, [FIB], SweepRanges(n=(1, 6), m=(5000, 5001)))
     assert report.total_checks > 0 and report.failures == []
-    assert len(built) < 1000  # labels near 0, near m and near -m; not every label between
+    # labels the entries read (near 0, near m, near -m and l*m); not every label between
+    assert len(built) < 1000
 
 
 @pytest.mark.parametrize("entry", [Identity.SUBFAM_ZERO, Identity.SUBFAM_FACT],
                          ids=lambda e: e.value)
 def test_subfam_builds_only_the_rows_n_minus_p(monkeypatch, entry):
-    asked = set()
-    real = LucasFamily.column
-
-    def column(self, m, n_lo, n_hi):
-        asked.add((n_lo, n_hi))
-        return real(self, m, n_lo, n_hi)
-
-    monkeypatch.setattr(LucasFamily, "column", column)
+    asked = record_columns(monkeypatch, LucasFamily)
     q = 5 if entry is Identity.SUBFAM_ZERO else None
     assert eval_identity(entry, FIB, n=20, m=3, p=19, q=q).passed
-    assert asked == {(1, 1)}  # the one row n - p, not rows 1..n
+    assert {(lo, hi) for _, lo, hi in asked} == {(1, 1)}  # the one row n - p, not rows 1..n
     asked.clear()
     report = sweep([entry], [FIB], SweepRanges(n=(10, 12), m=(-2, 2), p=(3, 4)))
     assert report.total_checks > 0 and report.failures == []
-    assert asked == {(6, 9)}  # rows 10-4 .. 12-3
+    assert {(lo, hi) for _, lo, hi in asked} == {(6, 9)}  # rows 10-4 .. 12-3
+
+
+@pytest.mark.parametrize("entry, point, labels", [
+    (Identity.FIB_POLY, {"n": 20, "m": 10}, {10}),
+    (Identity.EXPL_NEG, {"n": 9, "m": 12}, {-12, *range(-8, 1)}),  # X(9, -m) and X(9, -l), l < 9
+], ids=["FIB_POLY", "EXPL_NEG"])
+def test_one_point_call_builds_only_the_labels_it_reads(monkeypatch, entry, point, labels):
+    asked = record_columns(monkeypatch, LucasFamily)
+    assert eval_identity(entry, FIB, **point).passed
+    assert [m for m, *_ in asked] == sorted(labels)  # each label once
+
+
+class RecordingRow(dict):
+    """A built row that notes every label a kernel reads from it."""
+
+    def __init__(self, row, read):
+        super().__init__(row)
+        self.read = read
+
+    def __getitem__(self, label):
+        self.read.add(label)
+        return super().__getitem__(label)
+
+
+@pytest.mark.parametrize("entry", ALL_IDENTITIES, ids=lambda e: e.value)
+@pytest.mark.parametrize("family", [FIB, PowerFamily(Fraction(1, 2))], ids=lambda f: f.label())
+def test_a_cell_builds_exactly_the_labels_its_kernel_reads(monkeypatch, entry, family):
+    from seqfam import identities
+
+    built = record_columns(monkeypatch, type(family))
+    read = set()
+    int_rows = identities._int_rows
+    monkeypatch.setattr(identities, "_int_rows", lambda *args: {
+        r: (d, RecordingRow(row, read)) for r, (d, row) in int_rows(*args).items()})
+    report = sweep([entry], [family], SweepRanges(n=(1, 7), m=(-4, 5)))
+    assert report.failures == []
+    assert bool(report.total_checks) == bool(read) == (family == FIB or not CATALOG[entry].fib_only)
+    assert {m for m, *_ in built} == read
 
 
 def test_sweep_rational_family():
