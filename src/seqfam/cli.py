@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
@@ -197,12 +196,10 @@ def render_table_csv(window: SequenceWindow) -> str:
     return "\n".join(table_lines(window, "csv"))
 
 
-def _csv(header: List[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+def _csv(header: List[str], rows) -> None:
+    writer = csv.writer(sys.stdout)  # every line ends in "\r\n"
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
 
 
 def window_json_dict(window: SequenceWindow) -> dict:
@@ -254,9 +251,9 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         _emit_json(payload)
     elif args.format == "csv":
-        print(_csv(["identity", "family", "n", "m", "p", "q", "lhs", "rhs", "residual"],
-                   ([r["identity"], r["family"], *(r["params"].get(k, "") for k in "nmpq"),
-                     r["lhs"], r["rhs"], r["residual"]] for r in payload["failures"])))
+        _csv(["identity", "family", "n", "m", "p", "q", "lhs", "rhs", "residual"],
+             ([r["identity"], r["family"], *(r["params"].get(k, "") for k in "nmpq"),
+               r["lhs"], r["rhs"], r["residual"]] for r in payload["failures"]))
         print(f"# total_checks={report.total_checks} failures={len(report.failures)}",
               file=sys.stderr)
     else:
@@ -302,7 +299,7 @@ def cmd_float_check(args) -> int:
     elif args.format == "csv":
         header = ["family", "n", "m", "exact", "float_real", "float_imag",
                   "relative_error", "imaginary_residual"]  # the keys of to_json_dict()
-        print(_csv(header, ([r.to_json_dict()[k] for k in header] for r in failures)))
+        _csv(header, ([r.to_json_dict()[k] for k in header] for r in failures))
         print(f"# total_checks={len(results)} failures={len(failures)}", file=sys.stderr)
     else:
         print(f"families: {', '.join(f.label() for f in families)}")
@@ -346,9 +343,9 @@ def cmd_oeis(args) -> int:
         })
         _emit_json(payload)
     elif args.format == "csv":
-        print(_csv(["family", "axis", "fixed", "terms", "ids", "source", "verdict"],
-                   [[family.label(), axis, fixed, " ".join(map(format_exact, match.terms)),
-                     " ".join(match.ids), match.source, verdict]]))
+        _csv(["family", "axis", "fixed", "terms", "ids", "source", "verdict"],
+             [[family.label(), axis, fixed, " ".join(map(format_exact, match.terms)),
+               " ".join(match.ids), match.source, verdict]])
     else:
         terms = ", ".join(map(format_exact, match.terms))
         print(f"family: {family.label()}  {axis} {fixed}  terms [{terms}]")
@@ -451,9 +448,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TransportError as exc:
         print(f"network error: {exc}", file=sys.stderr)
         return 3

@@ -93,9 +93,9 @@ def compare_grid(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, i
     Where the family's float roots are complex (LucasFamily with q < 0) the
     product's imaginary part is expected to cancel to rounding noise.
     """
-    window = table(family, n_range, m_range)
     if n_range[0] < 1:
         raise ValueError(f"member index n must be >= 1, got {n_range[0]}")
+    window = table(family, n_range, m_range)
     results = []
     for n, row in zip(range(n_range[0], n_range[1] + 1), window.values):
         roots = family.float_roots(n)

@@ -17,8 +17,9 @@ is admissible and on every value; the admissible p and q are stated once, in
 The entries, with S_n denoting the root sum ``family.root_sum(n)``:
 
     L1                S_n = (-1)^n/n! * sum_{l=1..n} (-1)^l C(n,l) l X(n,l) - n(n+1)/2
-    L2_SHIFT          same with X(n,l+m), extra term -n*m  (L1 is its m = 0 case)
-    L2_SCALE          same with X(n,l*m)/m^(n-1), constant -n(n+1)m/2
+    L2_SHIFT          L1 of the family relabeled x -> a + b*x, with root sum (S_n + n*a)/b:
+    L2_SCALE          S_n = (-1)^n/(n! b^(n-1)) sum_{l=1..n} (-1)^l C(n,l) l X(n,a+b*l)
+                          - n*a - n(n+1)b/2 at (a, b) = (m, 1) and (0, m); L1 is (0, 1)
     REC_M             X(n,m+1) = (-1)^n sum_{l=1..n} (-1)^l C(n,l-1) X(n,l+m-n) + n!
     SCALE_ID          1/m^(n-1) sum (-1)^l C(n,l) l X(n,lm)
                           = sum (-1)^l C(n,l) l X(n,l) + (-1)^(n-1)(1-m) n (n+1)!/2
@@ -165,14 +166,6 @@ def eval_identity(identity: Identity, family: Family, *, n: int,
 Bound = Union[int, str]  # int, or "n" to couple the bound to the current n
 
 
-def resolve_bound(bound: Bound, n: int) -> int:
-    if isinstance(bound, str):
-        if bound != "n":
-            raise ValueError(f"symbolic bound must be 'n', got {bound!r}")
-        return n
-    return bound
-
-
 @dataclass(frozen=True)
 class SweepRanges:
     """Inclusive parameter ranges for a sweep.
@@ -197,8 +190,10 @@ class SweepRanges:
     def m_values(self, n: int) -> List[int]:
         if self.m is None:
             return []
-        lo = resolve_bound(self.m[0], n)
-        hi = resolve_bound(self.m[1], n)
+        for bound in self.m:
+            if isinstance(bound, str) and bound != "n":
+                raise ValueError(f"symbolic bound must be 'n', got {bound!r}")
+        lo, hi = (n if bound == "n" else bound for bound in self.m)
         return list(range(lo, hi + 1))
 
 
@@ -242,7 +237,7 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 # d * X(r, x) for each label x that the entry's ``reads`` names at some n of the
 # cell.  A kernel yields blocks (ms, p, qs, lhs, rhs, k) at one n: the checks at
 # every m in ms and q in qs share the two sides lhs and rhs, each times one
-# nonzero clearing factor k (d, n!*d, n!*d*m^(n-1), m!/(m-n)!*d or m^(n-1)*d),
+# nonzero clearing factor k (d, n!*d*b^(n-1), m!/(m-n)!*d or m^(n-1)*d),
 # so they pass iff lhs == rhs, and their exact sides are lhs/k and rhs/k.  Most
 # blocks hold one point, (m,) and (q,), with None for a parameter the entry
 # does not carry; the SUBFAM_* kernel yields whole blocks, below.
@@ -264,23 +259,17 @@ def _dot(weights: Sequence[int], row: Dict[int, int], labels: Sequence[int]) -> 
     return sum(map(mul, weights, map(row.__getitem__, labels)))
 
 
-def _kernel_l2_shift(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs):
-    d, row = rows[n]
-    fd, sign, w = math.factorial(n) * d, (-1) ** n, _weights(n, 1)[1:]
-    lhs = family.root_sum(n) * fd
-    for m in ms:
-        total = _dot(w, row, range(m + 1, m + n + 1))
-        yield (m,), None, _ONE, lhs, sign * total - (n * (n + 1) // 2 + n * m) * fd, fd
-
-
-def _kernel_l2_scale(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs):
+def _kernel_root_sum(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, scale: bool):
+    # L1 of the family relabeled x -> a + b*x, (a, b) = (0, m) if scale else (m, 1): its
+    # members are X(n, a + b*l)/b^n and its root sum is (S_n + n*a)/b; k = n!*d*b^(n-1).
     d, row = rows[n]
     fd, sign, w = math.factorial(n) * d, (-1) ** n, _weights(n, 1)[1:]
     root_sum = family.root_sum(n)
     for m in ms:
-        k = fd * m ** (n - 1)
-        total = _dot(w, row, range(m, (n + 1) * m, m))  # l * m for l = 1..n
-        yield (m,), None, _ONE, root_sum * k, sign * total - n * (n + 1) * m // 2 * k, k
+        a, b = (0, m) if scale else (m, 1)
+        k = fd * b ** (n - 1)
+        total = _dot(w, row, range(a + b, a + (n + 1) * b, b))  # a + b*l for l = 1..n
+        yield (m,), None, _ONE, root_sum * k, sign * total - (n * a + n * (n + 1) // 2 * b) * k, k
 
 
 def _kernel_rec_m(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs):
@@ -383,12 +372,13 @@ def _scaled(n: int, ms: Sequence[int]) -> List[int]:
 _M_NONZERO = (lambda n, m: m != 0, "m != 0")
 _M_AT_LEAST_N = (lambda n, m: m >= n, "m >= n")
 
-#: The identity catalog.  L1 is L2_SHIFT read at m = 0, EXPL_NEG is EXPL_POS
-#: over the labels -l and -m, and FIB_POSNEG_COMPL flips the sign of X(n, l).
+#: The identity catalog.  L1, L2_SHIFT and L2_SCALE are one root-sum kernel, relabeled;
+#: EXPL_NEG is EXPL_POS over the labels -l and -m; FIB_POSNEG_COMPL flips the sign of X(n, l).
 CATALOG: Dict[Identity, Entry] = {
-    Identity.L1: Entry("", None, False, _shifted, _kernel_l2_shift),
-    Identity.L2_SHIFT: Entry("m", None, False, _shifted, _kernel_l2_shift),
-    Identity.L2_SCALE: Entry("m", _M_NONZERO, False, _scaled, _kernel_l2_scale),
+    Identity.L1: Entry("", None, False, _shifted, partial(_kernel_root_sum, scale=False)),
+    Identity.L2_SHIFT: Entry("m", None, False, _shifted, partial(_kernel_root_sum, scale=False)),
+    Identity.L2_SCALE: Entry("m", _M_NONZERO, False, _scaled,
+                             partial(_kernel_root_sum, scale=True)),
     Identity.REC_M: Entry("m", None, False, lambda n, ms: _shifted(n + 1, [m - n for m in ms]),
                           _kernel_rec_m),  # X(n, l+m-n) for l = 1..n+1
     Identity.SCALE_ID: Entry("m", _M_NONZERO, False, lambda n, ms: _scaled(n, [1, *ms]),

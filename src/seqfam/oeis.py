@@ -196,17 +196,12 @@ class OeisClient:
         return tuple(ids)
 
     def _b_file_contains(self, ident: str, terms: Sequence[int]) -> bool:
+        url = B_FILE_URL.format(ident=ident, digits=ident.lstrip("A"))
         try:
-            values = self.fetch_b_file(ident)
+            values = parse_b_file(self._fetch(url))
         except (TransportError, ParseError):
             return False
         return _contains_run(values, terms)
-
-    def fetch_b_file(self, ident: str) -> List[int]:
-        """Retrieve and parse an entry's full term listing (one 'n a(n)' per line)."""
-        url = B_FILE_URL.format(ident=ident, digits=ident.lstrip("A"))
-        payload = self._fetch(url)
-        return parse_b_file(payload)
 
     # -- lookup -----------------------------------------------------------
 

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 import seqfam
 from seqfam.cli import UsageError, m_bound, main, parse_families, parse_range, window_json_dict
 from seqfam.exact import format_exact, unlimited_digits
-from seqfam.families import table
+from seqfam.families import LucasFamily, PowerFamily, table
 
 from grids import FIBONACCI_GRID, POCHHAMMER_GRID, POWER0_GRID
+from seams import corrupt_member
 
 
 def run(capsys, *argv):
@@ -255,6 +256,29 @@ def test_verify_workers_content_identical(capsys):
     assert a == b
 
 
+def csv_writer_text(header, rows):
+    """``csv.writer``'s default-dialect rendering of the header and rows."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
+def test_verify_csv_failure_rows_are_the_json_failures(capsys, monkeypatch):
+    corrupt_member(monkeypatch, PowerFamily, 3, 2)
+    corrupt_member(monkeypatch, LucasFamily, 4, -1)
+    argv = ["verify", "--family", "power:1/2,fib", "--n", "1..6", "--m", "-4..6"]
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    _, report, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(report)
+    header = ["identity", "family", "n", "m", "p", "q", "lhs", "rhs", "residual"]
+    rows = [[f["identity"], f["family"], *(f["params"].get(k, "") for k in "nmpq"),
+             f["lhs"], f["rhs"], f["residual"]] for f in payload["failures"]]
+    assert code == 1 and len(rows) > 10
+    assert {len(f["params"]) for f in payload["failures"]} == {1, 2, 3, 4}  # blank m, p, q too
+    assert out == csv_writer_text(header, rows) and out.count("\r\n") == len(rows) + 1
+    assert f"# total_checks={payload['total_checks']} failures={len(rows)}\n" in err
+
+
 def test_verify_unknown_identity_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--identity", "NOPE", "--family", "fib")
     assert code == 2 and "unknown identity" in err
@@ -280,6 +304,19 @@ def test_float_check_overflow_is_a_failure_row(capsys):
     code, out, _ = run(capsys, "float-check", "--family", "power:2", "--n", "1..400",
                        "--m", "10..10")
     assert code == 1 and "FAIL power:2 n=286 m=10" in out
+
+
+def test_float_check_csv_failure_rows_are_the_json_failures(capsys):
+    argv = ["float-check", "--family", "power:2", "--n", "1..400", "--m", "10..10"]
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    _, report, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(report)
+    header = ["family", "n", "m", "exact", "float_real", "float_imag",
+              "relative_error", "imaginary_residual"]
+    rows = [[f[k] for k in header] for f in payload["failures"]]
+    assert code == 1 and len(rows) == 400 - 285  # the overflow rows
+    assert out == csv_writer_text(header, rows) and out.count("\r\n") == len(rows) + 1
+    assert f"# total_checks=400 failures={len(rows)}\n" in err
 
 
 def test_float_check_json_is_strict(capsys):
@@ -328,6 +365,17 @@ def test_float_check_small_tolerance_output(capsys):
 
 def test_float_check_rejects_member_index_zero(capsys):
     code, out, err = run(capsys, "float-check", "--family", "fib", "--n", "0..3", "--m", "0..1")
+    assert code == 2 and out == ""
+    assert "member index n must be >= 1, got 0" in err
+
+
+def test_float_check_rejects_member_index_zero_before_building_the_window(capsys, monkeypatch):
+    def table(*args):
+        raise AssertionError("float-check built the window of a rejected range")
+
+    monkeypatch.setattr("seqfam.floatcheck.table", table)
+    code, out, err = run(capsys, "float-check", "--family", "fib", "--n", "0..100000000",
+                         "--m", "0..0")
     assert code == 2 and out == ""
     assert "member index n must be >= 1, got 0" in err
 

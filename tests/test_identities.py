@@ -19,6 +19,8 @@ from seqfam.families import (FIB, ExplicitRootsFamily, Family, LucasFamily, Poch
 from seqfam.identities import (ALL_IDENTITIES, CATALOG, DomainError, Identity, IdentityCheck,
                                SweepRanges, _weights, eval_identity, sweep)
 
+from seams import corrupt_member
+
 SMALL_FAMILIES = [PowerFamily(0), PowerFamily(2), PowerFamily(Fraction(1, 2)),
                   PochhammerFamily(), FIB, LucasFamily(2)]
 
@@ -192,6 +194,15 @@ def test_sweep_symbolic_m_bound():
     assert report.failures == []
 
 
+def test_symbolic_m_bound_must_be_n():
+    with pytest.raises(ValueError, match="symbolic bound must be 'n', got 'x'"):
+        SweepRanges(n=(1, 3), m=("x", 3)).m_values(1)
+    with pytest.raises(ValueError, match="symbolic bound must be 'n', got 'N'"):
+        SweepRanges(n=(1, 3), m=(0, "N")).m_values(1)
+    assert SweepRanges(n=(1, 3), m=("n", 5)).m_values(3) == [3, 4, 5]
+    assert SweepRanges(n=(1, 3), m=(-1, "n")).m_values(2) == [-1, 0, 1, 2]
+
+
 def record_columns(monkeypatch, family_type):
     """The (m, n_lo, n_hi) of every ``column`` call on families of this type, in order."""
     asked = []
@@ -291,19 +302,6 @@ def test_sweep_unpicklable_family_falls_back_to_serial():
     replica = ExplicitRootsFamily(lambda n, l: 1, label="roots:lambda")
     report = sweep([Identity.REC_M], [replica], SweepRanges(n=(1, 5), m=(-3, 3)), workers=4)
     assert report.failures == [] and report.total_checks == 5 * 7
-
-
-def corrupt_member(monkeypatch, family_type, n, m):
-    """Add 1 to member X(n, m) of every family of this type, at the evaluation seam."""
-    real = family_type.column
-
-    def column(self, label, n_lo, n_hi):
-        values = real(self, label, n_lo, n_hi)
-        if label == m and n_lo <= n <= n_hi:
-            values[n - n_lo] += 1
-        return values
-
-    monkeypatch.setattr(family_type, "column", column)
 
 
 def test_failures_are_data_not_exceptions(monkeypatch):

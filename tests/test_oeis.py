@@ -165,6 +165,21 @@ def test_candidate_confirmed_through_b_file(tmp_path):
     assert match.ids == ("A777777",)
 
 
+@pytest.mark.parametrize("b_file, attempts", [(TransportError("down"), 3), ("0 7\n11\n", 1)],
+                         ids=["transport-error", "malformed"])
+def test_unreadable_b_file_rules_the_candidate_out(tmp_path, b_file, attempts):
+    # the search data lacks the query, and the b-file that could confirm it cannot be read
+    terms = [11, 13, 17, 19, 23, 29, 31, 37]
+    transport = _canned_transport({
+        "search": search_payload(777777, [7, 11, 13]),
+        "b777777": b_file,
+    })
+    client = OeisClient(cache_dir=tmp_path, transport=transport, min_interval=0.0)
+    match = client.search_by_terms(terms)
+    assert match.ids == () and match.source == "network"
+    assert sum("b777777" in url for url in transport.calls) == attempts
+
+
 def test_parse_b_file():
     values = parse_b_file("# header\n\n0 0\n1 1\n2 1\n3 2\n")
     assert values == [0, 1, 1, 2]
