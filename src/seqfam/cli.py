@@ -17,6 +17,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -299,7 +300,7 @@ def cmd_float_check(args) -> int:
     elif args.format == "csv":
         header = ["family", "n", "m", "exact", "float_real", "float_imag",
                   "relative_error", "imaginary_residual"]  # the keys of to_json_dict()
-        _csv(header, ([r.to_json_dict()[k] for k in header] for r in failures))
+        _csv(header, (itemgetter(*header)(r.to_json_dict()) for r in failures))
         print(f"# total_checks={len(results)} failures={len(failures)}", file=sys.stderr)
     else:
         print(f"families: {', '.join(f.label() for f in families)}")

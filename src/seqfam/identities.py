@@ -240,9 +240,12 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 # nonzero clearing factor k (d, n!*d*b^(n-1), m!/(m-n)!*d or m^(n-1)*d),
 # so they pass iff lhs == rhs, and their exact sides are lhs/k and rhs/k.  Most
 # blocks hold one point, (m,) and (q,), with None for a parameter the entry
-# does not carry; the SUBFAM_* kernel yields whole blocks, below.
+# does not carry; the SUBFAM_* kernel yields whole blocks, below.  Every kernel
+# also gets ``memo``, a dict that lives as long as the cell: the SUBFAM_* kernel
+# keeps there the differences of each row, which every n above the row shares.
 
 Rows = Dict[int, Tuple[int, Dict[int, int]]]
+Memo = Dict[int, Tuple[int, List[int], List[int]]]
 PQs = List[Tuple[Optional[int], Sequence[Optional[int]]]]  # (p, the q at p) at one n
 _ONE = (None,)  # the values of a parameter that a block does not carry
 
@@ -259,7 +262,8 @@ def _dot(weights: Sequence[int], row: Dict[int, int], labels: Sequence[int]) -> 
     return sum(map(mul, weights, map(row.__getitem__, labels)))
 
 
-def _kernel_root_sum(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, scale: bool):
+def _kernel_root_sum(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo,
+                     scale: bool):
     # L1 of the family relabeled x -> a + b*x, (a, b) = (0, m) if scale else (m, 1): its
     # members are X(n, a + b*l)/b^n and its root sum is (S_n + n*a)/b; k = n!*d*b^(n-1).
     d, row = rows[n]
@@ -272,7 +276,7 @@ def _kernel_root_sum(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs
         yield (m,), None, _ONE, root_sum * k, sign * total - (n * a + n * (n + 1) // 2 * b) * k, k
 
 
-def _kernel_rec_m(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs):
+def _kernel_rec_m(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo):
     d, row = rows[n]
     w = [(-1) ** (n + l) * math.comb(n, l - 1) for l in range(1, n + 1)]
     fd = math.factorial(n) * d
@@ -280,7 +284,7 @@ def _kernel_rec_m(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs):
         yield (m,), None, _ONE, row[m + 1], _dot(w, row, range(m - n + 1, m + 1)) + fd, d
 
 
-def _kernel_scale_id(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs):
+def _kernel_scale_id(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo):
     d, row = rows[n]
     w = _weights(n, 1)[1:]
     plain = _dot(w, row, range(1, n + 1))
@@ -291,7 +295,8 @@ def _kernel_scale_id(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs
         yield (m,), None, _ONE, scaled, power * (plain + (1 - m) * half), power * d
 
 
-def _kernel_expl(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, sign: int):
+def _kernel_expl(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo,
+                 sign: int):
     d, row = rows[n]
     coeffs = [(-1) ** (n + l) * (n - l) * math.comb(n, l) for l in range(n)]
     values = [row[sign * l] for l in range(n)]  # X(n, sign*l)
@@ -302,22 +307,40 @@ def _kernel_expl(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, si
         yield (m,), None, _ONE, ff * row[sign * m], total, ff * d
 
 
-def _kernel_subfam(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, fact: bool):
+def _differences(row: Dict[int, int], r: int) -> Tuple[int, List[int], List[int]]:
+    """(lo, D, until) for the row f over its built labels lo..hi, which are contiguous:
+    D[i] = Delta^r f(lo + i), and D is constant on i..until[i] and on no longer run."""
+    lo = min(row)
+    diffs = [row[x] for x in range(lo, max(row) + 1)]
+    for _ in range(r):
+        diffs = list(map(sub, diffs[1:], diffs))
+    until = list(range(len(diffs)))
+    for i in range(len(diffs) - 2, -1, -1):
+        if diffs[i] == diffs[i + 1]:
+            until[i] = until[i + 1]
+    return lo, diffs, until
+
+
+def _kernel_subfam(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo,
+                   fact: bool):
     # With f = d*X(n-p, .), r = n-p and Stirling numbers S(q, j), the entry's sum is
     # T_q(m) = (-1)^n sum_{j<=q} S(q,j) n!/(n-j)! Delta^(n-j) f(m-n+j).  Where
-    # Delta^r f is constant on the window ms[0]-n..ms[-1] that the (n, p) checks
-    # read, every term with j < p vanishes: T_q = 0 for every q < p and every m,
-    # and T_p = (-1)^n n!/(n-p)! Delta^r f.  Elsewhere each check is its own dot
-    # product, so failing sides stay exact.
+    # Delta^r f is constant on ms[0]-n..ms[-1]-r, so on the window ms[0]-n..ms[-1]
+    # that the (n, p) checks read, every term with j < p vanishes: T_q = 0 for every
+    # q < p and every m, and T_p = (-1)^n n!/(n-p)! Delta^r f.  Each row r is
+    # differenced once per cell, in memo[r], and serves every n > r.  Elsewhere each
+    # check is its own dot product, so failing sides stay exact.
     sign = (-1) ** n
     for p, qs in pqs:
-        d, row = rows[n - p]
+        r = n - p
+        d, row = rows[r]
+        if r not in memo:
+            memo[r] = _differences(row, r)
+        lo, diffs, until = memo[r]
         rhs = sign * math.factorial(n) * d if fact else 0
-        diffs = [row[x] for x in range(ms[0] - n, ms[-1] + 1)]
-        for _ in range(n - p):
-            diffs = list(map(sub, diffs[1:], diffs))
-        if diffs.count(diffs[0]) == len(diffs):
-            lhs = sign * math.perm(n, p) * diffs[0] if fact else 0
+        start = ms[0] - n - lo
+        if until[start] >= ms[-1] - r - lo:
+            lhs = sign * math.perm(n, p) * diffs[start] if fact else 0
             yield ms, p, qs, lhs, rhs, d
             continue
         weights = [_weights(n, p if fact else q) for q in qs]
@@ -326,7 +349,8 @@ def _kernel_subfam(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, 
                 yield (m,), p, (q,), _dot(w, row, range(m - n, m + 1)), rhs, d
 
 
-def _kernel_fib_posneg(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, compl: bool):
+def _kernel_fib_posneg(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo,
+                       compl: bool):
     d, row = rows[n]
     w = _weights(n, 1)[1:]
     pos, neg = _dot(w, row, range(1, n + 1)), _dot(w, row, range(-1, -n - 1, -1))
@@ -334,7 +358,7 @@ def _kernel_fib_posneg(rows: Rows, family: Family, n: int, ms: List[int], pqs: P
     yield _ONE, None, _ONE, neg + ((-1) ** n if compl else -1) * pos, rhs, d
 
 
-def _kernel_fib_poly(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs):
+def _kernel_fib_poly(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo):
     d, row = rows[n]
     for m in ms:
         yield (m,), None, _ONE, fibonacci_polynomial(n, m) * d, row[m], d
@@ -412,8 +436,8 @@ def _kernels(identity: Identity, family: Family, ranges: SweepRanges
         return iter(())
     labels = sorted(set().union(*(entry.reads(n, ms) for n, (ms, _) in points.items())))
     r_values = [n - (p or 0) for n, (_, pqs) in points.items() for p, _ in pqs]  # rows n - p
-    rows = _int_rows(family, min(r_values), max(r_values), labels)
-    return ((n, entry.kernel(rows, family, n, ms, pqs)) for n, (ms, pqs) in points.items())
+    rows, memo = _int_rows(family, min(r_values), max(r_values), labels), {}
+    return ((n, entry.kernel(rows, family, n, ms, pqs, memo)) for n, (ms, pqs) in points.items())
 
 
 def _record(identity: Identity, family: Family, n: int, m: Optional[int], p: Optional[int],

@@ -244,7 +244,10 @@ def parse_b_file(text: str) -> List[int]:
         parts = line.split()
         if len(parts) < 2:
             raise ParseError(f"malformed b-file line: {line!r}", text)
-        values.append(int(parts[1]))
+        try:
+            values.append(int(parts[1]))
+        except ValueError:
+            raise ParseError(f"b-file value is not an integer: {line!r}", text) from None
     return values
 
 

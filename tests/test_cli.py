@@ -319,6 +319,19 @@ def test_float_check_csv_failure_rows_are_the_json_failures(capsys):
     assert f"# total_checks=400 failures={len(rows)}\n" in err
 
 
+def test_float_check_csv_builds_each_row_from_one_json_dict(capsys, monkeypatch):
+    from seqfam.floatcheck import FloatCompareResult
+
+    calls = []
+    real = FloatCompareResult.to_json_dict
+    monkeypatch.setattr(FloatCompareResult, "to_json_dict",
+                        lambda self: calls.append(self) or real(self))
+    code, out, _ = run(capsys, "float-check", "--family", "power:2", "--n", "1..400",
+                       "--m", "10..10", "--format", "csv")
+    assert code == 1 and len(calls) == out.count("\r\n") - 1 == 400 - 285  # one per failure row
+    assert len(set(map(id, calls))) == len(calls)
+
+
 def test_float_check_json_is_strict(capsys):
     code, out, _ = run(capsys, "float-check", "--family", "power:2", "--n", "280..290",
                        "--m", "10..10", "--tol", "inf", "--format", "json")

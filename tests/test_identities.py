@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from typing import Tuple
@@ -544,6 +545,58 @@ def test_subfam_restricted_p_and_q_agree_with_oracle(monkeypatch, entry, p, q):
     ranges = SweepRanges(n=(4, 8), m=(-4, 5), p=p, q=q)
     report = assert_sweep_matches_oracle(entry, PowerFamily(Fraction(-3, 2)), ranges)
     assert report.failures
+
+
+# Each row r is differenced once per cell and serves every n > r; its window at
+# (n, p = n - r) is m_lo-n..m_hi at that n.  A corrupted member of row 3 sends to the
+# per-check fallback exactly the (n, n - 3) whose window holds its label.
+@pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
+@pytest.mark.parametrize("family", [PowerFamily(Fraction(-3, 2)), FIB], ids=lambda f: f.label())
+@pytest.mark.parametrize("m, label, fallback", [
+    ((-3, 4), -3 - 8, {8}),  # m_lo - n at the largest n only
+    ((-3, 4), -3 - 8 + 1, {7, 8}),
+    ((-3, 4), 4, {4, 5, 6, 7, 8}),
+    (("n", 12), 12, {4, 5, 6, 7, 8}),  # every window is 0..12
+    ((-3, "n"), -3 - 8, {8}),  # windows -3-n..n
+    ((-3, "n"), 8, {8}),
+    ((-3, "n"), 7, {7, 8}),
+], ids=["m_lo-n", "m_lo-n+1", "m_hi", "n..12", "-3..n-left", "-3..n-right", "-3..n-right-1"])
+def test_subfam_falls_back_exactly_where_the_window_holds_the_member(
+        monkeypatch, entry, family, m, label, fallback):
+    from seqfam import identities
+
+    corrupt_member(monkeypatch, type(family), 3, label)
+    ranges = SweepRanges(n=(1, 8), m=m)
+    blocks = {}
+    for n, kernel in identities._kernels(entry, family, ranges):
+        for _, p, *_ in kernel:
+            blocks[n, p] = blocks.get((n, p), 0) + 1
+    assert {np for np, count in blocks.items() if count > 1} == {(n, n - 3) for n in fallback}
+    assert_sweep_matches_oracle(entry, family, ranges)
+
+
+class Reads(Counter):
+    """The reads of each label, for a RecordingRow to note in place of a set."""
+
+    def add(self, label):
+        self[label] += 1
+
+
+@pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
+@pytest.mark.parametrize("m", [(-6, 6), ("n", 12), (-3, "n")], ids=str)
+def test_subfam_differences_each_row_once_per_cell(monkeypatch, entry, m):
+    from seqfam import identities
+
+    reads = {}
+    int_rows = identities._int_rows
+    monkeypatch.setattr(identities, "_int_rows", lambda *args: {
+        r: (d, RecordingRow(row, reads.setdefault(r, Reads())))
+        for r, (d, row) in int_rows(*args).items()})
+    report = sweep([entry], [LucasFamily(2)], SweepRanges(n=(1, 10), m=m))
+    assert report.total_checks > 0 and report.failures == []
+    # every (n, p) passes as one block, so each member is read once: when its row is differenced
+    assert set(reads) == set(range(1, 10))
+    assert {count for row in reads.values() for count in row.values()} == {1}
 
 
 class Doubled(PowerFamily):

@@ -165,8 +165,9 @@ def test_candidate_confirmed_through_b_file(tmp_path):
     assert match.ids == ("A777777",)
 
 
-@pytest.mark.parametrize("b_file, attempts", [(TransportError("down"), 3), ("0 7\n11\n", 1)],
-                         ids=["transport-error", "malformed"])
+@pytest.mark.parametrize("b_file, attempts", [(TransportError("down"), 3), ("0 7\n11\n", 1),
+                                              ("0 7\n1 eleven\n", 1)],
+                         ids=["transport-error", "malformed", "not-an-integer"])
 def test_unreadable_b_file_rules_the_candidate_out(tmp_path, b_file, attempts):
     # the search data lacks the query, and the b-file that could confirm it cannot be read
     terms = [11, 13, 17, 19, 23, 29, 31, 37]
@@ -185,6 +186,9 @@ def test_parse_b_file():
     assert values == [0, 1, 1, 2]
     with pytest.raises(ParseError):
         parse_b_file("0\n")
+    with pytest.raises(ParseError, match="not an integer") as err:
+        parse_b_file("0 7\n1 eleven\n")
+    assert err.value.payload == "0 7\n1 eleven\n"
 
 
 def test_module_level_search_offline():
