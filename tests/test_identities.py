@@ -567,10 +567,8 @@ def test_subfam_falls_back_exactly_where_the_window_holds_the_member(
 
     corrupt_member(monkeypatch, type(family), 3, label)
     ranges = SweepRanges(n=(1, 8), m=m)
-    blocks = {}
-    for n, kernel in identities._kernels(entry, family, ranges):
-        for _, p, *_ in kernel:
-            blocks[n, p] = blocks.get((n, p), 0) + 1
+    blocks = Counter((n, p) for n, kernel in identities._kernels(entry, family, ranges)
+                     for _, p, *_ in kernel)
     assert {np for np, count in blocks.items() if count > 1} == {(n, n - 3) for n in fallback}
     assert_sweep_matches_oracle(entry, family, ranges)
 
