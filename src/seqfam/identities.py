@@ -245,7 +245,7 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 # keeps there the differences of each row, which every n above the row shares.
 
 Rows = Dict[int, Tuple[int, Dict[int, int]]]
-Memo = Dict[int, Tuple[int, List[int], List[int]]]
+Memo = Dict[int, Tuple[int, List[int]]]
 PQs = List[Tuple[Optional[int], Sequence[Optional[int]]]]  # (p, the q at p) at one n
 _ONE = (None,)  # the values of a parameter that a block does not carry
 
@@ -307,18 +307,14 @@ def _kernel_expl(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, me
         yield (m,), None, _ONE, ff * row[sign * m], total, ff * d
 
 
-def _differences(row: Dict[int, int], r: int) -> Tuple[int, List[int], List[int]]:
-    """(lo, D, until) for the row f over its built labels lo..hi, which are contiguous:
-    D[i] = Delta^r f(lo + i), and D is constant on i..until[i] and on no longer run."""
+def _differences(row: Dict[int, int], r: int) -> Tuple[int, List[int]]:
+    """(lo, D) for the row f over its built labels lo..hi, which are contiguous:
+    D[i] = Delta^r f(lo + i)."""
     lo = min(row)
     diffs = [row[x] for x in range(lo, max(row) + 1)]
     for _ in range(r):
         diffs = list(map(sub, diffs[1:], diffs))
-    until = list(range(len(diffs)))
-    for i in range(len(diffs) - 2, -1, -1):
-        if diffs[i] == diffs[i + 1]:
-            until[i] = until[i + 1]
-    return lo, diffs, until
+    return lo, diffs
 
 
 def _kernel_subfam(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo,
@@ -336,11 +332,11 @@ def _kernel_subfam(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, 
         d, row = rows[r]
         if r not in memo:
             memo[r] = _differences(row, r)
-        lo, diffs, until = memo[r]
+        lo, diffs = memo[r]
         rhs = sign * math.factorial(n) * d if fact else 0
-        start = ms[0] - n - lo
-        if until[start] >= ms[-1] - r - lo:
-            lhs = sign * math.perm(n, p) * diffs[start] if fact else 0
+        window = diffs[ms[0] - n - lo:ms[-1] - r - lo + 1]
+        if window.count(window[0]) == len(window):
+            lhs = sign * math.perm(n, p) * window[0] if fact else 0
             yield ms, p, qs, lhs, rhs, d
             continue
         weights = [_weights(n, p if fact else q) for q in qs]

@@ -244,12 +244,11 @@ def parse_b_file(text: str) -> List[int]:
         parts = line.split()
         if len(parts) < 2:
             raise ParseError(f"malformed b-file line: {line!r}", text)
-        values.append(parts[1])
-    try:
-        with unlimited_digits():  # b-file values are integers of any length
-            return [int(value) for value in values]
-    except ValueError as exc:
-        raise ParseError(f"b-file value is not an integer: {exc}", text) from None
+        try:
+            values.append(int(parts[1]))
+        except ValueError:
+            raise ParseError(f"b-file value is not an integer: {line!r}", text) from None
+    return values
 
 
 def window_terms(family: Family, axis: str, fixed: int, rng: Tuple[int, int]) -> List[int]:
