@@ -81,11 +81,13 @@ def load_roots_file(path: str) -> ExplicitRootsFamily:
         body = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read roots file {path}: {exc}") from exc
-    roots = body.get("roots")
+    roots = body.get("roots") if isinstance(body, dict) else None
     if not isinstance(roots, dict) or not roots:
         raise UsageError(f"roots file {path} must carry a non-empty 'roots' mapping")
     mapping = {}
     for key, row in roots.items():
+        if not isinstance(row, list):
+            raise UsageError(f"roots file {path}: entry n={key} must be a list of roots")
         try:
             n = int(key)
             values = tuple(parse_exact(str(v)) for v in row)

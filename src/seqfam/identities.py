@@ -10,9 +10,9 @@ and the sides it reports are the exact rationals lhs/k and rhs/k.
 carries beyond n, the entry's hypothesis on m, whether it is specific to the
 generalized Fibonacci family, the labels x of the members X(r, x) it reads,
 and its integer kernel, the one evaluation of its two sides.  ``eval_identity``
-(one point) and ``sweep`` (a grid) both run that kernel, so they agree on what
-is admissible and on every value; the admissible p and q are stated once, in
-``P_SPAN`` and ``Q_SPAN``.
+(one point) and ``sweep`` (a grid, one pass per family over rows built once)
+both run that kernel, so they agree on what is admissible and on every value;
+the admissible p and q are stated once, in ``P_SPAN`` and ``Q_SPAN``.
 
 The entries, with S_n denoting the root sum ``family.root_sum(n)``:
 
@@ -154,9 +154,8 @@ def eval_identity(identity: Identity, family: Family, *, n: int,
         require(p in P_SPAN.values(n), f"{P_SPAN.statement} (got n={n}, p={p})")
     if "q" in entry.params:
         require(q in Q_SPAN.values(p), f"{Q_SPAN.statement} (got p={p}, q={q})")
-    ((_, blocks),) = _kernels(identity, family, SweepRanges(n=(n, n), m=(m, m), p=(p, p),
-                                                            q=(q, q)))
-    (((m,), p, (q,), lhs, rhs, k),) = blocks
+    ((_, _, ((m,), p, (q,), lhs, rhs, k)),) = _blocks(
+        [identity], family, SweepRanges(n=(n, n), m=(m, m), p=(p, p), q=(q, q)))
     return _record(identity, family, n, m, p, q, lhs, rhs, k)
 
 
@@ -232,20 +231,20 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 
 
 # Fraction-free kernels, the one evaluation of every entry.  Each entry is
-# linear in the members of one row X(r, .), so a cell builds each row once, as
-# ints over its common denominator d: ``rows[r]`` is (d, row), and ``row[x]`` is
-# d * X(r, x) for each label x that the entry's ``reads`` names at some n of the
-# cell.  A kernel yields blocks (ms, p, qs, lhs, rhs, k) at one n: the checks at
-# every m in ms and q in qs share the two sides lhs and rhs, each times one
-# nonzero clearing factor k (d, n!*d*b^(n-1), m!/(m-n)!*d or m^(n-1)*d),
-# so they pass iff lhs == rhs, and their exact sides are lhs/k and rhs/k.  Most
-# blocks hold one point, (m,) and (q,), with None for a parameter the entry
-# does not carry; the SUBFAM_* kernel yields whole blocks, below.  Every kernel
-# also gets ``memo``, a dict that lives as long as the cell: the SUBFAM_* kernel
-# keeps there the differences of each row, which every n above the row shares.
+# linear in the members of one row X(r, .), so a family's pass builds each row
+# once for every entry, as ints over its common denominator d: ``rows[r]`` is
+# (d, row), and ``row[x]`` is d * X(r, x) for each label x that some entry's
+# ``reads`` names at some n.  A kernel yields blocks (ms, p, qs, lhs, rhs, k) at
+# one n: the checks at every m in ms and q in qs share the two sides lhs and rhs,
+# each times one nonzero clearing factor k (d, n!*d*b^(n-1), m!/(m-n)!*d or
+# m^(n-1)*d), so they pass iff lhs == rhs, and their exact sides are lhs/k and
+# rhs/k.  Most blocks hold one point, (m,) and (q,), with None for a parameter
+# the entry does not carry; the SUBFAM_* kernel yields whole blocks, below.
+# Every kernel also gets ``memo``, a dict that lives for one family's pass: the
+# SUBFAM_* kernels keep there the differences of each row, which they share.
 
 Rows = Dict[int, Tuple[int, Dict[int, int]]]
-Memo = Dict[int, Tuple[int, List[int]]]
+Memo = Dict[int, Tuple[int, int, List[int]]]
 PQs = List[Tuple[Optional[int], Sequence[Optional[int]]]]  # (p, the q at p) at one n
 _ONE = (None,)  # the values of a parameter that a block does not carry
 
@@ -307,14 +306,12 @@ def _kernel_expl(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, me
         yield (m,), None, _ONE, ff * row[sign * m], total, ff * d
 
 
-def _differences(row: Dict[int, int], r: int) -> Tuple[int, List[int]]:
-    """(lo, D) for the row f over its built labels lo..hi, which are contiguous:
-    D[i] = Delta^r f(lo + i)."""
-    lo = min(row)
-    diffs = [row[x] for x in range(lo, max(row) + 1)]
+def _differences(row: Dict[int, int], r: int, lo: int, hi: int) -> List[int]:
+    """D for the row f over the labels lo..hi: D[i] = Delta^r f(lo + i)."""
+    diffs = [row[x] for x in range(lo, hi + 1)]
     for _ in range(r):
         diffs = list(map(sub, diffs[1:], diffs))
-    return lo, diffs
+    return diffs
 
 
 def _kernel_subfam(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo,
@@ -323,16 +320,19 @@ def _kernel_subfam(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, 
     # T_q(m) = (-1)^n sum_{j<=q} S(q,j) n!/(n-j)! Delta^(n-j) f(m-n+j).  Where
     # Delta^r f is constant on ms[0]-n..ms[-1]-r, so on the window ms[0]-n..ms[-1]
     # that the (n, p) checks read, every term with j < p vanishes: T_q = 0 for every
-    # q < p and every m, and T_p = (-1)^n n!/(n-p)! Delta^r f.  Each row r is
-    # differenced once per cell, in memo[r], and serves every n > r.  Elsewhere each
-    # check is its own dot product, so failing sides stay exact.
+    # q < p and every m, and T_p = (-1)^n n!/(n-p)! Delta^r f.  memo[r] is (lo, hi,
+    # Delta^r f on lo..hi), redone on the union span when a window leaves it; a pass
+    # visits n largest first, so each row is differenced once and serves every n > r.
+    # Elsewhere each check is its own dot product, so failing sides stay exact.
     sign = (-1) ** n
     for p, qs in pqs:
         r = n - p
         d, row = rows[r]
-        if r not in memo:
-            memo[r] = _differences(row, r)
-        lo, diffs = memo[r]
+        lo, hi, diffs = memo.get(r, (ms[0] - n, ms[-1], None))
+        if diffs is None or ms[0] - n < lo or ms[-1] > hi:
+            lo, hi = min(lo, ms[0] - n), max(hi, ms[-1])
+            diffs = _differences(row, r, lo, hi)
+            memo[r] = lo, hi, diffs
         rhs = sign * math.factorial(n) * d if fact else 0
         window = diffs[ms[0] - n - lo:ms[-1] - r - lo + 1]
         if window.count(window[0]) == len(window):
@@ -420,20 +420,22 @@ CATALOG: Dict[Identity, Entry] = {
 }
 
 
-def _kernels(identity: Identity, family: Family, ranges: SweepRanges
-             ) -> Iterator[Tuple[int, Iterator[Tuple]]]:
-    """(n, the kernel's checks at n) for each n of one (identity, family) cell
-    that has an admissible point, building once for the whole cell exactly the
-    members its kernel reads at those n."""
-    entry = CATALOG[identity]
-    points = {n: entry.points(n, ranges) for n in range(max(ranges.n[0], 1), ranges.n[1] + 1)}
-    points = {n: (ms, pqs) for n, (ms, pqs) in points.items() if ms and pqs}
-    if not points or (entry.fib_only and family != FIB):
-        return iter(())
-    labels = sorted(set().union(*(entry.reads(n, ms) for n, (ms, _) in points.items())))
-    r_values = [n - (p or 0) for n, (_, pqs) in points.items() for p, _ in pqs]  # rows n - p
+def _blocks(identities: Sequence[Identity], family: Family, ranges: SweepRanges
+            ) -> Iterator[Tuple[Identity, int, Tuple]]:
+    """(identity, n, block) for every check block of the given entries on one family,
+    n largest first, over rows built once with exactly the labels the kernels read."""
+    points = [(identity, n, *CATALOG[identity].points(n, ranges)) for identity in identities
+              if family == FIB or not CATALOG[identity].fib_only
+              for n in range(ranges.n[1], max(ranges.n[0], 1) - 1, -1)]
+    points = [(identity, n, ms, pqs) for identity, n, ms, pqs in points if ms and pqs]
+    if not points:
+        return
+    labels = sorted(set().union(*(CATALOG[i].reads(n, ms) for i, n, ms, _ in points)))
+    r_values = [n - (p or 0) for _, n, _, pqs in points for p, _ in pqs]  # rows n - p
     rows, memo = _int_rows(family, min(r_values), max(r_values), labels), {}
-    return ((n, entry.kernel(rows, family, n, ms, pqs, memo)) for n, (ms, pqs) in points.items())
+    for identity, n, ms, pqs in points:
+        for block in CATALOG[identity].kernel(rows, family, n, ms, pqs, memo):
+            yield identity, n, block
 
 
 def _record(identity: Identity, family: Family, n: int, m: Optional[int], p: Optional[int],
@@ -447,22 +449,17 @@ def _record(identity: Identity, family: Family, n: int, m: Optional[int], p: Opt
                          residual=residual, passed=residual == 0)
 
 
-def _run_cell(identity: Identity, family: Family, ranges: SweepRanges
-              ) -> Tuple[int, List[IdentityCheck]]:
-    """The check count and the failing checks of one (identity, family) cell."""
+def _run_family(identities: Sequence[Identity], ranges: SweepRanges, family: Family
+                ) -> Tuple[int, List[IdentityCheck]]:
+    """The check count and the failing checks of the given entries on one family."""
     count = 0
     failures: List[IdentityCheck] = []
-    for n, blocks in _kernels(identity, family, ranges):
-        for ms, p, qs, lhs, rhs, k in blocks:
-            count += len(ms) * len(qs)
-            if lhs != rhs:
-                failures.extend(_record(identity, family, n, m, p, q, lhs, rhs, k)
-                                for m in ms for q in qs)
+    for identity, n, (ms, p, qs, lhs, rhs, k) in _blocks(identities, family, ranges):
+        count += len(ms) * len(qs)
+        if lhs != rhs:
+            failures.extend(_record(identity, family, n, m, p, q, lhs, rhs, k)
+                            for m in ms for q in qs)
     return count, failures
-
-
-def _run_cell_star(args: Tuple[Identity, Family, SweepRanges]) -> Tuple[int, List[IdentityCheck]]:
-    return _run_cell(*args)
 
 
 def sweep(identities: Sequence[Identity], families: Sequence[Family],
@@ -471,27 +468,28 @@ def sweep(identities: Sequence[Identity], families: Sequence[Family],
 
     Failures are data (collected, sorted, reported), never exceptions.  The
     report content is independent of ``workers``; only wall time changes.
-    ``workers`` is clamped to the CPU count and to the number of cells.
+    Each family is one pass and one pool task; ``workers`` is clamped to the
+    CPU count and to the number of families.
     """
     identities = [Identity(i) for i in identities]
     started = time.perf_counter()
-    cells = [(identity, family, ranges) for identity in identities for family in families]
+    run = partial(_run_family, identities, ranges)
 
-    workers = max(1, min(os.cpu_count() or 1, len(cells), workers))
+    workers = max(1, min(os.cpu_count() or 1, len(families), workers))
     if workers > 1 and not _picklable(families):
         workers = 1
 
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell_star, cells, chunksize=1))
+            results = list(pool.map(run, families, chunksize=1))
     else:
-        results = map(_run_cell_star, cells)
+        results = map(run, families)
     total = 0
     failures: List[IdentityCheck] = []
-    for count, cell_failures in results:
+    for count, family_failures in results:
         total += count
-        failures.extend(cell_failures)
+        failures.extend(family_failures)
 
     failures.sort(key=_failure_key)
     return SweepReport(

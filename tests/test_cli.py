@@ -544,11 +544,20 @@ def test_roots_file_family(tmp_path, capsys):
     assert code == 0
 
 
-def test_roots_file_validation(tmp_path, capsys):
+@pytest.mark.parametrize("body, message", [
+    ({"roots": {"2": ["1"]}}, "exactly"),  # wrong arity
+    ([1, 2], "'roots' mapping"),  # a top level that is not an object
+    ("x", "'roots' mapping"),
+    (None, "'roots' mapping"),
+    ({"roots": {"1": 5}}, "list"),  # an entry that is not a list
+    ({"roots": {"1": None}}, "list"),
+    ({"roots": {"2": "12"}}, "list"),  # not the roots 1 and 2
+], ids=["arity", "list", "string", "null", "entry-int", "entry-null", "entry-string"])
+def test_roots_file_validation(tmp_path, capsys, body, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"roots": {"2": ["1"]}}))  # wrong arity
+    path.write_text(json.dumps(body))
     code, _, err = run(capsys, "table", "--family", f"roots:{path}", "--n", "2..2", "--m", "0..0")
-    assert code == 2 and "exactly" in err
+    assert code == 2 and message in err and str(path) in err
 
 
 def test_table_renders_members_past_the_digit_limit(capsys):

@@ -225,6 +225,15 @@ def test_sweep_far_from_the_origin_builds_few_members(monkeypatch):
     assert len(built) < 1000
 
 
+@pytest.mark.parametrize("family", [FIB, PowerFamily(Fraction(1, 2))], ids=lambda f: f.label())
+def test_whole_catalog_sweep_builds_each_label_once(monkeypatch, family):
+    # every entry of a family's pass reads the same rows, built once for all of them
+    asked = record_columns(monkeypatch, type(family))
+    report = sweep(ALL_IDENTITIES, [family], SweepRanges(n=(1, 7), m=(-4, 5)))
+    assert report.total_checks > 0 and report.failures == []
+    assert set(Counter(m for m, *_ in asked).values()) == {1}
+
+
 @pytest.mark.parametrize("entry", [Identity.SUBFAM_ZERO, Identity.SUBFAM_FACT],
                          ids=lambda e: e.value)
 def test_subfam_builds_only_the_rows_n_minus_p(monkeypatch, entry):
@@ -547,7 +556,7 @@ def test_subfam_restricted_p_and_q_agree_with_oracle(monkeypatch, entry, p, q):
     assert report.failures
 
 
-# Each row r is differenced once per cell and serves every n > r; its window at
+# Each row r is differenced once per family and serves every n > r; its window at
 # (n, p = n - r) is m_lo-n..m_hi at that n.  A corrupted member of row 3 sends to the
 # per-check fallback exactly the (n, n - 3) whose window holds its label.
 @pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
@@ -567,10 +576,29 @@ def test_subfam_falls_back_exactly_where_the_window_holds_the_member(
 
     corrupt_member(monkeypatch, type(family), 3, label)
     ranges = SweepRanges(n=(1, 8), m=m)
-    blocks = Counter((n, p) for n, kernel in identities._kernels(entry, family, ranges)
-                     for _, p, *_ in kernel)
+    blocks = Counter((n, p) for _, n, (_, p, *_) in identities._blocks([entry], family, ranges))
     assert {np for np, count in blocks.items() if count > 1} == {(n, n - 3) for n in fallback}
     assert_sweep_matches_oracle(entry, family, ranges)
+
+
+@pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
+@pytest.mark.parametrize("label", [-3 - 8, 4], ids=["left-edge", "right-edge"])
+def test_subfam_blocks_do_not_depend_on_the_order_n_is_visited(monkeypatch, entry, label):
+    from seqfam import identities
+
+    # a pass visits n largest first; smallest first, each row's memo is outgrown by the
+    # wider window of every larger n and must be differenced again over the union span
+    corrupt_member(monkeypatch, PowerFamily, 3, label)
+    family, ranges = PowerFamily(Fraction(-3, 2)), SweepRanges(n=(1, 8), m=(-3, 4))
+    kernel = CATALOG[entry].kernel
+    blocks = []
+    for order in (range(8, 1, -1), range(2, 9)):
+        rows, memo = identities._int_rows(family, 1, 7, list(range(-11, 5))), {}
+        blocks.append({n: list(kernel(rows, family, n, *CATALOG[entry].points(n, ranges), memo))
+                       for n in order})
+    assert blocks[0] == blocks[1]
+    # the corrupted row falls back to one-point blocks
+    assert any(len(ms) == 1 for b in blocks[0].values() for ms, *_ in b)
 
 
 class Reads(Counter):
@@ -580,9 +608,10 @@ class Reads(Counter):
         self[label] += 1
 
 
-@pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
+@pytest.mark.parametrize("entries", [[Identity.SUBFAM_ZERO], [Identity.SUBFAM_FACT], SUBFAM],
+                         ids=lambda entries: "+".join(e.value for e in entries))
 @pytest.mark.parametrize("m", [(-6, 6), ("n", 12), (-3, "n")], ids=str)
-def test_subfam_differences_each_row_once_per_cell(monkeypatch, entry, m):
+def test_subfam_differences_each_row_once_per_cell(monkeypatch, entries, m):
     from seqfam import identities
 
     reads = {}
@@ -590,9 +619,10 @@ def test_subfam_differences_each_row_once_per_cell(monkeypatch, entry, m):
     monkeypatch.setattr(identities, "_int_rows", lambda *args: {
         r: (d, RecordingRow(row, reads.setdefault(r, Reads())))
         for r, (d, row) in int_rows(*args).items()})
-    report = sweep([entry], [LucasFamily(2)], SweepRanges(n=(1, 10), m=m))
+    report = sweep(entries, [LucasFamily(2)], SweepRanges(n=(1, 10), m=m))
     assert report.total_checks > 0 and report.failures == []
-    # every (n, p) passes as one block, so each member is read once: when its row is differenced
+    # every (n, p) passes as one block, so each member is read once: when its row is differenced,
+    # once for both entries
     assert set(reads) == set(range(1, 10))
     assert {count for row in reads.values() for count in row.values()} == {1}
 
@@ -654,7 +684,7 @@ def test_workers_are_clamped_to_cpus_and_cells(monkeypatch):
         report = sweep([Identity.REC_M], [FIB, PochhammerFamily()], ranges, workers=workers)
         reports.append(report.to_json_dict())
         reports[-1].pop("wall_time_s")
-    assert pools == [2]  # two cells: 0 and 1 run serially, 3 is cut to 2
+    assert pools == [2]  # two families: 0 and 1 run serially, 3 is cut to 2
     assert reports[0] == reports[1] == reports[2]
 
 
