@@ -7,26 +7,49 @@ diagnostics go to stderr.  Exact values of any length are decimal strings in
 the machine formats, except OEIS JSON ``terms``: JSON numbers.  ``table``
 streams its report a row at a time, so its memory is the exact window (plus
 the formatted cells for text, whose column widths need them all).
+
+A process runs only the modules its subcommand uses: ``identities``,
+``floatcheck`` and ``oeis`` are registered in ``sys.modules`` when this module
+is imported, but each runs on first use, so ``table`` loads neither the
+identity catalog nor the OEIS client, and ``oeis --offline`` never loads the
+hashing behind the network cache.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
 import re
 import sys
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
+from types import ModuleType
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .exact import format_exact, parse_exact, unlimited_digits
 from .families import (FIB, ExplicitRootsFamily, Family, LucasFamily, PochhammerFamily,
                        PowerFamily, SequenceWindow, table)
-from .floatcheck import FloatCompareResult, compare_grid, json_float
-from .identities import (ALL_IDENTITIES, Bound, Identity, SweepRanges, sweep)
-from .oeis import OeisClient, ParseError, TransportError, cross_check
+
+
+def _on_first_use(name: str) -> ModuleType:
+    """Submodule ``name``: in sys.modules from now on, as after an import, but run
+    only when one of its attributes is first read (importlib.util.LazyLoader)."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+identities, floatcheck, oeis = map(_on_first_use, ("identities", "floatcheck", "oeis"))
 
 #: Families swept by the selector "all" (the standard verification set).
 STANDARD_FAMILIES: Tuple[Family, ...] = (
@@ -40,12 +63,13 @@ class UsageError(ValueError):
     pass
 
 
-def m_bound(text: str) -> Bound:
+def m_bound(text: str) -> identities.Bound:
     """An m range bound: an integer, or 'n' for the member index of each point."""
     return "n" if text.strip() == "n" else int(text)
 
 
-def parse_range(text: str, bound: Callable[[str], Bound] = int) -> Tuple[Bound, Bound]:
+def parse_range(text: str, bound: Callable[[str], identities.Bound] = int
+                ) -> Tuple[identities.Bound, identities.Bound]:
     """Parse 'a..b', reading each end with ``bound``; a <= b when both are integers."""
     try:
         lo_text, hi_text = text.split("..")
@@ -134,18 +158,18 @@ def parse_families(text: str) -> List[Family]:
     return out
 
 
-def parse_identities(text: str) -> List[Identity]:
+def parse_identities(text: str) -> List[identities.Identity]:
     if text.strip().lower() == "all":
-        return list(ALL_IDENTITIES)
+        return list(identities.ALL_IDENTITIES)
     out = []
     for item in text.split(","):
         item = item.strip().upper()
         if not item:
             continue
         try:
-            out.append(Identity(item))
+            out.append(identities.Identity(item))
         except ValueError:
-            known = ", ".join(i.value for i in ALL_IDENTITIES)
+            known = ", ".join(i.value for i in identities.ALL_IDENTITIES)
             raise UsageError(f"unknown identity {item!r}; known: {known}") from None
     if not out:
         raise UsageError("no identities selected")
@@ -237,16 +261,16 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     families = parse_families(args.family)
-    identities = parse_identities(args.identity)
+    entries = parse_identities(args.identity)
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
-    ranges = SweepRanges(
+    ranges = identities.SweepRanges(
         n=parse_range(args.n),
         m=parse_range(args.m, m_bound) if args.m else None,
         p=parse_range(args.p) if args.p else None,
         q=parse_range(args.q) if args.q else None,
     )
-    report = sweep(identities, families, ranges, workers=args.workers)
+    report = identities.sweep(entries, families, ranges, workers=args.workers)
     if report.total_checks == 0:
         print("warning: no admissible points in the sweep domain", file=sys.stderr)
 
@@ -279,9 +303,9 @@ def cmd_float_check(args) -> int:
     if not tol > 0:  # nan, 0 or below: even an exact point would fail; inf passes every finite one
         raise UsageError(f"--tol must be positive, got {tol:g}")
 
-    results: List[FloatCompareResult] = []
+    results: List[floatcheck.FloatCompareResult] = []
     for family in families:
-        results.extend(compare_grid(family, n_range, m_range))
+        results.extend(floatcheck.compare_grid(family, n_range, m_range))
     failures = [r for r in results if not r.within(tol)]
     worst_rel = max((r.relative_error for r in results), default=0.0)
     worst_imag = max((r.imaginary_ratio for r in results), default=0.0)
@@ -292,10 +316,10 @@ def cmd_float_check(args) -> int:
             "families": [f.label() for f in families],
             "n": list(n_range),
             "m": list(m_range),
-            "tolerance": json_float(tol),
+            "tolerance": floatcheck.json_float(tol),
             "total_checks": len(results),
-            "max_relative_error": json_float(worst_rel),
-            "max_imaginary_ratio": json_float(worst_imag),
+            "max_relative_error": floatcheck.json_float(worst_rel),
+            "max_imaginary_ratio": floatcheck.json_float(worst_imag),
             "failure_count": len(failures),
             "failures": [r.to_json_dict() for r in failures],
         })
@@ -330,9 +354,16 @@ def cmd_oeis(args) -> int:
     else:
         axis, fixed, rng = "column", args.column, parse_range(args.n or "0..11")
 
-    client = OeisClient(offline=args.offline,
-                        cache_dir=Path(args.cache_dir) if args.cache_dir else None)
-    match, verdict = cross_check(family, axis, fixed, rng, client)
+    client = oeis.OeisClient(offline=args.offline,
+                             cache_dir=Path(args.cache_dir) if args.cache_dir else None)
+    try:
+        match, verdict = oeis.cross_check(family, axis, fixed, rng, client)
+    except oeis.TransportError as exc:
+        print(f"network error: {exc}", file=sys.stderr)
+        return 3
+    except oeis.ParseError as exc:  # a ValueError, but the service's fault, not the user's
+        print(f"service error: {exc}", file=sys.stderr)
+        return 3
 
     if args.format == "json":
         payload = match.to_json_dict()
@@ -451,12 +482,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except TransportError as exc:
-        print(f"network error: {exc}", file=sys.stderr)
-        return 3
-    except ParseError as exc:  # a ValueError, but the service's fault, not the user's
-        print(f"service error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

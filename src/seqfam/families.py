@@ -29,22 +29,61 @@ those of LucasFamily(q) with q < 0 are purely imaginary, ``complex(0.0, v)``.
 Lucas-type roots are irrational, so those members come from the integer
 recursion rather than the product.  All evaluators are exact for every
 integer m, positive or negative.
+
+``PowerFamily``, ``PochhammerFamily`` and ``LucasFamily`` are values: two are
+equal, and hash alike, when they have the same type and parameters, so
+``PowerFamily(-1) != LucasFamily(-1)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Tuple, Union
+from typing import Callable, List, NamedTuple, Tuple, Union
 
 from .exact import ExactScalar, format_exact, normalize, pochhammer
 
 
-@dataclass(frozen=True)
-class PowerFamily:
+class _Parameters:
+    """Equality, hash, repr, immutability and pickling keyed on the parameters named
+    in ``__slots__``, in order; objects of different types are never equal."""
+
+    __slots__ = ()
+
+    def __init__(self, *params) -> None:
+        for name, value in zip(self.__slots__, params, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _params(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._params() == other._params()
+
+    def __hash__(self) -> int:
+        return hash(self._params())
+
+    def __repr__(self) -> str:
+        params = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({params})"
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._params()
+
+
+class PowerFamily(_Parameters):
     """Constant roots x[n,l] = c; members are the pure powers (m + c)^n."""
 
-    c: ExactScalar = 0
+    __slots__ = ("c",)
+
+    def __init__(self, c: ExactScalar = 0) -> None:
+        super().__init__(c)
 
     def label(self) -> str:
         return f"power:{format_exact(self.c)}"
@@ -64,9 +103,10 @@ class PowerFamily:
         return [float(self.c)] * n
 
 
-@dataclass(frozen=True)
-class PochhammerFamily:
+class PochhammerFamily(_Parameters):
     """Roots x[n,l] = l; members are the rising products (m+1)_n."""
+
+    __slots__ = ()
 
     def label(self) -> str:
         return "pochhammer"
@@ -85,19 +125,19 @@ class PochhammerFamily:
         return [float(l) for l in range(1, n + 1)]
 
 
-@dataclass(frozen=True)
-class LucasFamily:
+class LucasFamily(_Parameters):
     """Scaled Chebyshev-cosine roots; members are general Lucas numbers.
 
     X(n, m) = L[n+1] for L[0] = 0, L[1] = 1, L[k] = m*L[k-1] - q*L[k-2].
     q must be a nonzero integer; q = -1 is the generalized Fibonacci family.
     """
 
-    q: int
+    __slots__ = ("q",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.q, int) or self.q == 0:
-            raise ValueError(f"LucasFamily requires a nonzero integer q, got {self.q!r}")
+    def __init__(self, q: int) -> None:
+        if not isinstance(q, int) or q == 0:
+            raise ValueError(f"LucasFamily requires a nonzero integer q, got {q!r}")
+        super().__init__(q)
 
     def label(self) -> str:
         return f"lucas:{self.q}"
@@ -182,8 +222,7 @@ def fibonacci_polynomial(n: int, m: int) -> int:
     return sum(math.comb(n - l, l) * m ** (n - 2 * l) for l in range(n // 2 + 1))
 
 
-@dataclass(frozen=True)
-class SequenceWindow:
+class SequenceWindow(NamedTuple):
     """A rectangular window of family members, rows indexed by n, columns by m."""
 
     family: Family

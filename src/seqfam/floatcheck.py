@@ -13,16 +13,14 @@ overflows to inf or nan has an infinite relative error, so it fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .exact import ExactScalar, format_exact
 from .families import Family, table
 
 
-@dataclass(frozen=True)
-class FloatCompareResult:
+class FloatCompareResult(NamedTuple):
     """Float product vs exact member at one point.
 
     ``real``/``imag`` are the components of the evaluated product; for

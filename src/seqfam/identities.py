@@ -10,9 +10,10 @@ and the sides it reports are the exact rationals lhs/k and rhs/k.
 carries beyond n, the entry's hypothesis on m, whether it is specific to the
 generalized Fibonacci family, the labels x of the members X(r, x) it reads,
 and its integer kernel, the one evaluation of its two sides.  ``eval_identity``
-(one point) and ``sweep`` (a grid, one pass per family over rows built once)
-both run that kernel, so they agree on what is admissible and on every value;
-the admissible p and q are stated once, in ``P_SPAN`` and ``Q_SPAN``.
+(one point) and ``sweep`` (a grid, planned once and run as one pass per family
+over rows built once) both run that kernel, so they agree on what is
+admissible and on every value; the admissible p and q are stated once, in
+``P_SPAN`` and ``Q_SPAN``.
 
 The entries, with S_n denoting the root sum ``family.root_sum(n)``:
 
@@ -43,9 +44,7 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import time
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -78,8 +77,7 @@ class DomainError(ValueError):
     """A parameter point violates an identity's stated hypothesis."""
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Result of one identity evaluated at one parameter point."""
 
     identity: Identity
@@ -154,8 +152,8 @@ def eval_identity(identity: Identity, family: Family, *, n: int,
         require(p in P_SPAN.values(n), f"{P_SPAN.statement} (got n={n}, p={p})")
     if "q" in entry.params:
         require(q in Q_SPAN.values(p), f"{Q_SPAN.statement} (got p={p}, q={q})")
-    ((_, _, ((m,), p, (q,), lhs, rhs, k)),) = _blocks(
-        [identity], family, SweepRanges(n=(n, n), m=(m, m), p=(p, p), q=(q, q)))
+    plan = _plan([identity], SweepRanges(n=(n, n), m=(m, m), p=(p, p), q=(q, q)), family == FIB)
+    ((_, _, ((m,), p, (q,), lhs, rhs, k)),) = _blocks(plan, family)
     return _record(identity, family, n, m, p, q, lhs, rhs, k)
 
 
@@ -165,8 +163,7 @@ def eval_identity(identity: Identity, family: Family, *, n: int,
 Bound = Union[int, str]  # int, or "n" to couple the bound to the current n
 
 
-@dataclass(frozen=True)
-class SweepRanges:
+class SweepRanges(NamedTuple):
     """Inclusive parameter ranges for a sweep.
 
     m bounds may be the string "n", resolved against the current n (so
@@ -196,8 +193,7 @@ class SweepRanges:
         return list(range(lo, hi + 1))
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     """Outcome of an identity sweep over a parameter grid."""
 
     identities: List[str]
@@ -241,10 +237,11 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 # rhs/k.  Most blocks hold one point, (m,) and (q,), with None for a parameter
 # the entry does not carry; the SUBFAM_* kernel yields whole blocks, below.
 # Every kernel also gets ``memo``, a dict that lives for one family's pass: the
-# SUBFAM_* kernels keep there the differences of each row, which they share.
+# SUBFAM_* kernels keep there the differences of each row, and L2_SCALE and
+# SCALE_ID the one sum they share at each (n, m).
 
 Rows = Dict[int, Tuple[int, Dict[int, int]]]
-Memo = Dict[int, Tuple[int, int, List[int]]]
+Memo = Dict[Tuple, object]
 PQs = List[Tuple[Optional[int], Sequence[Optional[int]]]]  # (p, the q at p) at one n
 _ONE = (None,)  # the values of a parameter that a block does not carry
 
@@ -261,6 +258,15 @@ def _dot(weights: Sequence[int], row: Dict[int, int], labels: Sequence[int]) -> 
     return sum(map(mul, weights, map(row.__getitem__, labels)))
 
 
+def _scaled_dot(w: List[int], row: Dict[int, int], n: int, m: int, memo: Memo) -> int:
+    """sum_{l=1..n} (-1)^l C(n,l) l d*X(n, l*m), for w = _weights(n, 1)[1:]: L2_SCALE's
+    sum at (a, b) = (0, m) and SCALE_ID's scaled sum, computed once per pass at (n, m)."""
+    key = ("scaled", n, m)
+    if key not in memo:
+        memo[key] = _dot(w, row, range(m, (n + 1) * m, m))
+    return memo[key]
+
+
 def _kernel_root_sum(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo,
                      scale: bool):
     # L1 of the family relabeled x -> a + b*x, (a, b) = (0, m) if scale else (m, 1): its
@@ -271,7 +277,8 @@ def _kernel_root_sum(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs
     for m in ms:
         a, b = (0, m) if scale else (m, 1)
         k = fd * b ** (n - 1)
-        total = _dot(w, row, range(a + b, a + (n + 1) * b, b))  # a + b*l for l = 1..n
+        total = (_scaled_dot(w, row, n, m, memo) if scale
+                 else _dot(w, row, range(a + b, a + (n + 1) * b, b)))  # a + b*l for l = 1..n
         yield (m,), None, _ONE, root_sum * k, sign * total - (n * a + n * (n + 1) // 2 * b) * k, k
 
 
@@ -290,7 +297,7 @@ def _kernel_scale_id(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs
     half = (-1) ** (n - 1) * n * math.factorial(n + 1) // 2 * d
     for m in ms:
         power = m ** (n - 1)
-        scaled = _dot(w, row, range(m, (n + 1) * m, m))
+        scaled = _scaled_dot(w, row, n, m, memo)
         yield (m,), None, _ONE, scaled, power * (plain + (1 - m) * half), power * d
 
 
@@ -320,19 +327,20 @@ def _kernel_subfam(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, 
     # T_q(m) = (-1)^n sum_{j<=q} S(q,j) n!/(n-j)! Delta^(n-j) f(m-n+j).  Where
     # Delta^r f is constant on ms[0]-n..ms[-1]-r, so on the window ms[0]-n..ms[-1]
     # that the (n, p) checks read, every term with j < p vanishes: T_q = 0 for every
-    # q < p and every m, and T_p = (-1)^n n!/(n-p)! Delta^r f.  memo[r] is (lo, hi,
-    # Delta^r f on lo..hi), redone on the union span when a window leaves it; a pass
-    # visits n largest first, so each row is differenced once and serves every n > r.
+    # q < p and every m, and T_p = (-1)^n n!/(n-p)! Delta^r f.  memo["differences", r]
+    # is (lo, hi, Delta^r f on lo..hi), redone on the union span when a window leaves
+    # it; a pass visits n largest first, so each row is differenced once and serves
+    # every n > r.
     # Elsewhere each check is its own dot product, so failing sides stay exact.
     sign = (-1) ** n
     for p, qs in pqs:
         r = n - p
         d, row = rows[r]
-        lo, hi, diffs = memo.get(r, (ms[0] - n, ms[-1], None))
+        lo, hi, diffs = memo.get(("differences", r), (ms[0] - n, ms[-1], None))
         if diffs is None or ms[0] - n < lo or ms[-1] > hi:
             lo, hi = min(lo, ms[0] - n), max(hi, ms[-1])
             diffs = _differences(row, r, lo, hi)
-            memo[r] = lo, hi, diffs
+            memo["differences", r] = lo, hi, diffs
         rhs = sign * math.factorial(n) * d if fact else 0
         window = diffs[ms[0] - n - lo:ms[-1] - r - lo + 1]
         if window.count(window[0]) == len(window):
@@ -420,20 +428,36 @@ CATALOG: Dict[Identity, Entry] = {
 }
 
 
-def _blocks(identities: Sequence[Identity], family: Family, ranges: SweepRanges
-            ) -> Iterator[Tuple[Identity, int, Tuple]]:
-    """(identity, n, block) for every check block of the given entries on one family,
-    n largest first, over rows built once with exactly the labels the kernels read."""
+class _Plan(NamedTuple):
+    """What a family's pass runs: each entry's admissible points at each n, n largest first,
+    and the rows r_lo..r_hi it builds, over exactly the labels the kernels read."""
+
+    points: List[Tuple[Identity, int, List[int], PQs]]  # (identity, n, ms, pqs)
+    labels: List[int]
+    r_lo: int
+    r_hi: int
+
+
+def _plan(identities: Sequence[Identity], ranges: SweepRanges, fib: bool) -> Optional[_Plan]:
+    """The plan of every family of a sweep, with the fib_only entries if ``fib``;
+    None when no entry has an admissible point."""
     points = [(identity, n, *CATALOG[identity].points(n, ranges)) for identity in identities
-              if family == FIB or not CATALOG[identity].fib_only
+              if fib or not CATALOG[identity].fib_only
               for n in range(ranges.n[1], max(ranges.n[0], 1) - 1, -1)]
     points = [(identity, n, ms, pqs) for identity, n, ms, pqs in points if ms and pqs]
     if not points:
-        return
+        return None
     labels = sorted(set().union(*(CATALOG[i].reads(n, ms) for i, n, ms, _ in points)))
     r_values = [n - (p or 0) for _, n, _, pqs in points for p, _ in pqs]  # rows n - p
-    rows, memo = _int_rows(family, min(r_values), max(r_values), labels), {}
-    for identity, n, ms, pqs in points:
+    return _Plan(points, labels, min(r_values), max(r_values))
+
+
+def _blocks(plan: Optional[_Plan], family: Family) -> Iterator[Tuple[Identity, int, Tuple]]:
+    """(identity, n, block) for every check block of the plan on one family."""
+    if plan is None:
+        return
+    rows, memo = _int_rows(family, plan.r_lo, plan.r_hi, plan.labels), {}
+    for identity, n, ms, pqs in plan.points:
         for block in CATALOG[identity].kernel(rows, family, n, ms, pqs, memo):
             yield identity, n, block
 
@@ -449,12 +473,11 @@ def _record(identity: Identity, family: Family, n: int, m: Optional[int], p: Opt
                          residual=residual, passed=residual == 0)
 
 
-def _run_family(identities: Sequence[Identity], ranges: SweepRanges, family: Family
-                ) -> Tuple[int, List[IdentityCheck]]:
-    """The check count and the failing checks of the given entries on one family."""
+def _run_family(plan: Optional[_Plan], family: Family) -> Tuple[int, List[IdentityCheck]]:
+    """The check count and the failing checks of the plan on one family."""
     count = 0
     failures: List[IdentityCheck] = []
-    for identity, n, (ms, p, qs, lhs, rhs, k) in _blocks(identities, family, ranges):
+    for identity, n, (ms, p, qs, lhs, rhs, k) in _blocks(plan, family):
         count += len(ms) * len(qs)
         if lhs != rhs:
             failures.extend(_record(identity, family, n, m, p, q, lhs, rhs, k)
@@ -468,12 +491,14 @@ def sweep(identities: Sequence[Identity], families: Sequence[Family],
 
     Failures are data (collected, sorted, reported), never exceptions.  The
     report content is independent of ``workers``; only wall time changes.
-    Each family is one pass and one pool task; ``workers`` is clamped to the
-    CPU count and to the number of families.
+    The sweep is planned once (twice if lucas:-1 adds the fib_only entries);
+    each family is one pass of its plan and one pool task.  ``workers`` is
+    clamped to the CPU count and to the number of families.
     """
     identities = [Identity(i) for i in identities]
     started = time.perf_counter()
-    run = partial(_run_family, identities, ranges)
+    plans = {fib: _plan(identities, ranges, fib) for fib in {f == FIB for f in families}}
+    tasks = [plans[f == FIB] for f in families]
 
     workers = max(1, min(os.cpu_count() or 1, len(families), workers))
     if workers > 1 and not _picklable(families):
@@ -482,9 +507,9 @@ def sweep(identities: Sequence[Identity], families: Sequence[Family],
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, families, chunksize=1))
+            results = list(pool.map(_run_family, tasks, families, chunksize=1))
     else:
-        results = map(run, families)
+        results = map(_run_family, tasks, families)
     total = 0
     failures: List[IdentityCheck] = []
     for count, family_failures in results:
@@ -503,6 +528,8 @@ def sweep(identities: Sequence[Identity], families: Sequence[Family],
 
 
 def _picklable(families: Sequence[Family]) -> bool:
+    import pickle
+
     try:
         pickle.dumps(tuple(families))
         return True

@@ -14,16 +14,14 @@ the catalog identifiers carried in fixtures and responses are opaque labels.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import format_exact, unlimited_digits
 from .families import Family, table
@@ -48,8 +46,7 @@ class ParseError(ValueError):
         self.payload = payload
 
 
-@dataclass(frozen=True)
-class OeisMatch:
+class OeisMatch(NamedTuple):
     """Outcome of one query: the terms submitted, ids matched, and where from."""
 
     terms: Tuple[int, ...]
@@ -126,6 +123,8 @@ class OeisClient:
     # -- cache ------------------------------------------------------------
 
     def _cache_path(self, terms: Sequence[int]) -> Path:
+        import hashlib  # loads OpenSSL, which only this cache needs
+
         digest = hashlib.sha256(",".join(map(format_exact, terms)).encode()).hexdigest()[:24]
         return self.cache_dir / f"terms-{digest}.json"
 

@@ -451,7 +451,6 @@ def test_oeis_terms_past_the_digit_limit(capsys):
 
 
 def test_oeis_network_error_exits_three(capsys, monkeypatch, tmp_path):
-    import seqfam.cli as cli_mod
     from seqfam.oeis import OeisClient, TransportError
 
     def broken_transport(url):
@@ -464,7 +463,7 @@ def test_oeis_network_error_exits_three(capsys, monkeypatch, tmp_path):
         kwargs["min_interval"] = 0.0
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli_mod.OeisClient, "__init__", patched_init)
+    monkeypatch.setattr("seqfam.oeis.OeisClient.__init__", patched_init)
     # terms that miss every fixture, forcing the (broken) network path
     code, _, err = run(capsys, "oeis", "--family", "lucas:3", "--row", "5",
                        "--m", "0..9", "--cache-dir", str(tmp_path))
@@ -472,7 +471,6 @@ def test_oeis_network_error_exits_three(capsys, monkeypatch, tmp_path):
 
 
 def test_oeis_malformed_reply_exits_three(capsys, monkeypatch, tmp_path):
-    import seqfam.cli as cli_mod
     from seqfam.oeis import OeisClient
 
     real_init = OeisClient.__init__
@@ -482,7 +480,7 @@ def test_oeis_malformed_reply_exits_three(capsys, monkeypatch, tmp_path):
         kwargs["min_interval"] = 0.0
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli_mod.OeisClient, "__init__", patched_init)
+    monkeypatch.setattr("seqfam.oeis.OeisClient.__init__", patched_init)
     code, _, err = run(capsys, "oeis", "--family", "lucas:3", "--row", "5",
                        "--m", "0..9", "--cache-dir", str(tmp_path))
     assert code == 3 and "service error: unparseable search response" in err

@@ -1,5 +1,6 @@
 """Tests for the family evaluators: closed forms, recursions, windows, roots."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,32 @@ def test_literal_product_equals_power_closed_form(c, n, m):
 def test_lucas_rejects_zero_q():
     with pytest.raises(ValueError):
         LucasFamily(0)
+
+
+VALUES = [PowerFamily(), PowerFamily(-1), PowerFamily(Fraction(1, 2)), PochhammerFamily(),
+          LucasFamily(-1), LucasFamily(2)]
+
+
+@pytest.mark.parametrize("family", VALUES, ids=repr)
+def test_families_are_values_of_their_type_and_parameters(family):
+    twin = type(family)(*family._params())
+    assert twin == family and hash(twin) == hash(family) and twin is not family
+    assert pickle.loads(pickle.dumps(family)) == family
+    # different types are never equal, even over the same parameters
+    assert [other for other in VALUES if other == family] == [family]
+    assert family != family._params()
+    for name in (*family.__slots__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(family, name, 3)
+
+
+def test_family_equality_and_repr():
+    assert PowerFamily(-1) != LucasFamily(-1) and LucasFamily(-1) == FIB
+    assert PowerFamily(0) == PowerFamily() and PowerFamily(Fraction(2)) == PowerFamily(2)
+    assert PochhammerFamily() != PowerFamily(0)
+    assert len({PowerFamily(1), PowerFamily(1), LucasFamily(1), PochhammerFamily()}) == 3
+    assert repr(FIB) == "LucasFamily(q=-1)" and repr(PochhammerFamily()) == "PochhammerFamily()"
+    assert repr(PowerFamily(Fraction(1, 2))) == "PowerFamily(c=Fraction(1, 2))"
 
 
 def test_roots_float_values():

@@ -576,7 +576,8 @@ def test_subfam_falls_back_exactly_where_the_window_holds_the_member(
 
     corrupt_member(monkeypatch, type(family), 3, label)
     ranges = SweepRanges(n=(1, 8), m=m)
-    blocks = Counter((n, p) for _, n, (_, p, *_) in identities._blocks([entry], family, ranges))
+    plan = identities._plan([entry], ranges, family == FIB)
+    blocks = Counter((n, p) for _, n, (_, p, *_) in identities._blocks(plan, family))
     assert {np for np, count in blocks.items() if count > 1} == {(n, n - 3) for n in fallback}
     assert_sweep_matches_oracle(entry, family, ranges)
 
@@ -694,3 +695,50 @@ def test_pool_is_imported_only_when_used():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_a_sweep_is_planned_once_and_once_more_for_the_fib_only_entries(monkeypatch):
+    from seqfam import identities
+
+    plans = []
+    plan = identities._plan
+    monkeypatch.setattr(identities, "_plan", lambda *args: plans.append(args[2]) or plan(*args))
+    ranges = SweepRanges(n=(1, 5), m=(-3, 3))
+    generic = [PowerFamily(0), PowerFamily(2), PochhammerFamily(), LucasFamily(2)]
+    for families, fibs in ((generic, [False]), ([FIB, *generic, FIB], [False, True])):
+        for workers in (1, 2):
+            plans.clear()
+            report = sweep(ALL_IDENTITIES, families, ranges, workers=workers)
+            assert report.total_checks > 0 and report.failures == []
+            assert sorted(plans) == fibs
+
+
+def scale_failures(entries, family, ranges):
+    failures = sweep(entries, [family], ranges).failures
+    return {entry: [check for check in failures if check.identity == entry] for entry in entries}
+
+
+@pytest.mark.parametrize("label", [2, -4], ids=str)
+def test_l2_scale_and_scale_id_share_one_dot_and_keep_their_sides(monkeypatch, label):
+    from seqfam import identities
+
+    corrupt_member(monkeypatch, PowerFamily, 3, label)
+    family, ranges = PowerFamily(Fraction(1, 2)), SweepRanges(n=(1, 6), m=(-4, 4))
+    alone = {**scale_failures([Identity.L2_SCALE], family, ranges),
+             **scale_failures([Identity.SCALE_ID], family, ranges)}
+    assert all(alone.values())
+    for entries in ([Identity.L2_SCALE, Identity.SCALE_ID], [Identity.SCALE_ID, Identity.L2_SCALE]):
+        assert scale_failures(entries, family, ranges) == alone
+
+    calls = []
+    dot = identities._dot
+    monkeypatch.setattr(identities, "_dot", lambda *args: calls.append(args) or dot(*args))
+
+    def dots(entries):
+        calls.clear()
+        sweep(entries, [family], ranges)
+        return len(calls)
+
+    points = sweep([Identity.L2_SCALE], [family], ranges).total_checks  # the (n, m), m != 0
+    l2_scale, scale_id = dots([Identity.L2_SCALE]), dots([Identity.SCALE_ID])
+    assert dots([Identity.L2_SCALE, Identity.SCALE_ID]) == l2_scale + scale_id - points
