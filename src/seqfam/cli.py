@@ -36,7 +36,11 @@ from .families import (FIB, ExplicitRootsFamily, Family, LucasFamily, Pochhammer
 
 def _on_first_use(name: str) -> ModuleType:
     """Submodule ``name``: in sys.modules from now on, as after an import, but run
-    only when one of its attributes is first read (importlib.util.LazyLoader)."""
+    only when one of its attributes is first read (importlib.util.LazyLoader).
+
+    Code that imports this module and then looks the others up in sys.modules, as
+    perfbench's traced run does to wrap their functions, still finds them.
+    """
     fullname = f"{__package__}.{name}"
     if fullname in sys.modules:
         return sys.modules[fullname]
