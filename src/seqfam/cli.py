@@ -6,54 +6,28 @@ external-service error.  Reports go to stdout in text, csv or json;
 diagnostics go to stderr.  Exact values of any length are decimal strings in
 the machine formats, except OEIS JSON ``terms``: JSON numbers.  ``table``
 streams its report a row at a time, so its memory is the exact window (plus
-the formatted cells for text, whose column widths need them all).
-
-A process runs only the modules its subcommand uses: ``identities``,
-``floatcheck`` and ``oeis`` are registered in ``sys.modules`` when this module
-is imported, but each runs on first use, so ``table`` loads neither the
-identity catalog nor the OEIS client, and ``oeis --offline`` never loads the
-hashing behind the network cache.
+the formatted cells for text, whose column widths need them all).  The
+package runs each module on first use, so a subcommand runs only the modules
+it reads.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import importlib.util
 import json
 import re
 import sys
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from types import ModuleType
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
+from . import floatcheck, identities, oeis
 from .exact import format_exact, parse_exact, unlimited_digits
 from .families import (FIB, ExplicitRootsFamily, Family, LucasFamily, PochhammerFamily,
                        PowerFamily, SequenceWindow, table)
 
-
-def _on_first_use(name: str) -> ModuleType:
-    """Submodule ``name``: in sys.modules from now on, as after an import, but run
-    only when one of its attributes is first read (importlib.util.LazyLoader).
-
-    Code that imports this module and then looks the others up in sys.modules, as
-    perfbench's traced run does to wrap their functions, still finds them.
-    """
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    setattr(sys.modules[__package__], name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-identities, floatcheck, oeis = map(_on_first_use, ("identities", "floatcheck", "oeis"))
 
 #: Families swept by the selector "all" (the standard verification set).
 STANDARD_FAMILIES: Tuple[Family, ...] = (

@@ -10,10 +10,10 @@ and the sides it reports are the exact rationals lhs/k and rhs/k.
 carries beyond n, the entry's hypothesis on m, whether it is specific to the
 generalized Fibonacci family, the labels x of the members X(r, x) it reads,
 and its integer kernel, the one evaluation of its two sides.  ``eval_identity``
-(one point) and ``sweep`` (a grid, planned once and run as one pass per family
-over rows built once) both run that kernel, so they agree on what is
-admissible and on every value; the admissible p and q are stated once, in
-``P_SPAN`` and ``Q_SPAN``.
+(one point) and ``sweep`` (a grid, planned once for all its families and run
+as one pass per family over rows built once) both run that kernel, so they
+agree on what is admissible and on every value; the admissible p and q are
+stated once, in ``P_SPAN`` and ``Q_SPAN``.
 
 The entries, with S_n denoting the root sum ``family.root_sum(n)``:
 
@@ -152,7 +152,7 @@ def eval_identity(identity: Identity, family: Family, *, n: int,
         require(p in P_SPAN.values(n), f"{P_SPAN.statement} (got n={n}, p={p})")
     if "q" in entry.params:
         require(q in Q_SPAN.values(p), f"{Q_SPAN.statement} (got p={p}, q={q})")
-    plan = _plan([identity], SweepRanges(n=(n, n), m=(m, m), p=(p, p), q=(q, q)), family == FIB)
+    plan = _plan([identity], SweepRanges(n=(n, n), m=(m, m), p=(p, p), q=(q, q)))
     ((_, _, ((m,), p, (q,), lhs, rhs, k)),) = _blocks(plan, family)
     return _record(identity, family, n, m, p, q, lhs, rhs, k)
 
@@ -429,8 +429,8 @@ CATALOG: Dict[Identity, Entry] = {
 
 
 class _Plan(NamedTuple):
-    """What a family's pass runs: each entry's admissible points at each n, n largest first,
-    and the rows r_lo..r_hi it builds, over exactly the labels the kernels read."""
+    """What every family's pass runs: each entry's admissible points at each n, n largest
+    first, and the rows r_lo..r_hi it builds, over the labels the kernels read."""
 
     points: List[Tuple[Identity, int, List[int], PQs]]  # (identity, n, ms, pqs)
     labels: List[int]
@@ -438,11 +438,9 @@ class _Plan(NamedTuple):
     r_hi: int
 
 
-def _plan(identities: Sequence[Identity], ranges: SweepRanges, fib: bool) -> Optional[_Plan]:
-    """The plan of every family of a sweep, with the fib_only entries if ``fib``;
-    None when no entry has an admissible point."""
+def _plan(identities: Sequence[Identity], ranges: SweepRanges) -> Optional[_Plan]:
+    """The plan of every family of a sweep; None when no entry has an admissible point."""
     points = [(identity, n, *CATALOG[identity].points(n, ranges)) for identity in identities
-              if fib or not CATALOG[identity].fib_only
               for n in range(ranges.n[1], max(ranges.n[0], 1) - 1, -1)]
     points = [(identity, n, ms, pqs) for identity, n, ms, pqs in points if ms and pqs]
     if not points:
@@ -453,11 +451,16 @@ def _plan(identities: Sequence[Identity], ranges: SweepRanges, fib: bool) -> Opt
 
 
 def _blocks(plan: Optional[_Plan], family: Family) -> Iterator[Tuple[Identity, int, Tuple]]:
-    """(identity, n, block) for every check block of the plan on one family."""
+    """(identity, n, block) for every check block of the plan on one family; the fib_only
+    entries run on lucas:-1 alone."""
     if plan is None:
         return
+    fib = family == FIB
+    points = [point for point in plan.points if fib or not CATALOG[point[0]].fib_only]
+    if not points:
+        return
     rows, memo = _int_rows(family, plan.r_lo, plan.r_hi, plan.labels), {}
-    for identity, n, ms, pqs in plan.points:
+    for identity, n, ms, pqs in points:
         for block in CATALOG[identity].kernel(rows, family, n, ms, pqs, memo):
             yield identity, n, block
 
@@ -491,14 +494,13 @@ def sweep(identities: Sequence[Identity], families: Sequence[Family],
 
     Failures are data (collected, sorted, reported), never exceptions.  The
     report content is independent of ``workers``; only wall time changes.
-    The sweep is planned once (twice if lucas:-1 adds the fib_only entries);
-    each family is one pass of its plan and one pool task.  ``workers`` is
-    clamped to the CPU count and to the number of families.
+    The sweep is planned once; each family is one pass of that plan and one
+    pool task.  ``workers`` is clamped to the CPU count and to the number of
+    families.
     """
     identities = [Identity(i) for i in identities]
     started = time.perf_counter()
-    plans = {fib: _plan(identities, ranges, fib) for fib in {f == FIB for f in families}}
-    tasks = [plans[f == FIB] for f in families]
+    run_family = partial(_run_family, _plan(identities, ranges))
 
     workers = max(1, min(os.cpu_count() or 1, len(families), workers))
     if workers > 1 and not _picklable(families):
@@ -507,9 +509,9 @@ def sweep(identities: Sequence[Identity], families: Sequence[Family],
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_family, tasks, families, chunksize=1))
+            results = list(pool.map(run_family, families, chunksize=1))
     else:
-        results = map(_run_family, tasks, families)
+        results = map(run_family, families)
     total = 0
     failures: List[IdentityCheck] = []
     for count, family_failures in results:

@@ -19,7 +19,6 @@ import os
 import tempfile
 import threading
 import time
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -77,7 +76,7 @@ def _contains_run(haystack: Sequence[int], needle: Sequence[int]) -> bool:
 @functools.cache
 def fixture_entries() -> List[Dict]:
     """The bundled catalog snapshot, read once per process."""
-    text = resources.files("seqfam").joinpath("data/oeis_fixtures.jsonl").read_text()
+    text = (Path(__file__).parent / "data" / "oeis_fixtures.jsonl").read_text(encoding="utf-8")
     return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 

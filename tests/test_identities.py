@@ -182,10 +182,12 @@ def test_sweep_domain_filtering():
     assert report.total_checks == 0 and report.failures == []
 
 
-def test_sweep_skips_fib_entries_on_other_families():
+def test_sweep_skips_fib_entries_on_other_families(monkeypatch):
+    asked = record_columns(monkeypatch, PowerFamily)
     report = sweep([Identity.FIB_POLY, Identity.FIB_POSNEG], [PowerFamily(0)],
                    SweepRanges(n=(1, 6), m=(-3, 3)))
     assert report.total_checks == 0
+    assert asked == []  # no row is built for a family with no point left
 
 
 def test_sweep_symbolic_m_bound():
@@ -576,7 +578,7 @@ def test_subfam_falls_back_exactly_where_the_window_holds_the_member(
 
     corrupt_member(monkeypatch, type(family), 3, label)
     ranges = SweepRanges(n=(1, 8), m=m)
-    plan = identities._plan([entry], ranges, family == FIB)
+    plan = identities._plan([entry], ranges)
     blocks = Counter((n, p) for _, n, (_, p, *_) in identities._blocks(plan, family))
     assert {np for np, count in blocks.items() if count > 1} == {(n, n - 3) for n in fallback}
     assert_sweep_matches_oracle(entry, family, ranges)
@@ -697,20 +699,20 @@ def test_pool_is_imported_only_when_used():
     assert done.stdout.strip() == "False"
 
 
-def test_a_sweep_is_planned_once_and_once_more_for_the_fib_only_entries(monkeypatch):
+def test_a_sweep_is_planned_once(monkeypatch):
     from seqfam import identities
 
     plans = []
     plan = identities._plan
-    monkeypatch.setattr(identities, "_plan", lambda *args: plans.append(args[2]) or plan(*args))
+    monkeypatch.setattr(identities, "_plan", lambda *args: plans.append(args) or plan(*args))
     ranges = SweepRanges(n=(1, 5), m=(-3, 3))
     generic = [PowerFamily(0), PowerFamily(2), PochhammerFamily(), LucasFamily(2)]
-    for families, fibs in ((generic, [False]), ([FIB, *generic, FIB], [False, True])):
+    for families in (generic, [FIB, *generic, FIB]):
         for workers in (1, 2):
             plans.clear()
             report = sweep(ALL_IDENTITIES, families, ranges, workers=workers)
             assert report.total_checks > 0 and report.failures == []
-            assert sorted(plans) == fibs
+            assert len(plans) == 1
 
 
 def scale_failures(entries, family, ranges):

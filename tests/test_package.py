@@ -9,7 +9,7 @@ import pytest
 import seqfam
 
 #: Prints the modules that ``code`` ran and the interpreter had not run before it.  A
-#: module that seqfam.cli registers to run on first use is a ModuleType subclass until
+#: module that the package registers to run on first use is a ModuleType subclass until
 #: then, so only modules of type ModuleType count as run.
 LOADED = """
 import sys, types
@@ -24,17 +24,22 @@ CLI = "import seqfam.cli as cli; cli.main({argv!r})"
 
 HEAVY = {"dataclasses", "pickle", "hashlib"}
 SUBCOMMAND_MODULES = {"seqfam.identities", "seqfam.floatcheck", "seqfam.oeis"}
+SUBMODULES = SUBCOMMAND_MODULES | {"seqfam.exact", "seqfam.families"}
 
 
-def loaded(code):
+def python(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-c", LOADED.format(code=code)], capture_output=True,
-                          text=True, env=env, check=True)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def loaded(code, *flags):
+    done = python(*flags, "-c", LOADED.format(code=code))
+    assert done.returncode == 0, done.stderr
     return set(done.stderr.split())
 
 
 @pytest.mark.parametrize("code, absent, present", [
-    ("import seqfam", HEAVY | SUBCOMMAND_MODULES | {"seqfam.families", "seqfam.exact"}, set()),
+    ("import seqfam", HEAVY | SUBMODULES, set()),
     ("import seqfam.cli as cli; cli.build_parser()", HEAVY | SUBCOMMAND_MODULES,
      {"seqfam.cli", "seqfam.families"}),
     (CLI.format(argv=["table", "--family", "fib", "--n", "0..5", "--m", "-2..2"]),
@@ -50,6 +55,28 @@ def test_a_process_loads_only_what_its_subcommand_runs(code, absent, present):
     modules = loaded(code)
     assert not modules & absent
     assert present <= modules
+
+
+def test_the_package_registers_every_module_but_cli_without_running_it():
+    code = ("import seqfam, types; print(*(name for name, module in sys.modules.items()"
+            " if name.startswith('seqfam.') and type(module) is not types.ModuleType))")
+    done = python("-c", LOADED.format(code=code))
+    assert set(done.stderr.split()) == {"seqfam"}  # the package runs none of its modules...
+    assert set(done.stdout.split()) == SUBMODULES  # ...but sys.modules holds them
+
+
+def test_the_cli_runs_as_a_main_module_without_warnings():
+    # runpy warns when the module it runs is in sys.modules once its package is imported
+    done = python("-W", "error", "-m", "seqfam.cli", "table", "--family", "fib", "--n", "0..3",
+                  "--m", "0..2")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1].split() == ["3", "0", "3", "12"]
+
+
+def test_offline_oeis_reads_its_fixtures_without_importlib_resources():
+    # -S: no site, so nothing has imported importlib.resources before the lookup
+    code = CLI.format(argv=["oeis", "--family", "fib", "--column", "1", "--offline"])
+    assert "importlib.resources" not in loaded(code, "-S")
 
 
 def test_every_export_resolves():
