@@ -5,8 +5,12 @@ match) or stdout closed by its reader (nothing on stderr), 2 usage error, 3
 external-service error.  Reports go to stdout in text, csv or json;
 diagnostics go to stderr.  Exact values of any length are decimal strings in
 the machine formats, except OEIS JSON ``terms``: JSON numbers.  ``table``
-streams its report a row at a time, so its memory is the exact window (plus
-the formatted cells for text, whose column widths need them all).  The
+streams its report a row at a time: it zips the family's formatted columns,
+computed in exact decimal (:func:`seqfam.exact.exact_decimal`) so that writing
+a member is a linear copy of its digits, and holds one row, not the window
+(text first takes the column widths from a pass that formats nothing).
+``table``, ``verify`` and ``float-check`` refuse a request past the size
+guard (``MAX_INDEX``, ``MAX_POINTS``) before any evaluation, with exit 2.  The
 package runs each module on first use, so a subcommand runs only the modules
 it reads.
 """
@@ -19,14 +23,15 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import floatcheck, identities, oeis
-from .exact import format_exact, parse_exact, unlimited_digits
+from .exact import exact_decimal, format_exact, parse_exact, unlimited_digits
 from .families import (FIB, ExplicitRootsFamily, Family, LucasFamily, PochhammerFamily,
-                       PowerFamily, SequenceWindow, table)
+                       PowerFamily, SequenceWindow, check_window)
 
 
 #: Families swept by the selector "all" (the standard verification set).
@@ -58,6 +63,27 @@ def parse_range(text: str, bound: Callable[[str], identities.Bound] = int
     if isinstance(lo, int) and isinstance(hi, int) and lo > hi:
         raise UsageError(f"range must have a <= b, got {text!r}")
     return lo, hi
+
+
+#: The size guard of ``table``, ``verify`` and ``float-check``: every n and m lies in
+#: -MAX_INDEX..MAX_INDEX, and a request has at most MAX_POINTS (n, m) points per
+#: family.  It is checked before any evaluation; a larger request is a usage error.
+MAX_INDEX = 10_000
+MAX_POINTS = 1_000_000
+
+
+def check_size(n_range: Tuple[int, int], m_range) -> None:
+    """UsageError unless the request is within the size guard; an m bound "n" (verify)
+    stands for the n of each point."""
+    for axis, bounds in (("n", n_range), ("m", m_range or ())):
+        if any(isinstance(b, int) and abs(b) > MAX_INDEX for b in bounds):
+            raise UsageError(f"{axis} must lie within -{MAX_INDEX}..{MAX_INDEX}, "
+                             f"got {bounds[0]}..{bounds[1]}")
+    m_lo, m_hi = m_range or (0, -1)
+    points = sum(max(0, (n if m_hi == "n" else m_hi) - (n if m_lo == "n" else m_lo) + 1)
+                 for n in range(n_range[0], n_range[1] + 1))
+    if points > MAX_POINTS:
+        raise UsageError(f"at most {MAX_POINTS:,} (n, m) points per family, got {points:,}")
 
 
 class _MappedRoots:
@@ -157,48 +183,54 @@ def parse_identities(text: str) -> List[identities.Identity]:
 # ---------------------------------------------------------------------------
 # Rendering
 
-def table_lines(window: SequenceWindow, fmt: str) -> Iterator[str]:
+def table_lines(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int],
+                fmt: str) -> Iterator[str]:
     """The ``table`` report in ``fmt`` (json, csv or text), one table row at a time.
 
     Each item is one or more whole lines without the final "\\n" (a json row of
-    values spans a line per cell).  Rows are formatted as they are yielded; only
-    text keeps every cell, for the column widths.  The json is that of
-    ``json.dumps(window_json_dict(w), indent=2)`` and the csv that of
-    ``csv.writer`` (lines end in "\\r"): ``format_exact`` cells hold only
-    digits, "-" and "/", which need no escaping or quoting.
+    values spans a line per cell).  The rows are ``zip`` over the family's
+    formatted columns, so only the row being written is held; text first takes
+    each column's width from a pass that evaluates it but formats nothing.  Members
+    are computed in exact decimal, so drain this inside ``exact_decimal()``.  The
+    json is that of ``json.dumps(window_json_dict(table(...)), indent=2)`` and the
+    csv that of ``csv.writer`` (lines end in "\\r"): cells hold only digits, "-"
+    and "/", which need no escaping or quoting.
     """
-    n_lo, n_hi = window.n_range
-    m_lo, m_hi = window.m_range
+    n_lo, n_hi = n_range
+    m_lo, m_hi = m_range
     n_labels = [str(n) for n in range(n_lo, n_hi + 1)]
     m_labels = [str(m) for m in range(m_lo, m_hi + 1)]
+    rows = zip(*(family.formatted_column(m, n_lo, n_hi) for m in range(m_lo, m_hi + 1)))
     if fmt == "json":
-        head = {"kind": "table", "family": window.family.label(),
-                "n": list(window.n_range), "m": list(window.m_range)}
+        head = {"kind": "table", "family": family.label(), "n": [n_lo, n_hi], "m": [m_lo, m_hi]}
         yield json.dumps(head, indent=2)[:-2] + ","  # drop the closing "\n}"
         yield '  "values": ['
-        last = len(window.values) - 1
-        for i, row in enumerate(window.values):
-            cells = '",\n      "'.join(map(format_exact, row))
-            yield f'    [\n      "{cells}"\n    ]{"," if i < last else ""}'
+        for n, row in enumerate(rows, n_lo):
+            cells = '",\n      "'.join(row)
+            yield f'    [\n      "{cells}"\n    ]{"," if n < n_hi else ""}'
         yield "  ]\n}"
     elif fmt == "csv":
         yield ",".join(["n", *m_labels]) + "\r"
-        for n, row in zip(n_labels, window.values):
-            yield ",".join([n, *map(format_exact, row)]) + "\r"
+        for n, row in zip(n_labels, rows):
+            yield ",".join([n, *row]) + "\r"
     else:
-        lines = [["n\\m", *m_labels]]
-        lines += ([n, *map(format_exact, row)] for n, row in zip(n_labels, window.values))
-        widths = [max(map(len, column)) for column in zip(*lines)]
-        for line in lines:
-            yield "  ".join(cell.rjust(width) for cell, width in zip(line, widths))
+        widths = [max(map(len, ["n\\m", *n_labels]))]
+        widths += (max(len(label), family.formatted_width(m, n_lo, n_hi))
+                   for m, label in zip(range(m_lo, m_hi + 1), m_labels))
+        for line in chain([["n\\m", *m_labels]], ([n, *row] for n, row in zip(n_labels, rows))):
+            yield "  ".join(map(str.rjust, line, widths))
 
 
 def render_table_text(window: SequenceWindow) -> str:
-    return "\n".join(table_lines(window, "text"))
+    """The text report of the window's family and ranges, its members evaluated again."""
+    with exact_decimal():
+        return "\n".join(table_lines(window.family, window.n_range, window.m_range, "text"))
 
 
 def render_table_csv(window: SequenceWindow) -> str:
-    return "\n".join(table_lines(window, "csv"))
+    """The csv report of the window's family and ranges, its members evaluated again."""
+    with exact_decimal():
+        return "\n".join(table_lines(window.family, window.n_range, window.m_range, "csv"))
 
 
 def _csv(header: List[str], rows) -> None:
@@ -229,11 +261,14 @@ def cmd_table(args) -> int:
     families = parse_families(args.family)
     if len(families) != 1:
         raise UsageError("table takes exactly one family")
-    window = table(families[0], parse_range(args.n), parse_range(args.m))
+    n_range, m_range = parse_range(args.n), parse_range(args.m)
+    check_window(n_range, m_range)
+    check_size(n_range, m_range)
     write = sys.stdout.write
-    for piece in table_lines(window, args.format):
-        write(piece)
-        write("\n")
+    with exact_decimal():
+        for piece in table_lines(families[0], n_range, m_range, args.format):
+            write(piece)
+            write("\n")
     return 0
 
 
@@ -248,6 +283,7 @@ def cmd_verify(args) -> int:
         p=parse_range(args.p) if args.p else None,
         q=parse_range(args.q) if args.q else None,
     )
+    check_size(ranges.n, ranges.m)
     report = identities.sweep(entries, families, ranges, workers=args.workers)
     if report.total_checks == 0:
         print("warning: no admissible points in the sweep domain", file=sys.stderr)
@@ -280,6 +316,8 @@ def cmd_float_check(args) -> int:
     tol = args.tol
     if not tol > 0:  # nan, 0 or below: even an exact point would fail; inf passes every finite one
         raise UsageError(f"--tol must be positive, got {tol:g}")
+    floatcheck.check_n(n_range)
+    check_size(n_range, m_range)
 
     results: List[floatcheck.FloatCompareResult] = []
     for family in families:

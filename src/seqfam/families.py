@@ -17,15 +17,22 @@ sequence.  Four concrete families are provided:
 * ``ExplicitRootsFamily(generator)`` -- caller-supplied exact roots, with
   X(n, m) evaluated as the literal product.
 
-Every family answers four methods, and no other module tests a family's
-type.  ``label()`` names it in reports.  ``column(m, n_lo, n_hi)`` returns
-X(n_lo..n_hi, m) in one pass of the family's own recurrence (a factor (m + c)
-per step for powers, (m + n) for rising products, the Lucas recursion, or the
-literal product per n for explicit roots); ``X`` and ``table`` both read this
-one path, and nothing is cached between calls.  ``root_sum(n)`` is the exact
-root sum sum_l x[n,l], which the identities read.  ``float_roots(n)`` gives
-the roots as floats in increasing l order, for :mod:`seqfam.floatcheck`;
-those of LucasFamily(q) with q < 0 are purely imaginary, ``complex(0.0, v)``.
+Every family answers six methods, and no other module tests a family's type.
+``label()`` names it in reports.  ``column(m, n_lo, n_hi)`` yields X(n_lo..n_hi,
+m) in one pass of the family's own recurrence, stepped up from the empty
+product X(0, m) = 1 (a factor (m + c) per step for powers, (m + n) for rising
+products, the Lucas recursion, or the literal product per n for explicit
+roots), in whatever number type m has.  ``X``, ``table`` and the sweeps run it
+at int labels, and nothing is cached between calls.  ``formatted_column(m,
+n_lo, n_hi)`` yields the same members as the strings ``format_exact`` writes,
+and ``formatted_width`` the length of the longest of them: ``seqfam table``
+reads these.  The three recurrence families compute them by running
+``column`` at a decimal label (:func:`seqfam.exact.exact_decimal`), so that
+formatting a member is a linear copy of its digits; ``power:a/b`` runs the
+``power:a`` column at label b*m, over b^n.  ``root_sum(n)`` is the exact root
+sum sum_l x[n,l], which the identities read.  ``float_roots(n)`` gives the
+roots as floats in increasing l order, for :mod:`seqfam.floatcheck`; those of
+LucasFamily(q) with q < 0 are purely imaginary, ``complex(0.0, v)``.
 Lucas-type roots are irrational, so those members come from the integer
 recursion rather than the product.  All evaluators are exact for every
 integer m, positive or negative.
@@ -38,16 +45,44 @@ equal, and hash alike, when they have the same type and parameters, so
 from __future__ import annotations
 
 import math
-from typing import Callable, List, NamedTuple, Tuple, Union
+from decimal import Decimal
+from typing import Callable, Iterator, List, NamedTuple, Tuple, Union
 
-from .exact import ExactScalar, format_exact, normalize, pochhammer
+from .exact import (ExactScalar, decimal_text, decimal_width, format_exact, normalize,
+                    require_exact_decimal)
+
+Label = Union[int, Decimal]
+
+
+def _powers(base, one, n_lo: int, n_hi: int) -> Iterator:
+    """base^n_lo..base^n_hi, one factor per step from ``one``, the empty product in the
+    labels' number type (a decimal 0 ** 0 raises, so no column starts from a power)."""
+    value = one
+    for n in range(n_hi + 1):
+        if n >= n_lo:
+            yield value
+        value *= base
 
 
 class _Parameters:
     """Equality, hash, repr, immutability and pickling keyed on the parameters named
-    in ``__slots__``, in order; objects of different types are never equal."""
+    in ``__slots__``, in order; objects of different types are never equal.  Also the
+    formatted column, from ``column`` run at a decimal label."""
 
     __slots__ = ()
+
+    def formatted_column(self, m: int, n_lo: int, n_hi: int) -> Iterator[str]:
+        """X(n_lo..n_hi, m) as ``format_exact`` writes them; inside ``exact_decimal()``."""
+        return map(decimal_text, *self._decimal_parts(m, n_lo, n_hi))
+
+    def formatted_width(self, m: int, n_lo: int, n_hi: int) -> int:
+        """The length of the longest of ``formatted_column(m, n_lo, n_hi)``."""
+        return max(map(decimal_width, *self._decimal_parts(m, n_lo, n_hi)))
+
+    def _decimal_parts(self, m: int, n_lo: int, n_hi: int) -> Tuple[Iterator[Decimal], ...]:
+        """The column as decimals: its members, or their numerators and denominators."""
+        require_exact_decimal()
+        return (self.column(Decimal(m), n_lo, n_hi),)
 
     def __init__(self, *params) -> None:
         for name, value in zip(self.__slots__, params, strict=True):
@@ -88,13 +123,18 @@ class PowerFamily(_Parameters):
     def label(self) -> str:
         return f"power:{format_exact(self.c)}"
 
-    def column(self, m: int, n_lo: int, n_hi: int) -> List[ExactScalar]:
+    def column(self, m: Label, n_lo: int, n_hi: int) -> Iterator[ExactScalar]:
         """X(n_lo..n_hi, m), one factor (m + c) per step."""
-        base = normalize(m + self.c)
-        out = [normalize(base ** n_lo)]
-        for _ in range(n_lo, n_hi):
-            out.append(out[-1] * base)
-        return out
+        return _powers(normalize(m + self.c), 0 * m + 1, n_lo, n_hi)
+
+    def _decimal_parts(self, m: int, n_lo: int, n_hi: int) -> Tuple[Iterator[Decimal], ...]:
+        # c = a/b: X(n, m) = (b*m + a)^n / b^n, in lowest terms as gcd(a, b) = 1
+        a, b = self.c.numerator, self.c.denominator
+        if b == 1:
+            return super()._decimal_parts(m, n_lo, n_hi)
+        require_exact_decimal()
+        return (type(self)(a).column(Decimal(b * m), n_lo, n_hi),
+                _powers(Decimal(b), Decimal(1), n_lo, n_hi))
 
     def root_sum(self, n: int) -> ExactScalar:
         return normalize(n * self.c)
@@ -111,12 +151,13 @@ class PochhammerFamily(_Parameters):
     def label(self) -> str:
         return "pochhammer"
 
-    def column(self, m: int, n_lo: int, n_hi: int) -> List[ExactScalar]:
+    def column(self, m: Label, n_lo: int, n_hi: int) -> Iterator[ExactScalar]:
         """X(n_lo..n_hi, m), one factor (m + n) per step."""
-        out = [pochhammer(m + 1, n_lo)]
-        for n in range(n_lo + 1, n_hi + 1):
-            out.append(out[-1] * (m + n))
-        return out
+        value = 0 * m + 1  # the empty product, in m's number type
+        for n in range(n_hi + 1):
+            if n >= n_lo:
+                yield value
+            value *= m + n + 1
 
     def root_sum(self, n: int) -> int:
         return n * (n + 1) // 2
@@ -142,14 +183,13 @@ class LucasFamily(_Parameters):
     def label(self) -> str:
         return f"lucas:{self.q}"
 
-    def column(self, m: int, n_lo: int, n_hi: int) -> List[ExactScalar]:
+    def column(self, m: Label, n_lo: int, n_hi: int) -> Iterator[ExactScalar]:
         """X(n_lo..n_hi, m) = L[n_lo+1..n_hi+1], stepped up from L[0] = 0, L[1] = 1."""
-        prev, value, out = 0, 1, []
+        prev, value = 0, 0 * m + 1  # L[1], the empty product, in m's number type
         for n in range(n_hi + 1):
             if n >= n_lo:
-                out.append(value)
+                yield value
             prev, value = value, m * value - self.q * prev
-        return out
 
     def root_sum(self, n: int) -> int:
         return 0  # the scaled Chebyshev zeros are symmetric about 0
@@ -178,11 +218,17 @@ class ExplicitRootsFamily:
     def label(self) -> str:
         return self._label
 
-    def column(self, m: int, n_lo: int, n_hi: int) -> List[ExactScalar]:
+    def column(self, m: int, n_lo: int, n_hi: int) -> Iterator[ExactScalar]:
         """X(n_lo..n_hi, m), each the literal product of its n root factors."""
-        return [normalize(math.prod((m + self.generator(n, l) for l in range(1, n + 1)),
+        return (normalize(math.prod((m + self.generator(n, l) for l in range(1, n + 1)),
                                     start=1))
-                for n in range(n_lo, n_hi + 1)]
+                for n in range(n_lo, n_hi + 1))
+
+    def formatted_column(self, m: int, n_lo: int, n_hi: int) -> Iterator[str]:
+        return map(format_exact, self.column(m, n_lo, n_hi))
+
+    def formatted_width(self, m: int, n_lo: int, n_hi: int) -> int:
+        return max(map(len, self.formatted_column(m, n_lo, n_hi)))
 
     def root_sum(self, n: int) -> ExactScalar:
         return normalize(sum(self.generator(n, l) for l in range(1, n + 1)))
@@ -208,7 +254,7 @@ def X(family: Family, n: int, m: int) -> ExactScalar:
     """
     if n < 0:
         raise ValueError(f"member index n must be >= 0, got {n}")
-    return family.column(m, n, n)[0]
+    return next(family.column(m, n, n))
 
 
 def fibonacci_polynomial(n: int, m: int) -> int:
@@ -234,13 +280,18 @@ class SequenceWindow(NamedTuple):
         return self.values[n - self.n_range[0]]
 
 
+def check_window(n_range: Tuple[int, int], m_range: Tuple[int, int]) -> None:
+    """ValueError unless the inclusive ranges are nonempty and n >= 0."""
+    if n_range[0] > n_range[1] or m_range[0] > m_range[1]:
+        raise ValueError(f"empty range: n {n_range}, m {m_range}")
+    if n_range[0] < 0:
+        raise ValueError(f"member index n must be >= 0, got {n_range[0]}")
+
+
 def table(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int]) -> SequenceWindow:
     """Fully populated window of X values over inclusive n and m ranges."""
+    check_window(n_range, m_range)
     n_lo, n_hi = n_range
     m_lo, m_hi = m_range
-    if n_lo > n_hi or m_lo > m_hi:
-        raise ValueError(f"empty range: n {n_range}, m {m_range}")
-    if n_lo < 0:
-        raise ValueError(f"member index n must be >= 0, got {n_lo}")
     values = tuple(zip(*(family.column(m, n_lo, n_hi) for m in range(m_lo, m_hi + 1))))
     return SequenceWindow(family=family, n_range=(n_lo, n_hi), m_range=(m_lo, m_hi), values=values)

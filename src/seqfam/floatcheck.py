@@ -83,6 +83,12 @@ def _relative_error(real: float, exact: ExactScalar) -> float:
         return float(abs(Fraction(real) - exact) / abs(exact))
 
 
+def check_n(n_range: Tuple[int, int]) -> None:
+    """ValueError unless every member index is at least 1: X(0, m) has no roots."""
+    if n_range[0] < 1:
+        raise ValueError(f"member index n must be >= 1, got {n_range[0]}")
+
+
 def compare_grid(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int]
                  ) -> List[FloatCompareResult]:
     """Multiply the n root factors (m + x[n,l]) in double precision at each point
@@ -91,8 +97,7 @@ def compare_grid(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, i
     Where the family's float roots are complex (LucasFamily with q < 0) the
     product's imaginary part is expected to cancel to rounding noise.
     """
-    if n_range[0] < 1:
-        raise ValueError(f"member index n must be >= 1, got {n_range[0]}")
+    check_n(n_range)
     window = table(family, n_range, m_range)
     results = []
     for n, row in zip(range(n_range[0], n_range[1] + 1), window.values):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqfam
-from seqfam.cli import UsageError, m_bound, main, parse_families, parse_range, window_json_dict
+from seqfam.cli import (MAX_INDEX, MAX_POINTS, STANDARD_FAMILIES, UsageError, m_bound, main,
+                        parse_families, parse_range, window_json_dict)
 from seqfam.exact import format_exact, unlimited_digits
-from seqfam.families import LucasFamily, PowerFamily, table
+from seqfam.families import LucasFamily, PochhammerFamily, PowerFamily, table
 
 from grids import FIBONACCI_GRID, POCHHAMMER_GRID, POWER0_GRID
 from seams import corrupt_member
@@ -138,6 +140,20 @@ STREAM_WINDOWS = [
     ("pochhammer", "0..20", "-10..10"),
     ("power:0", "1..1", "0..0"),  # a single cell
     ("power:2", "9000..9001", "10..11"),  # members past 4,300 digits
+    *((family.label(), "0..16", "-7..7") for family in STANDARD_FAMILIES),
+    ("fib", "0..16", "-7..7"),  # the selectors that name a standard family otherwise
+    ("power", "0..16", "-7..7"),
+    ("power:0", "0..2", "-1..1"),  # 0^0 = 1 at n = 0
+    # zero cells print "0": in decimal, lucas:1 at m = 0 and pochhammer at m = -2 and -4
+    # step through -0
+    ("lucas:-1", "0..12", "0..0"),
+    ("lucas:1", "0..12", "0..0"),
+    ("pochhammer", "0..9", "-9..0"),
+    ("power:-3/4", "0..5", "-4..4"),  # n = 0 rows print "1", not "1/1"
+    ("power:7/3", "0..5", "-4..4"),
+    ("power:-3/4", "3..9", "-4..4"),  # columns that start past n = 0
+    ("lucas:-2", "5..14", "-6..6"),
+    ("pochhammer", "4..9", "-6..2"),
 ]
 
 
@@ -155,6 +171,28 @@ def test_table_stream_matches_reference(capsys, selector, n, m):
     assert_streams_reference(capsys, selector, n, m)
 
 
+@pytest.mark.parametrize("family, member, selector, m, cell", [
+    (LucasFamily, (4, -1), "fib", "-2..1", (4, -1, "6")),
+    (PochhammerFamily, (3, -2), "pochhammer", "-3..0", (3, -2, "1")),
+    (PowerFamily, (0, 0), "power:0", "-1..1", (0, 0, "2")),
+    # a power:a/b table reads the power:a column at label b*m: (2*2 + 1)^3 + 1 over 2^3
+    (PowerFamily, (3, 4), "power:1/2", "1..3", (3, 2, "126/8")),
+], ids=["fib", "pochhammer", "power", "power-half"])
+def test_a_corrupted_member_shows_in_the_table(capsys, monkeypatch, family, member, selector,
+                                               m, cell):
+    _, clean, _ = run(capsys, "table", "--family", selector, "--n", "0..5", "--m", m,
+                      "--format", "csv")
+    corrupt_member(monkeypatch, family, *member)
+    _, out, _ = run(capsys, "table", "--family", selector, "--n", "0..5", "--m", m,
+                    "--format", "csv")
+    n, label, text = cell
+    column = parse_range(m)[0]
+    changed = [(r, c) for r, (a, b) in enumerate(zip(clean.splitlines(), out.splitlines()))
+               for c, (x, y) in enumerate(zip(a.split(","), b.split(","))) if x != y]
+    assert changed == [(n + 1, label - column + 1)]
+    assert out.splitlines()[n + 1].split(",")[label - column + 1] == text
+
+
 def test_table_stream_escapes_a_roots_file_label(tmp_path, capsys):
     label = 'say "hi", back\\slash \u00e9t\u00e9'
     path = tmp_path / "odd.json"
@@ -163,6 +201,36 @@ def test_table_stream_escapes_a_roots_file_label(tmp_path, capsys):
     _, out, _ = run(capsys, "table", "--family", f"roots:{path}", "--n", "1..2", "--m", "0..0",
                     "--format", "json")
     assert json.loads(out)["family"] == f"roots:{label}"
+
+
+class ByteSink:
+    """A stdout that keeps only the count of what is written to it (ASCII, one byte a char)."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_table_memory_is_one_row(fmt):
+    argv = ["table", "--family", "lucas:2", "--n", "0..300", "--m", "-60..60", "--format", fmt]
+    with contextlib.redirect_stdout(ByteSink()):
+        main(argv)  # first use runs the modules the command reads
+    sink = ByteSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.bytes > 5_000_000
+    assert peak < sink.bytes / 10, f"peak {peak:,} B for {sink.bytes:,} B written"
 
 
 def cli_env():
@@ -391,6 +459,45 @@ def test_float_check_rejects_member_index_zero_before_building_the_window(capsys
                          "--m", "0..0")
     assert code == 2 and out == ""
     assert "member index n must be >= 1, got 0" in err
+
+
+# -- the size guard: checked before any evaluation --
+
+class Evaluated(Exception):
+    """Raised by a stubbed evaluator: the request got past the guard."""
+
+
+def evaluated(*args, **kwargs):
+    raise Evaluated
+
+
+#: The evaluator each guarded command reaches past the guard.
+EVALUATORS = {"table": "seqfam.cli.table_lines", "verify": "seqfam.identities.sweep",
+              "float-check": "seqfam.floatcheck.compare_grid"}
+B = MAX_INDEX
+
+
+@pytest.mark.parametrize("command, inside, outside, message", [
+    ("table", (f"{B}..{B}", "0..0"), (f"{B}..{B + 1}", "0..0"), f"n must lie within -{B}..{B}"),
+    ("table", ("0..0", f"-{B}..0"), ("0..0", f"-{B + 1}..0"), f"m must lie within -{B}..{B}"),
+    ("table", ("0..999", "0..999"), ("0..999", "0..1000"), "got 1,001,000"),  # 10^6 inside
+    ("verify", (f"-{B}..-{B}", "0..0"), (f"-{B + 1}..-{B}", "0..0"), "n must lie within"),
+    ("verify", ("1..1", f"0..{B}"), ("1..1", f"0..{B + 1}"), "m must lie within"),
+    ("verify", ("1..1000", "-500..499"), ("1..1000", "-500..500"), "got 1,001,000"),
+    ("verify", ("1..1413", "n..1413"), ("1..1414", "n..1414"), "got 1,000,405"),  # m from n
+    ("float-check", (f"1..{B}", "0..0"), (f"1..{B + 1}", "0..0"), "n must lie within"),
+    ("float-check", ("1..1", f"{B}..{B}"), ("1..1", f"{B}..{B + 1}"), "m must lie within"),
+    ("float-check", ("1..1000", "1..1000"), ("1..1000", "0..1000"), "got 1,001,000"),
+], ids=lambda v: v if v in EVALUATORS else None)
+def test_size_guard_just_inside_and_just_outside(capsys, monkeypatch, command, inside, outside,
+                                                 message):
+    monkeypatch.setattr(EVALUATORS[command], evaluated)
+    with pytest.raises(Evaluated):
+        main([command, "--family", "fib", "--n", inside[0], "--m", inside[1]])
+    code, out, err = run(capsys, command, "--family", "fib", "--n", outside[0], "--m", outside[1])
+    assert code == 2 and out == "" and message in err
+    if "points" in message:
+        assert f"at most {MAX_POINTS:,} (n, m) points" in err
 
 
 def test_float_check_json(capsys):

@@ -1,11 +1,14 @@
 """Tests for the exact combinatorial primitives."""
 
+import decimal
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from seqfam.exact import format_exact, normalize, parse_exact, pochhammer
+from seqfam.exact import (decimal_text, decimal_width, exact_decimal, format_exact, normalize,
+                          parse_exact, pochhammer)
 
 from classic import gould_sum
 
@@ -90,3 +93,31 @@ def test_format_exact_renders_past_the_digit_limit():
     if hasattr(sys, "get_int_max_str_digits"):  # the interpreter's limit is back in force
         with pytest.raises(ValueError):
             str(value)
+
+
+def test_the_exact_context_raises_rather_than_rounds():
+    with exact_decimal():
+        assert Decimal(10) ** 60 + 1 == 10 ** 60 + 1  # 61 digits, past the default 28
+        with pytest.raises((decimal.Inexact, MemoryError)):  # asks for MAX_PREC digits
+            Decimal(1) / 3
+        with pytest.raises(decimal.Inexact):
+            Decimal("1.5").to_integral_exact()
+        with pytest.raises(decimal.InvalidOperation):
+            Decimal(0) ** 0
+    # outside it, the default context rounds silently
+    assert Decimal(10) ** 60 + 1 == Decimal("1E+60")
+    assert Decimal(1) / 3 == Decimal("0." + "3" * 28)
+
+
+@pytest.mark.parametrize("value", [0, 1, -1, 9, 10, -10, 10 ** 19, -(3 ** 500), 12 ** 9000],
+                         ids=lambda v: f"{v.bit_length()}-bit" if abs(v) > 99 else str(v))
+def test_decimal_text_and_width_match_format_exact(value):
+    with exact_decimal():
+        d = Decimal(0) * -1 if value == 0 else Decimal(value)  # -0, as a product can give
+        text = format_exact(value)
+        assert decimal_text(d) == text and decimal_width(d) == len(text)
+        if value:
+            for b in (2, 7 ** 40):
+                text = format_exact(Fraction(value * b + 1, b))
+                assert decimal_text(d * b + 1, Decimal(b)) == text
+                assert decimal_width(d * b + 1, Decimal(b)) == len(text)

@@ -197,3 +197,10 @@ def test_window_single_cell():
 def test_window_rejects_empty_ranges():
     with pytest.raises(ValueError):
         table(FIB, (3, 2), (0, 5))
+
+
+def test_formatted_column_refuses_the_rounding_default_context():
+    with pytest.raises(RuntimeError, match="exact_decimal"):
+        PochhammerFamily().formatted_column(3, 0, 40)
+    with pytest.raises(RuntimeError, match="exact_decimal"):
+        PowerFamily(Fraction(1, 2)).formatted_width(3, 0, 40)

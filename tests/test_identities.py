@@ -634,7 +634,7 @@ class Doubled(PowerFamily):
     """A power family with every member doubled: rows of degree r, leading coefficient 2."""
 
     def column(self, m, n_lo, n_hi):
-        return [2 * v for v in super().column(m, n_lo, n_hi)]
+        return (2 * v for v in super().column(m, n_lo, n_hi))
 
 
 @pytest.mark.parametrize("family", [Doubled(2), Doubled(Fraction(1, 2))], ids=["int", "half"])
@@ -654,10 +654,8 @@ class OffByOne(PowerFamily):
     """A power family with X(3, 2) one too large; picklable, so pool workers see it too."""
 
     def column(self, m, n_lo, n_hi):
-        values = super().column(m, n_lo, n_hi)
-        if m == 2 and n_lo <= 3 <= n_hi:
-            values[3 - n_lo] += 1
-        return values
+        for n, value in enumerate(super().column(m, n_lo, n_hi), n_lo):
+            yield value + 1 if (n, m) == (3, 2) else value
 
 
 def test_workers_match_serial_on_a_corrupted_family():
