@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 
 #: The submodule that defines each export.
 _EXPORTS = {
-    **dict.fromkeys(["ExactScalar", "format_exact", "normalize", "parse_exact", "pochhammer"],
-                    "exact"),
+    **dict.fromkeys(["ExactScalar", "format_exact", "normalize", "parse_exact"], "exact"),
     **dict.fromkeys(["FIB", "ExplicitRootsFamily", "Family", "LucasFamily", "PochhammerFamily",
                      "PowerFamily", "SequenceWindow", "X", "fibonacci_polynomial", "table"],
                     "families"),

@@ -5,10 +5,13 @@ match) or stdout closed by its reader (nothing on stderr), 2 usage error, 3
 external-service error.  Reports go to stdout in text, csv or json;
 diagnostics go to stderr.  Exact values of any length are decimal strings in
 the machine formats, except OEIS JSON ``terms``: JSON numbers.  ``table``
-streams its report a row at a time: it zips the family's formatted columns,
-computed in exact decimal (:func:`seqfam.exact.exact_decimal`) so that writing
-a member is a linear copy of its digits, and holds one row, not the window
-(text first takes the column widths from a pass that formats nothing).
+writes its report a row at a time.  A window whose members run past
+``DECIMAL_FROM_BITS`` is computed in exact decimal
+(:func:`seqfam.exact.exact_decimal`), so that writing a member is a linear
+copy of its digits, and the family's formatted columns are zipped so that one
+row is held, not the window (text first takes the column widths from a pass
+that formats nothing).  A window of shorter members is built with ints by
+``table()`` and each row formatted as it is written.
 ``table``, ``verify`` and ``float-check`` refuse a request past the size
 guard (``MAX_INDEX``, ``MAX_POINTS``) before any evaluation, with exit 2.  The
 package runs each module on first use, so a subcommand runs only the modules
@@ -26,12 +29,12 @@ from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import floatcheck, identities, oeis
 from .exact import exact_decimal, format_exact, parse_exact, unlimited_digits
 from .families import (FIB, ExplicitRootsFamily, Family, LucasFamily, PochhammerFamily,
-                       PowerFamily, SequenceWindow, check_window)
+                       PowerFamily, SequenceWindow, X, check_window, table)
 
 
 #: Families swept by the selector "all" (the standard verification set).
@@ -183,24 +186,65 @@ def parse_identities(text: str) -> List[identities.Identity]:
 # ---------------------------------------------------------------------------
 # Rendering
 
+#: ``table`` evaluates a window in exact decimal when a member of its last row, at either
+#: end of its labels, has at least this many bits (about 376 digits), and with ints
+#: otherwise.  Below it, int arithmetic and ``str()`` cost less per cell than decimal, and
+#: a window of short ints takes less memory than a recurrence generator per column;
+#: above it, ``str()`` of an int, quadratic in its length, costs more.
+DECIMAL_FROM_BITS = 1250
+
+
+def long_members(family: Family, n_hi: int, m_range: Tuple[int, int]) -> bool:
+    """Whether X(n_hi, m) at either end of the label range has DECIMAL_FROM_BITS bits
+    (numerator and denominator together)."""
+    corners = (X(family, n_hi, m) for m in m_range)
+    return max((abs(v.numerator) * v.denominator).bit_length()
+               for v in corners) >= DECIMAL_FROM_BITS
+
+
 def table_lines(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int],
                 fmt: str) -> Iterator[str]:
     """The ``table`` report in ``fmt`` (json, csv or text), one table row at a time.
 
-    Each item is one or more whole lines without the final "\\n" (a json row of
-    values spans a line per cell).  The rows are ``zip`` over the family's
-    formatted columns, so only the row being written is held; text first takes
-    each column's width from a pass that evaluates it but formats nothing.  Members
-    are computed in exact decimal, so drain this inside ``exact_decimal()``.  The
-    json is that of ``json.dumps(window_json_dict(table(...)), indent=2)`` and the
-    csv that of ``csv.writer`` (lines end in "\\r"): cells hold only digits, "-"
-    and "/", which need no escaping or quoting.
+    A window of long members (:func:`long_members`) is computed in exact decimal, so
+    that writing a member is a linear copy of its digits: the rows are ``zip`` over the
+    family's formatted columns, so only the row being written is held, and text first
+    takes each column's width from a pass that evaluates it but formats nothing.  Drain
+    this inside ``exact_decimal()``.  A window of short members is ``table()``, written
+    by :func:`window_lines`.
+    """
+    n_lo, n_hi = n_range
+    if not long_members(family, n_hi, m_range):
+        yield from window_lines(table(family, n_range, m_range), fmt)
+        return
+    labels = range(m_range[0], m_range[1] + 1)
+    rows = zip(*(family.formatted_column(m, n_lo, n_hi) for m in labels))
+    widths = (family.formatted_width(m, n_lo, n_hi) for m in labels)
+    yield from _layout(family, n_range, m_range, fmt, rows, widths)
+
+
+def window_lines(window: SequenceWindow, fmt: str) -> Iterator[str]:
+    """The ``table`` report of a built window, formatting each row as it is written;
+    text first takes each column's width from a pass that formats the column."""
+    rows = (map(format_exact, row) for row in window.values)
+    widths = (max(map(len, map(format_exact, column))) for column in zip(*window.values))
+    return _layout(window.family, window.n_range, window.m_range, fmt, rows, widths)
+
+
+def _layout(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int], fmt: str,
+            rows: Iterator[Iterable[str]], widths: Iterator[int]) -> Iterator[str]:
+    """The report around rows of formatted cells; ``widths`` (the longest cell of each
+    column) is read for text only.
+
+    Each item is one or more whole lines without the final "\\n" (a json row of values
+    spans a line per cell).  The json is that of ``json.dumps(window_json_dict(table(
+    ...)), indent=2)`` and the csv that of ``csv.writer`` (lines end in "\\r"): cells
+    hold only digits, "-" and "/", which need no escaping or quoting.
     """
     n_lo, n_hi = n_range
     m_lo, m_hi = m_range
     n_labels = [str(n) for n in range(n_lo, n_hi + 1)]
     m_labels = [str(m) for m in range(m_lo, m_hi + 1)]
-    rows = zip(*(family.formatted_column(m, n_lo, n_hi) for m in range(m_lo, m_hi + 1)))
     if fmt == "json":
         head = {"kind": "table", "family": family.label(), "n": [n_lo, n_hi], "m": [m_lo, m_hi]}
         yield json.dumps(head, indent=2)[:-2] + ","  # drop the closing "\n}"
@@ -214,23 +258,19 @@ def table_lines(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, in
         for n, row in zip(n_labels, rows):
             yield ",".join([n, *row]) + "\r"
     else:
-        widths = [max(map(len, ["n\\m", *n_labels]))]
-        widths += (max(len(label), family.formatted_width(m, n_lo, n_hi))
-                   for m, label in zip(range(m_lo, m_hi + 1), m_labels))
+        widths = [max(map(len, ["n\\m", *n_labels])), *map(max, map(len, m_labels), widths)]
         for line in chain([["n\\m", *m_labels]], ([n, *row] for n, row in zip(n_labels, rows))):
             yield "  ".join(map(str.rjust, line, widths))
 
 
 def render_table_text(window: SequenceWindow) -> str:
-    """The text report of the window's family and ranges, its members evaluated again."""
-    with exact_decimal():
-        return "\n".join(table_lines(window.family, window.n_range, window.m_range, "text"))
+    """The text report of a built window, without the final newline."""
+    return "\n".join(window_lines(window, "text"))
 
 
 def render_table_csv(window: SequenceWindow) -> str:
-    """The csv report of the window's family and ranges, its members evaluated again."""
-    with exact_decimal():
-        return "\n".join(table_lines(window.family, window.n_range, window.m_range, "csv"))
+    """The csv report of a built window, without the final newline."""
+    return "\n".join(window_lines(window, "csv"))
 
 
 def _csv(header: List[str], rows) -> None:

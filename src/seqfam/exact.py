@@ -1,7 +1,7 @@
 """Exact integer and rational arithmetic primitives.
 
 Every value in this package is a Python ``int`` or a ``fractions.Fraction``,
-except the members that ``seqfam table`` prints, which it computes as
+except the long members that ``seqfam table`` prints, which it computes as
 ``decimal.Decimal`` integers; nothing here ever rounds.  Rationals only appear
 when a family parameter is itself rational or when an identity divides by a
 power of the sequence label.
@@ -107,14 +107,4 @@ def format_exact(value: ExactScalar) -> str:
     except ValueError:  # past the interpreter's digit limit for int -> str
         with unlimited_digits():
             return format_exact(value)
-
-
-def pochhammer(a: int, n: int) -> int:
-    """Rising product a * (a+1) * ... * (a+n-1); the empty product (n=0) is 1."""
-    if n < 0:
-        raise ValueError(f"pochhammer: length must be non-negative, got {n}")
-    result = 1
-    for i in range(n):
-        result *= a + i
-    return result
 

@@ -26,10 +26,11 @@ roots), in whatever number type m has.  ``X``, ``table`` and the sweeps run it
 at int labels, and nothing is cached between calls.  ``formatted_column(m,
 n_lo, n_hi)`` yields the same members as the strings ``format_exact`` writes,
 and ``formatted_width`` the length of the longest of them: ``seqfam table``
-reads these.  The three recurrence families compute them by running
-``column`` at a decimal label (:func:`seqfam.exact.exact_decimal`), so that
-formatting a member is a linear copy of its digits; ``power:a/b`` runs the
-``power:a`` column at label b*m, over b^n.  ``root_sum(n)`` is the exact root
+reads these for a window of long members.  The three recurrence families
+compute them by running ``column`` at a decimal label
+(:func:`seqfam.exact.exact_decimal`), so that formatting a member is a linear
+copy of its digits; ``power:a/b`` runs the ``power:a`` column at label b*m,
+over b^n.  ``root_sum(n)`` is the exact root
 sum sum_l x[n,l], which the identities read.  ``float_roots(n)`` gives the
 roots as floats in increasing l order, for :mod:`seqfam.floatcheck`; those of
 LucasFamily(q) with q < 0 are purely imaginary, ``complex(0.0, v)``.
@@ -293,5 +294,6 @@ def table(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int]) ->
     check_window(n_range, m_range)
     n_lo, n_hi = n_range
     m_lo, m_hi = m_range
-    values = tuple(zip(*(family.column(m, n_lo, n_hi) for m in range(m_lo, m_hi + 1))))
+    # each column is drained as it is made: a generator per label would outweigh short members
+    values = tuple(zip(*(tuple(family.column(m, n_lo, n_hi)) for m in range(m_lo, m_hi + 1))))
     return SequenceWindow(family=family, n_range=(n_lo, n_hi), m_range=(m_lo, m_hi), values=values)

@@ -4,10 +4,12 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqfam
-from seqfam.cli import (MAX_INDEX, MAX_POINTS, STANDARD_FAMILIES, UsageError, m_bound, main,
-                        parse_families, parse_range, window_json_dict)
+from seqfam.cli import (DECIMAL_FROM_BITS, MAX_INDEX, MAX_POINTS, STANDARD_FAMILIES, UsageError,
+                        long_members, m_bound, main, parse_families, parse_range,
+                        window_json_dict)
 from seqfam.exact import format_exact, unlimited_digits
 from seqfam.families import LucasFamily, PochhammerFamily, PowerFamily, table
 
@@ -166,20 +169,44 @@ def assert_streams_reference(capsys, selector, n, m):
         assert out == reference(window), fmt
 
 
+@pytest.fixture(params=["int", "decimal"])
+def evaluation(request, monkeypatch):
+    """Make ``table`` evaluate at int or at decimal labels, whatever its members' length."""
+    monkeypatch.setattr("seqfam.cli.DECIMAL_FROM_BITS", 0 if request.param == "decimal" else math.inf)
+    return request.param
+
+
 @pytest.mark.parametrize("selector, n, m", STREAM_WINDOWS)
 def test_table_stream_matches_reference(capsys, selector, n, m):
     assert_streams_reference(capsys, selector, n, m)
 
 
-@pytest.mark.parametrize("family, member, selector, m, cell", [
-    (LucasFamily, (4, -1), "fib", "-2..1", (4, -1, "6")),
-    (PochhammerFamily, (3, -2), "pochhammer", "-3..0", (3, -2, "1")),
-    (PowerFamily, (0, 0), "power:0", "-1..1", (0, 0, "2")),
-    # a power:a/b table reads the power:a column at label b*m: (2*2 + 1)^3 + 1 over 2^3
-    (PowerFamily, (3, 4), "power:1/2", "1..3", (3, 2, "126/8")),
-], ids=["fib", "pochhammer", "power", "power-half"])
-def test_a_corrupted_member_shows_in_the_table(capsys, monkeypatch, family, member, selector,
-                                               m, cell):
+@pytest.mark.parametrize("selector, n, m", STREAM_WINDOWS)
+def test_table_stream_matches_reference_at_either_evaluation(capsys, evaluation, selector, n, m):
+    assert_streams_reference(capsys, selector, n, m)
+
+
+#: A member corrupted at the evaluation seam, and the table cell that shows it: (family
+#: type, member (n, m), selector, m window, (n, m, cell text)).
+SEAMS = {
+    "fib": (LucasFamily, (4, -1), "fib", "-2..1", (4, -1, "6")),
+    "pochhammer": (PochhammerFamily, (3, -2), "pochhammer", "-3..0", (3, -2, "1")),
+    "power": (PowerFamily, (0, 0), "power:0", "-1..1", (0, 0, "2")),
+    # in decimal, a power:a/b table reads the power:a column at label b*m: (2*2 + 1)^3 + 1
+    # over 2^3
+    "power-half": (PowerFamily, (3, 4), "power:1/2", "1..3", (3, 2, "126/8")),
+    # with ints, it reads its own column: (2 + 1/2)^3 + 1
+    "power-half-int": (PowerFamily, (3, 2), "power:1/2", "1..3", (3, 2, "133/8")),
+}
+
+
+@pytest.mark.parametrize("evaluation, seam", [
+    ("decimal", "fib"), ("int", "fib"), ("decimal", "pochhammer"), ("int", "pochhammer"),
+    ("decimal", "power"), ("int", "power"), ("decimal", "power-half"), ("int", "power-half-int"),
+], indirect=["evaluation"], ids=["fib", "fib-int", "pochhammer", "pochhammer-int", "power",
+                                 "power-int", "power-half", "power-half-int"])
+def test_a_corrupted_member_shows_in_the_table(capsys, monkeypatch, evaluation, seam):
+    family, member, selector, m, cell = SEAMS[seam]
     _, clean, _ = run(capsys, "table", "--family", selector, "--n", "0..5", "--m", m,
                       "--format", "csv")
     corrupt_member(monkeypatch, family, *member)
@@ -193,14 +220,54 @@ def test_a_corrupted_member_shows_in_the_table(capsys, monkeypatch, family, memb
     assert out.splitlines()[n + 1].split(",")[label - column + 1] == text
 
 
-def test_table_stream_escapes_a_roots_file_label(tmp_path, capsys):
+def test_table_stream_escapes_a_roots_file_label(tmp_path, capsys, monkeypatch):
     label = 'say "hi", back\\slash \u00e9t\u00e9'
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"label": label, "roots": {"1": ["1/2"], "2": ["3", "-1/3"]}}))
-    assert_streams_reference(capsys, f"roots:{path}", "1..2", "-3..3")
+    for bits in (math.inf, 0):  # with ints, then in decimal
+        monkeypatch.setattr("seqfam.cli.DECIMAL_FROM_BITS", bits)
+        assert_streams_reference(capsys, f"roots:{path}", "1..2", "-3..3")
     _, out, _ = run(capsys, "table", "--family", f"roots:{path}", "--n", "1..2", "--m", "0..0",
                     "--format", "json")
     assert json.loads(out)["family"] == f"roots:{label}"
+
+
+def test_long_members_start_at_decimal_from_bits():
+    bits = DECIMAL_FROM_BITS
+    # 2^n and (1/2)^n both have n + 1 bits, numerator and denominator together
+    for family in (PowerFamily(2), PowerFamily(Fraction(1, 2))):
+        assert not long_members(family, bits - 2, (0, 0))
+        assert long_members(family, bits - 1, (0, 0))
+    # either end of the label range counts; pochhammer is 0 from n = -m on, at m < 0, so
+    # that window holds nothing longer than 59!
+    assert long_members(PochhammerFamily(), 300, (-60, 60))
+    assert not long_members(PochhammerFamily(), 300, (-60, -1))
+    assert long_members(LucasFamily(2), 300, (-60, 0))
+
+
+@pytest.mark.parametrize("argv, long", [
+    (["lucas:2", "0..300", "-60..60"], True),  # 534 digits at m = 60
+    (["pochhammer", "0..300", "-60..60"], True),
+    (["power:1/2", "0..300", "-60..60"], True),
+    (["fib", "0..9", "-10000..10000"], False),  # wide, of members up to 37 digits
+    (["fib", "0..0", "-10000..10000"], False),
+    (["lucas:2", "0..128", "-60..60"], False),
+])
+def test_table_evaluates_long_members_in_decimal(capsys, monkeypatch, argv, long):
+    formatted = []
+    real = LucasFamily.formatted_column
+
+    def spy(self, *args):
+        formatted.append(args)
+        return real(self, *args)
+
+    for family_type in (LucasFamily, PochhammerFamily, PowerFamily):
+        monkeypatch.setattr(family_type, "formatted_column", spy)
+    selector, n, m = argv
+    code, _, _ = run(capsys, "table", "--family", selector, "--n", n, "--m", m, "--format", "csv")
+    assert code == 0
+    labels = parse_range(m)
+    assert len(formatted) == (labels[1] - labels[0] + 1 if long else 0)
 
 
 class ByteSink:
@@ -231,6 +298,24 @@ def test_table_memory_is_one_row(fmt):
         tracemalloc.stop()
     assert code == 0 and sink.bytes > 5_000_000
     assert peak < sink.bytes / 10, f"peak {peak:,} B for {sink.bytes:,} B written"
+
+
+def test_table_memory_of_a_wide_short_row():
+    # one row of 20,001 short members: the window of ints, without a recurrence per label
+    argv = ["table", "--family", "fib", "--n", "0..0", "--m", f"-{MAX_INDEX}..{MAX_INDEX}",
+            "--format", "csv"]
+    with contextlib.redirect_stdout(ByteSink()):
+        main(argv)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(ByteSink()):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    labels = 2 * MAX_INDEX + 1
+    assert code == 0
+    assert peak < 250 * labels, f"peak {peak / labels:.0f} B per label"
 
 
 def cli_env():

@@ -8,33 +8,9 @@ from fractions import Fraction
 
 import pytest
 from seqfam.exact import (decimal_text, decimal_width, exact_decimal, format_exact, normalize,
-                          parse_exact, pochhammer)
+                          parse_exact)
 
 from classic import gould_sum
-
-
-def test_pochhammer_factorial_oracle():
-    # (a)_n = (a+n-1)! / (a-1)! for a >= 1
-    for a in range(1, 11):
-        for n in range(9):
-            expected = math.factorial(a + n - 1) // math.factorial(a - 1)
-            assert pochhammer(a, n) == expected
-
-
-def test_pochhammer_known_values():
-    assert pochhammer(3, 3) == 60
-    assert pochhammer(-2, 4) == 0  # the factor (-2 + 2) kills the product
-    assert all(pochhammer(a, 0) == 1 for a in range(-5, 6))
-
-
-def test_pochhammer_shift_identity():
-    # l * (l*m + 1)_n * m == (l*m)_{n+1} for all m != 0
-    for m in range(-8, 9):
-        if m == 0:
-            continue
-        for l in range(1, 13):
-            for n in range(11):
-                assert l * pochhammer(l * m + 1, n) * m == pochhammer(l * m, n + 1)
 
 
 def test_gould_sum_small_values():

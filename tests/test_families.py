@@ -1,5 +1,6 @@
 """Tests for the family evaluators: closed forms, recursions, windows, roots."""
 
+import math
 import pickle
 from fractions import Fraction
 
@@ -56,6 +57,35 @@ def test_member_empty_product():
 def test_member_rejects_negative_n():
     with pytest.raises(ValueError):
         X(FIB, -1, 0)
+
+
+def rising(a, n):
+    """The rising product (a)_n = a (a+1) ... (a+n-1), as the Pochhammer member X(n, a-1)."""
+    return X(PochhammerFamily(), n, a - 1)
+
+
+def test_pochhammer_factorial_oracle():
+    # (a)_n = (a+n-1)! / (a-1)! for a >= 1
+    for a in range(1, 11):
+        for n in range(9):
+            expected = math.factorial(a + n - 1) // math.factorial(a - 1)
+            assert rising(a, n) == expected
+
+
+def test_pochhammer_known_values():
+    assert rising(3, 3) == 60
+    assert rising(-2, 4) == 0  # the factor (-2 + 2) kills the product
+    assert all(rising(a, 0) == 1 for a in range(-5, 6))
+
+
+def test_pochhammer_shift_identity():
+    # l * (l*m + 1)_n * m == (l*m)_{n+1} for all m != 0
+    for m in range(-8, 9):
+        if m == 0:
+            continue
+        for l in range(1, 13):
+            for n in range(11):
+                assert l * rising(l * m + 1, n) * m == rising(l * m, n + 1)
 
 
 def test_power_family_zero_label_zero_base():
