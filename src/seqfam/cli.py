@@ -11,7 +11,8 @@ writes its report a row at a time.  A window whose members run past
 copy of its digits, and the family's formatted columns are zipped so that one
 row is held, not the window (text first takes the column widths from a pass
 that formats nothing).  A window of shorter members is built with ints by
-``table()`` and each row formatted as it is written.
+``table()`` and each row formatted as it is written (text formats the window
+first, for the widths).
 ``table``, ``verify`` and ``float-check`` refuse a request past the size
 guard (``MAX_INDEX``, ``MAX_POINTS``) before any evaluation, with exit 2.  The
 package runs each module on first use, so a subcommand runs only the modules
@@ -189,7 +190,7 @@ def parse_identities(text: str) -> List[identities.Identity]:
 #: ``table`` evaluates a window in exact decimal when a member of its last row, at either
 #: end of its labels, has at least this many bits (about 376 digits), and with ints
 #: otherwise.  Below it, int arithmetic and ``str()`` cost less per cell than decimal, and
-#: a window of short ints takes less memory than a recurrence generator per column;
+#: a wide window of few rows takes less memory than a recurrence generator per column;
 #: above it, ``str()`` of an int, quadratic in its length, costs more.
 DECIMAL_FROM_BITS = 1250
 
@@ -224,15 +225,18 @@ def table_lines(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, in
 
 
 def window_lines(window: SequenceWindow, fmt: str) -> Iterator[str]:
-    """The ``table`` report of a built window, formatting each row as it is written;
-    text first takes each column's width from a pass that formats the column."""
+    """The ``table`` report of a built window, each row formatted as it is written; text
+    formats every cell first, for the column widths, and keeps the strings."""
     rows = (map(format_exact, row) for row in window.values)
-    widths = (max(map(len, map(format_exact, column))) for column in zip(*window.values))
+    widths = ()
+    if fmt == "text":
+        rows = [[*row] for row in rows]
+        widths = (max(map(len, column)) for column in zip(*rows))
     return _layout(window.family, window.n_range, window.m_range, fmt, rows, widths)
 
 
 def _layout(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int], fmt: str,
-            rows: Iterator[Iterable[str]], widths: Iterator[int]) -> Iterator[str]:
+            rows: Iterable[Iterable[str]], widths: Iterable[int]) -> Iterator[str]:
     """The report around rows of formatted cells; ``widths`` (the longest cell of each
     column) is read for text only.
 
