@@ -172,7 +172,8 @@ def assert_streams_reference(capsys, selector, n, m):
 @pytest.fixture(params=["int", "decimal"])
 def evaluation(request, monkeypatch):
     """Make ``table`` evaluate at int or at decimal labels, whatever its members' length."""
-    monkeypatch.setattr("seqfam.cli.DECIMAL_FROM_BITS", 0 if request.param == "decimal" else math.inf)
+    bits = 0 if request.param == "decimal" else math.inf
+    monkeypatch.setattr("seqfam.cli.DECIMAL_FROM_BITS", bits)
     return request.param
 
 
