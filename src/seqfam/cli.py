@@ -5,16 +5,14 @@ match) or stdout closed by its reader (nothing on stderr), 2 usage error, 3
 external-service error.  Reports go to stdout in text, csv or json;
 diagnostics go to stderr.  Exact values of any length are decimal strings in
 the machine formats, except OEIS JSON ``terms``: JSON numbers.  ``table``
-writes its report a row at a time.  A window whose members run past
-``DECIMAL_FROM_BITS`` is computed in exact decimal
+writes its report a row at a time from the family's ``rows``, so one row is
+held, not the window; text first takes the column widths from a pass over the
+rows that formats only each column's largest and smallest member.  A window
+whose members run past ``DECIMAL_FROM_BITS`` is evaluated at decimal labels
 (:func:`seqfam.exact.exact_decimal`), so that writing a member is a linear
-copy of its digits, and the family's formatted columns are zipped so that one
-row is held, not the window (text first takes the column widths from a pass
-that formats nothing).  A window of shorter members is built with ints by
-``table()`` and each row formatted as it is written (text formats the window
-first, for the widths).
-``table``, ``verify`` and ``float-check`` refuse a request past the size
-guard (``MAX_INDEX``, ``MAX_POINTS``) before any evaluation, with exit 2.  The
+copy of its digits, and a shorter one at int labels.  ``table``, ``verify``,
+``float-check`` and ``oeis`` refuse a request past the size guard
+(``MAX_INDEX``, ``MAX_POINTS``) before any evaluation, with exit 2.  The
 package runs each module on first use, so a subcommand runs only the modules
 it reads.
 """
@@ -26,16 +24,18 @@ import csv
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import floatcheck, identities, oeis
-from .exact import exact_decimal, format_exact, parse_exact, unlimited_digits
+from .exact import (decimal_text, decimal_width, exact_decimal, format_exact, parse_exact,
+                    unlimited_digits)
 from .families import (FIB, ExplicitRootsFamily, Family, LucasFamily, PochhammerFamily,
-                       PowerFamily, SequenceWindow, X, check_window, table)
+                       PowerFamily, Row, SequenceWindow, check_window, cleared)
 
 
 #: Families swept by the selector "all" (the standard verification set).
@@ -69,8 +69,8 @@ def parse_range(text: str, bound: Callable[[str], identities.Bound] = int
     return lo, hi
 
 
-#: The size guard of ``table``, ``verify`` and ``float-check``: every n and m lies in
-#: -MAX_INDEX..MAX_INDEX, and a request has at most MAX_POINTS (n, m) points per
+#: The size guard of ``table``, ``verify``, ``float-check`` and ``oeis``: every n and m
+#: lies in -MAX_INDEX..MAX_INDEX, and a request has at most MAX_POINTS (n, m) points per
 #: family.  It is checked before any evaluation; a larger request is a usage error.
 MAX_INDEX = 10_000
 MAX_POINTS = 1_000_000
@@ -187,58 +187,60 @@ def parse_identities(text: str) -> List[identities.Identity]:
 # ---------------------------------------------------------------------------
 # Rendering
 
-#: ``table`` evaluates a window in exact decimal when a member of its last row, at either
-#: end of its labels, has at least this many bits (about 376 digits), and with ints
-#: otherwise.  Below it, int arithmetic and ``str()`` cost less per cell than decimal, and
-#: a wide window of few rows takes less memory than a recurrence generator per column;
-#: above it, ``str()`` of an int, quadratic in its length, costs more.
+#: ``table`` evaluates a window at decimal labels, in exact decimal, when a member of its
+#: last row, at either end of its labels, has at least this many bits (about 376 digits),
+#: and at int labels otherwise.  Below it, int arithmetic and ``str()`` cost less per cell
+#: than decimal; above it, ``str()`` of an int, quadratic in its length, costs more.
 DECIMAL_FROM_BITS = 1250
 
 
 def long_members(family: Family, n_hi: int, m_range: Tuple[int, int]) -> bool:
     """Whether X(n_hi, m) at either end of the label range has DECIMAL_FROM_BITS bits
     (numerator and denominator together)."""
-    corners = (X(family, n_hi, m) for m in m_range)
-    return max((abs(v.numerator) * v.denominator).bit_length()
-               for v in corners) >= DECIMAL_FROM_BITS
+    (d, corners), = family.rows(m_range, n_hi, n_hi)
+    return max(abs(v * d).bit_length() for v in corners) >= DECIMAL_FROM_BITS
 
 
 def table_lines(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int],
                 fmt: str) -> Iterator[str]:
-    """The ``table`` report in ``fmt`` (json, csv or text), one table row at a time.
-
-    A window of long members (:func:`long_members`) is computed in exact decimal, so
-    that writing a member is a linear copy of its digits: the rows are ``zip`` over the
-    family's formatted columns, so only the row being written is held, and text first
-    takes each column's width from a pass that evaluates it but formats nothing.  Drain
-    this inside ``exact_decimal()``.  A window of short members is ``table()``, written
-    by :func:`window_lines`.
-    """
-    n_lo, n_hi = n_range
-    if not long_members(family, n_hi, m_range):
-        yield from window_lines(table(family, n_range, m_range), fmt)
-        return
+    """The ``table`` report in ``fmt`` (json, csv or text), one table row at a time, from
+    the family's rows.  A window of long members (:func:`long_members`) is evaluated at
+    decimal labels, so drain this inside ``exact_decimal()``."""
     labels = range(m_range[0], m_range[1] + 1)
-    rows = zip(*(family.formatted_column(m, n_lo, n_hi) for m in labels))
-    widths = (family.formatted_width(m, n_lo, n_hi) for m in labels)
-    yield from _layout(family, n_range, m_range, fmt, rows, widths)
+    if long_members(family, n_range[1], m_range):
+        labels = [*map(Decimal, labels)]
+    return _layout(family, n_range, m_range, fmt, lambda: family.rows(labels, *n_range))
 
 
-def window_lines(window: SequenceWindow, fmt: str) -> Iterator[str]:
-    """The ``table`` report of a built window, each row formatted as it is written; text
-    formats every cell first, for the column widths, and keeps the strings."""
-    rows = (map(format_exact, row) for row in window.values)
-    widths = ()
-    if fmt == "text":
-        rows = [[*row] for row in rows]
-        widths = (max(map(len, column)) for column in zip(*rows))
-    return _layout(window.family, window.n_range, window.m_range, fmt, rows, widths)
+def _cells(d, row: Iterable) -> Iterator[str]:
+    """The members of a row over d as ``format_exact`` writes them: decimals digit for digit
+    (a family yields them coprime to d), ints reduced over d."""
+    if isinstance(d, Decimal):
+        return map(decimal_text, row, repeat(d))
+    return map(format_exact, row if d == 1 else map(Fraction, row, repeat(d)))
+
+
+def _widths(rows: Iterable[Row], count: int) -> List[int]:
+    """The longest cell of each of ``count`` columns.  Over d = 1 it is the column's largest
+    or smallest member, so only those are formatted; decimal p/q cells are measured."""
+    widths, top, bottom = [1] * count, None, None
+    for d, row in rows:
+        if d == 1:
+            one = d
+            top = row if top is None else [v if v > t else t for t, v in zip(top, row)]
+            bottom = row if bottom is None else [v if v < b else b for b, v in zip(bottom, row)]
+        elif isinstance(d, Decimal):
+            widths = [*map(max, widths, map(decimal_width, row, repeat(d)))]
+        else:
+            widths = [*map(max, widths, map(len, _cells(d, row)))]
+    if top is not None:
+        widths = [*map(max, widths, map(len, _cells(one, top)), map(len, _cells(one, bottom)))]
+    return widths
 
 
 def _layout(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int], fmt: str,
-            rows: Iterable[Iterable[str]], widths: Iterable[int]) -> Iterator[str]:
-    """The report around rows of formatted cells; ``widths`` (the longest cell of each
-    column) is read for text only.
+            rows: Callable[[], Iterable[Row]]) -> Iterator[str]:
+    """The report of the window whose rows ``rows()`` yields (twice for text: the widths).
 
     Each item is one or more whole lines without the final "\\n" (a json row of values
     spans a line per cell).  The json is that of ``json.dumps(window_json_dict(table(
@@ -249,32 +251,37 @@ def _layout(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int], 
     m_lo, m_hi = m_range
     n_labels = [str(n) for n in range(n_lo, n_hi + 1)]
     m_labels = [str(m) for m in range(m_lo, m_hi + 1)]
+    if fmt == "text":
+        widths = _widths(rows(), len(m_labels))
+    cells = (_cells(d, row) for d, row in rows())
     if fmt == "json":
         head = {"kind": "table", "family": family.label(), "n": [n_lo, n_hi], "m": [m_lo, m_hi]}
         yield json.dumps(head, indent=2)[:-2] + ","  # drop the closing "\n}"
         yield '  "values": ['
-        for n, row in enumerate(rows, n_lo):
-            cells = '",\n      "'.join(row)
-            yield f'    [\n      "{cells}"\n    ]{"," if n < n_hi else ""}'
+        for n, row in enumerate(cells, n_lo):
+            joined = '",\n      "'.join(row)
+            yield f'    [\n      "{joined}"\n    ]{"," if n < n_hi else ""}'
         yield "  ]\n}"
     elif fmt == "csv":
         yield ",".join(["n", *m_labels]) + "\r"
-        for n, row in zip(n_labels, rows):
+        for n, row in zip(n_labels, cells):
             yield ",".join([n, *row]) + "\r"
     else:
         widths = [max(map(len, ["n\\m", *n_labels])), *map(max, map(len, m_labels), widths)]
-        for line in chain([["n\\m", *m_labels]], ([n, *row] for n, row in zip(n_labels, rows))):
+        for line in chain([["n\\m", *m_labels]], ([n, *row] for n, row in zip(n_labels, cells))):
             yield "  ".join(map(str.rjust, line, widths))
 
 
 def render_table_text(window: SequenceWindow) -> str:
     """The text report of a built window, without the final newline."""
-    return "\n".join(window_lines(window, "text"))
+    return "\n".join(_layout(window.family, window.n_range, window.m_range, "text",
+                             lambda: map(cleared, window.values)))
 
 
 def render_table_csv(window: SequenceWindow) -> str:
     """The csv report of a built window, without the final newline."""
-    return "\n".join(window_lines(window, "csv"))
+    return "\n".join(_layout(window.family, window.n_range, window.m_range, "csv",
+                             lambda: map(cleared, window.values)))
 
 
 def _csv(header: List[str], rows) -> None:
@@ -413,6 +420,8 @@ def cmd_oeis(args) -> int:
         axis, fixed, rng = "row", args.row, parse_range(args.m or "0..9")
     else:
         axis, fixed, rng = "column", args.column, parse_range(args.n or "0..11")
+    n_range, m_range = ((fixed, fixed), rng) if axis == "row" else (rng, (fixed, fixed))
+    check_size(n_range, m_range)
 
     client = oeis.OeisClient(offline=args.offline,
                              cache_dir=Path(args.cache_dir) if args.cache_dir else None)

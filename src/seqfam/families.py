@@ -17,23 +17,22 @@ sequence.  Four concrete families are provided:
 * ``ExplicitRootsFamily(generator)`` -- caller-supplied exact roots, with
   X(n, m) evaluated as the literal product.
 
-Every family answers six methods, and no other module tests a family's type.
-``label()`` names it in reports.  ``column(m, n_lo, n_hi)`` yields X(n_lo..n_hi,
-m) in one pass of the family's own recurrence, stepped up from the empty
-product X(0, m) = 1 (a factor (m + c) per step for powers, (m + n) for rising
-products, the Lucas recursion, or the literal product per n for explicit
-roots), in whatever number type m has.  ``X``, ``table`` and the sweeps run it
-at int labels, and nothing is cached between calls.  ``formatted_column(m,
-n_lo, n_hi)`` yields the same members as the strings ``format_exact`` writes,
-and ``formatted_width`` the length of the longest of them: ``seqfam table``
-reads these for a window of long members.  The three recurrence families
-compute them by running ``column`` at a decimal label
-(:func:`seqfam.exact.exact_decimal`), so that formatting a member is a linear
-copy of its digits; ``power:a/b`` runs the ``power:a`` column at label b*m,
-over b^n.  ``root_sum(n)`` is the exact root
-sum sum_l x[n,l], which the identities read.  ``float_roots(n)`` gives the
-roots as floats in increasing l order, for :mod:`seqfam.floatcheck`; those of
-LucasFamily(q) with q < 0 are purely imaginary, ``complex(0.0, v)``.
+Every family answers four methods, and no other module tests a family's type.
+``label()`` names it in reports.  ``rows(labels, n_lo, n_hi)`` is its one
+evaluation path: it yields each row n_lo..n_hi as ``(d, numerators)``, where d
+is the row's common denominator and ``numerators[i] = d * X(n, labels[i])``.
+Each step runs the family's recurrence over every label at once, up from the
+empty product X(0, m) = 1: a factor (b*m + a) over d = b^n for powers of
+c = a/b, (m + n) for rising products, or the Lucas recursion, in the labels'
+number type (int, or ``decimal.Decimal`` inside
+:func:`seqfam.exact.exact_decimal`, so that writing a member is a linear copy
+of its digits).  Explicit roots take the literal product per n, in exact
+rationals at each label's integer value, over the row's least common
+denominator.  ``X``, ``table``, the sweeps and ``seqfam table`` all read
+``rows``, and nothing is cached between calls.  ``root_sum(n)`` is the exact
+root sum sum_l x[n,l], which the identities read.  ``float_roots(n)`` gives
+the roots as floats in increasing l order, for :mod:`seqfam.floatcheck`; those
+of LucasFamily(q) with q < 0 are purely imaginary, ``complex(0.0, v)``.
 Lucas-type roots are irrational, so those members come from the integer
 recursion rather than the product.  All evaluators are exact for every
 integer m, positive or negative.
@@ -47,43 +46,37 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal
-from typing import Callable, Iterator, List, NamedTuple, Tuple, Union
+from fractions import Fraction
+from operator import mul
+from typing import Callable, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
-from .exact import (ExactScalar, decimal_text, decimal_width, format_exact, normalize,
-                    require_exact_decimal)
+from .exact import ExactScalar, format_exact, normalize, require_exact_decimal
 
 Label = Union[int, Decimal]
+#: One row of a family, (d, numerators): numerators[i] = d * X(n, labels[i]).
+Row = Tuple[Label, List[Label]]
 
 
-def _powers(base, one, n_lo: int, n_hi: int) -> Iterator:
-    """base^n_lo..base^n_hi, one factor per step from ``one``, the empty product in the
-    labels' number type (a decimal 0 ** 0 raises, so no column starts from a power)."""
-    value = one
-    for n in range(n_hi + 1):
-        if n >= n_lo:
-            yield value
-        value *= base
+def _one(labels: Sequence[Label]) -> Label:
+    """The empty product 1 in the labels' number type; decimal labels only inside
+    exact_decimal(), as the default context rounds."""
+    if labels and isinstance(labels[0], Decimal):
+        require_exact_decimal()
+        return Decimal(1)
+    return 1
+
+
+def cleared(values: Sequence[ExactScalar]) -> Tuple[int, List[int]]:
+    """Exact scalars as (d, numerators) over their least common denominator d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 class _Parameters:
     """Equality, hash, repr, immutability and pickling keyed on the parameters named
-    in ``__slots__``, in order; objects of different types are never equal.  Also the
-    formatted column, from ``column`` run at a decimal label."""
+    in ``__slots__``, in order; objects of different types are never equal."""
 
     __slots__ = ()
-
-    def formatted_column(self, m: int, n_lo: int, n_hi: int) -> Iterator[str]:
-        """X(n_lo..n_hi, m) as ``format_exact`` writes them; inside ``exact_decimal()``."""
-        return map(decimal_text, *self._decimal_parts(m, n_lo, n_hi))
-
-    def formatted_width(self, m: int, n_lo: int, n_hi: int) -> int:
-        """The length of the longest of ``formatted_column(m, n_lo, n_hi)``."""
-        return max(map(decimal_width, *self._decimal_parts(m, n_lo, n_hi)))
-
-    def _decimal_parts(self, m: int, n_lo: int, n_hi: int) -> Tuple[Iterator[Decimal], ...]:
-        """The column as decimals: its members, or their numerators and denominators."""
-        require_exact_decimal()
-        return (self.column(Decimal(m), n_lo, n_hi),)
 
     def __init__(self, *params) -> None:
         for name, value in zip(self.__slots__, params, strict=True):
@@ -124,18 +117,18 @@ class PowerFamily(_Parameters):
     def label(self) -> str:
         return f"power:{format_exact(self.c)}"
 
-    def column(self, m: Label, n_lo: int, n_hi: int) -> Iterator[ExactScalar]:
-        """X(n_lo..n_hi, m), one factor (m + c) per step."""
-        return _powers(normalize(m + self.c), 0 * m + 1, n_lo, n_hi)
-
-    def _decimal_parts(self, m: int, n_lo: int, n_hi: int) -> Tuple[Iterator[Decimal], ...]:
-        # c = a/b: X(n, m) = (b*m + a)^n / b^n, in lowest terms as gcd(a, b) = 1
+    def rows(self, labels: Sequence[Label], n_lo: int, n_hi: int) -> Iterator[Row]:
+        """For c = a/b: numerators (b*m + a)^n over d = b^n, one factor per step; they are
+        coprime to d, as gcd(a, b) = 1."""
         a, b = self.c.numerator, self.c.denominator
-        if b == 1:
-            return super()._decimal_parts(m, n_lo, n_hi)
-        require_exact_decimal()
-        return (type(self)(a).column(Decimal(b * m), n_lo, n_hi),
-                _powers(Decimal(b), Decimal(1), n_lo, n_hi))
+        factors = [b * m + a for m in labels]
+        d = _one(labels)  # the empty product, over 1
+        row = [d] * len(labels)
+        for n in range(n_hi + 1):
+            if n:
+                d, row = d * b, list(map(mul, row, factors))
+            if n >= n_lo:
+                yield d, row
 
     def root_sum(self, n: int) -> ExactScalar:
         return normalize(n * self.c)
@@ -152,13 +145,15 @@ class PochhammerFamily(_Parameters):
     def label(self) -> str:
         return "pochhammer"
 
-    def column(self, m: Label, n_lo: int, n_hi: int) -> Iterator[ExactScalar]:
-        """X(n_lo..n_hi, m), one factor (m + n) per step."""
-        value = 0 * m + 1  # the empty product, in m's number type
+    def rows(self, labels: Sequence[Label], n_lo: int, n_hi: int) -> Iterator[Row]:
+        """One factor (m + n) per step, over d = 1."""
+        one = _one(labels)
+        row = [one] * len(labels)
         for n in range(n_hi + 1):
+            if n:
+                row = [v * (m + n) for v, m in zip(row, labels)]
             if n >= n_lo:
-                yield value
-            value *= m + n + 1
+                yield one, row
 
     def root_sum(self, n: int) -> int:
         return n * (n + 1) // 2
@@ -184,13 +179,15 @@ class LucasFamily(_Parameters):
     def label(self) -> str:
         return f"lucas:{self.q}"
 
-    def column(self, m: Label, n_lo: int, n_hi: int) -> Iterator[ExactScalar]:
-        """X(n_lo..n_hi, m) = L[n_lo+1..n_hi+1], stepped up from L[0] = 0, L[1] = 1."""
-        prev, value = 0, 0 * m + 1  # L[1], the empty product, in m's number type
+    def rows(self, labels: Sequence[Label], n_lo: int, n_hi: int) -> Iterator[Row]:
+        """L[n_lo+1..n_hi+1] over d = 1, stepped up from L[0] = 0, L[1] = 1."""
+        one, q = _one(labels), self.q
+        prev, row = [0] * len(labels), [one] * len(labels)
         for n in range(n_hi + 1):
+            if n:
+                prev, row = row, [m * v - q * u for m, v, u in zip(labels, row, prev)]
             if n >= n_lo:
-                yield value
-            prev, value = value, m * value - self.q * prev
+                yield one, row
 
     def root_sum(self, n: int) -> int:
         return 0  # the scaled Chebyshev zeros are symmetric about 0
@@ -219,17 +216,13 @@ class ExplicitRootsFamily:
     def label(self) -> str:
         return self._label
 
-    def column(self, m: int, n_lo: int, n_hi: int) -> Iterator[ExactScalar]:
-        """X(n_lo..n_hi, m), each the literal product of its n root factors."""
-        return (normalize(math.prod((m + self.generator(n, l) for l in range(1, n + 1)),
-                                    start=1))
-                for n in range(n_lo, n_hi + 1))
-
-    def formatted_column(self, m: int, n_lo: int, n_hi: int) -> Iterator[str]:
-        return map(format_exact, self.column(m, n_lo, n_hi))
-
-    def formatted_width(self, m: int, n_lo: int, n_hi: int) -> int:
-        return max(map(len, self.formatted_column(m, n_lo, n_hi)))
+    def rows(self, labels: Sequence[Label], n_lo: int, n_hi: int) -> Iterator[Row]:
+        """The literal products of the n root factors, in exact rationals at each label's
+        integer value, over their least common denominator: ints at any labels."""
+        labels = [int(m) for m in labels]
+        for n in range(n_lo, n_hi + 1):
+            roots = [self.generator(n, l) for l in range(1, n + 1)]
+            yield cleared([math.prod((m + x for x in roots), start=1) for m in labels])
 
     def root_sum(self, n: int) -> ExactScalar:
         return normalize(sum(self.generator(n, l) for l in range(1, n + 1)))
@@ -255,7 +248,13 @@ def X(family: Family, n: int, m: int) -> ExactScalar:
     """
     if n < 0:
         raise ValueError(f"member index n must be >= 0, got {n}")
-    return next(family.column(m, n, n))
+    (d, row), = family.rows([m], n, n)
+    return _members(d, row)[0]
+
+
+def _members(d: int, numerators: List[int]) -> List[ExactScalar]:
+    """The members of a row at int labels, as exact scalars."""
+    return numerators if d == 1 else [normalize(Fraction(v, d)) for v in numerators]
 
 
 def fibonacci_polynomial(n: int, m: int) -> int:
@@ -292,8 +291,6 @@ def check_window(n_range: Tuple[int, int], m_range: Tuple[int, int]) -> None:
 def table(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int]) -> SequenceWindow:
     """Fully populated window of X values over inclusive n and m ranges."""
     check_window(n_range, m_range)
-    n_lo, n_hi = n_range
-    m_lo, m_hi = m_range
-    # each column is drained as it is made: a generator per label would outweigh short members
-    values = tuple(zip(*(tuple(family.column(m, n_lo, n_hi)) for m in range(m_lo, m_hi + 1))))
-    return SequenceWindow(family=family, n_range=(n_lo, n_hi), m_range=(m_lo, m_hi), values=values)
+    rows = family.rows(range(m_range[0], m_range[1] + 1), *n_range)
+    values = tuple(tuple(_members(d, row)) for d, row in rows)
+    return SequenceWindow(family, tuple(n_range), tuple(m_range), values)

@@ -228,17 +228,17 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 
 # Fraction-free kernels, the one evaluation of every entry.  Each entry is
 # linear in the members of one row X(r, .), so a family's pass builds each row
-# once for every entry, as ints over its common denominator d: ``rows[r]`` is
-# (d, row), and ``row[x]`` is d * X(r, x) for each label x that some entry's
-# ``reads`` names at some n.  A kernel yields blocks (ms, p, qs, lhs, rhs, k) at
-# one n: the checks at every m in ms and q in qs share the two sides lhs and rhs,
-# each times one nonzero clearing factor k (d, n!*d*b^(n-1), m!/(m-n)!*d or
-# m^(n-1)*d), so they pass iff lhs == rhs, and their exact sides are lhs/k and
-# rhs/k.  Most blocks hold one point, (m,) and (q,), with None for a parameter
-# the entry does not carry; the SUBFAM_* kernel yields whole blocks, below.
-# Every kernel also gets ``memo``, a dict that lives for one family's pass: the
-# SUBFAM_* kernels keep there the differences of each row, and L2_SCALE and
-# SCALE_ID the one sum they share at each (n, m).
+# once for every entry, as the family's ``rows`` yields it, ints over a common
+# denominator d: ``rows[r]`` is (d, row), and ``row[x]`` is d * X(r, x) for each
+# label x that some entry's ``reads`` names at some n.  A kernel yields blocks
+# (ms, p, qs, lhs, rhs, k) at one n: the checks at every m in ms and q in qs
+# share the two sides lhs and rhs, each times one nonzero clearing factor k (d,
+# n!*d*b^(n-1), m!/(m-n)!*d or m^(n-1)*d), so they pass iff lhs == rhs, and
+# their exact sides are lhs/k and rhs/k.  Most blocks hold one point, (m,) and
+# (q,), with None for a parameter the entry does not carry; the SUBFAM_* kernel
+# yields whole blocks, below.  Every kernel also gets ``memo``, a dict that lives
+# for one family's pass: the SUBFAM_* kernels keep there the differences of each
+# row, and L2_SCALE and SCALE_ID the one sum they share at each (n, m).
 
 Rows = Dict[int, Tuple[int, Dict[int, int]]]
 Memo = Dict[Tuple, object]
@@ -247,11 +247,8 @@ _ONE = (None,)  # the values of a parameter that a block does not carry
 
 
 def _int_rows(family: Family, r_lo: int, r_hi: int, labels: List[int]) -> Rows:
-    rows = {}
-    for r, row in enumerate(zip(*(family.column(x, r_lo, r_hi) for x in labels)), r_lo):
-        d = math.lcm(*(v.denominator for v in row))
-        rows[r] = d, {x: v.numerator * (d // v.denominator) for x, v in zip(labels, row)}
-    return rows
+    return {r: (d, dict(zip(labels, row)))
+            for r, (d, row) in enumerate(family.rows(labels, r_lo, r_hi), r_lo)}
 
 
 def _dot(weights: Sequence[int], row: Dict[int, int], labels: Sequence[int]) -> int:

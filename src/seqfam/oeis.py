@@ -257,13 +257,9 @@ def window_terms(family: Family, axis: str, fixed: int, rng: Tuple[int, int]) ->
         values = [row[0] for row in table(family, rng, (fixed, fixed)).values]
     else:
         raise ValueError(f"axis must be 'row' or 'column', got {axis!r}")
-    terms = []
-    for value in values:
-        if not isinstance(value, int):
-            raise ValueError(
-                f"{family.label()} produces non-integer terms; cannot query the catalog")
-        terms.append(value)
-    return terms
+    if not all(isinstance(value, int) for value in values):
+        raise ValueError(f"{family.label()} produces non-integer terms; cannot query the catalog")
+    return list(values)
 
 
 def cross_check(family: Family, axis: str, fixed: int, rng: Tuple[int, int],

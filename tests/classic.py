@@ -2,8 +2,9 @@
 
 These are closed forms from the paper's setting rather than parts of the
 package: the alternating binomial power sum behind the root-sum identity, the
-vanishing sum of the Chebyshev cosine zeros, and the two cosine product forms
-of the classic Fibonacci numbers.
+vanishing sum of the Chebyshev cosine zeros, the binomial sum of the general
+Lucas numbers, and the two cosine product forms of the classic Fibonacci
+numbers.
 """
 
 import math
@@ -33,6 +34,14 @@ def chebyshev_zero_sum(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return sum(math.cos(l * math.pi / (n + 1)) for l in range(1, n + 1))
+
+
+def lucas_binomial_sum(q: int, n: int, m: int) -> int:
+    """General Lucas number L[n+1] of L[k] = m*L[k-1] - q*L[k-2], L[0] = 0, L[1] = 1:
+
+        sum_{k=0..floor(n/2)} C(n-k, k) (-q)^k m^(n-2k).
+    """
+    return sum(math.comb(n - k, k) * (-q) ** k * m ** (n - 2 * k) for k in range(n // 2 + 1))
 
 
 def classic_fibonacci_products(n: int) -> Tuple[float, float]:

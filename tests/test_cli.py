@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -193,17 +194,14 @@ SEAMS = {
     "fib": (LucasFamily, (4, -1), "fib", "-2..1", (4, -1, "6")),
     "pochhammer": (PochhammerFamily, (3, -2), "pochhammer", "-3..0", (3, -2, "1")),
     "power": (PowerFamily, (0, 0), "power:0", "-1..1", (0, 0, "2")),
-    # in decimal, a power:a/b table reads the power:a column at label b*m: (2*2 + 1)^3 + 1
-    # over 2^3
-    "power-half": (PowerFamily, (3, 4), "power:1/2", "1..3", (3, 2, "126/8")),
-    # with ints, it reads its own column: (2 + 1/2)^3 + 1
-    "power-half-int": (PowerFamily, (3, 2), "power:1/2", "1..3", (3, 2, "133/8")),
+    # (2 + 1/2)^3 + 1, at either label type
+    "power-half": (PowerFamily, (3, 2), "power:1/2", "1..3", (3, 2, "133/8")),
 }
 
 
 @pytest.mark.parametrize("evaluation, seam", [
     ("decimal", "fib"), ("int", "fib"), ("decimal", "pochhammer"), ("int", "pochhammer"),
-    ("decimal", "power"), ("int", "power"), ("decimal", "power-half"), ("int", "power-half-int"),
+    ("decimal", "power"), ("int", "power"), ("decimal", "power-half"), ("int", "power-half"),
 ], indirect=["evaluation"], ids=["fib", "fib-int", "pochhammer", "pochhammer-int", "power",
                                  "power-int", "power-half", "power-half-int"])
 def test_a_corrupted_member_shows_in_the_table(capsys, monkeypatch, evaluation, seam):
@@ -255,20 +253,20 @@ def test_long_members_start_at_decimal_from_bits():
     (["lucas:2", "0..128", "-60..60"], False),
 ])
 def test_table_evaluates_long_members_in_decimal(capsys, monkeypatch, argv, long):
-    formatted = []
-    real = LucasFamily.formatted_column
-
-    def spy(self, *args):
-        formatted.append(args)
-        return real(self, *args)
-
+    asked = []
     for family_type in (LucasFamily, PochhammerFamily, PowerFamily):
-        monkeypatch.setattr(family_type, "formatted_column", spy)
+        def spy(self, labels, n_lo, n_hi, real=family_type.rows):
+            asked.append(labels)
+            return real(self, labels, n_lo, n_hi)
+
+        monkeypatch.setattr(family_type, "rows", spy)
     selector, n, m = argv
     code, _, _ = run(capsys, "table", "--family", selector, "--n", n, "--m", m, "--format", "csv")
     assert code == 0
-    labels = parse_range(m)
-    assert len(formatted) == (labels[1] - labels[0] + 1 if long else 0)
+    m_lo, m_hi = parse_range(m)
+    window = [labels for labels in asked if len(labels) > 2]  # not the two corners' read
+    assert len(window) == 1 and list(window[0]) == list(range(m_lo, m_hi + 1))
+    assert {type(label) for label in window[0]} == {Decimal if long else int}
 
 
 class ByteSink:
@@ -301,8 +299,25 @@ def test_table_memory_is_one_row(fmt):
     assert peak < sink.bytes / 10, f"peak {peak:,} B for {sink.bytes:,} B written"
 
 
+def test_table_memory_of_a_tall_window_of_short_members():
+    # 10^6 members of up to 367 digits, 163 MB of csv: one row is held, not the window
+    argv = ["table", "--family", "fib", "--n", "0..99", "--m", "-5000..4999", "--format", "csv"]
+    with contextlib.redirect_stdout(ByteSink()):
+        main(["table", "--family", "fib", "--n", "0..9", "--m", "0..9", "--format", "csv"])
+    sink = ByteSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.bytes > 100_000_000
+    assert peak < sink.bytes / 5, f"peak {peak:,} B for {sink.bytes:,} B written"
+
+
 def test_table_memory_of_a_wide_short_row():
-    # one row of 20,001 short members: the window of ints, without a recurrence per label
+    # one row of 20,001 short members, at int labels
     argv = ["table", "--family", "fib", "--n", "0..0", "--m", f"-{MAX_INDEX}..{MAX_INDEX}",
             "--format", "csv"]
     with contextlib.redirect_stdout(ByteSink()):
@@ -584,6 +599,25 @@ def test_size_guard_just_inside_and_just_outside(capsys, monkeypatch, command, i
     assert code == 2 and out == "" and message in err
     if "points" in message:
         assert f"at most {MAX_POINTS:,} (n, m) points" in err
+
+
+@pytest.mark.parametrize("inside, outside, message", [
+    (f"--column 1 --n 0..{B}", f"--column 1 --n 0..{B + 1}", f"n must lie within -{B}..{B}"),
+    (f"--column -{B} --n 0..0", f"--column -{B + 1} --n 0..0", f"m must lie within -{B}..{B}"),
+    (f"--row {B} --m 0..0", f"--row {B + 1} --m 0..0", f"n must lie within -{B}..{B}"),
+    (f"--row 3 --m -{B}..{B}", f"--row 3 --m -{B}..{B + 1}", f"m must lie within -{B}..{B}"),
+    # far past the guard, each of these ran unbounded before the guard covered oeis
+    (f"--column 1 --n 0..{B}", "--column 1 --n 0..100000000", "n must lie within"),
+    (f"--row 3 --m 0..{B}", "--row 3 --m 0..100000000", "m must lie within"),
+    (f"--row {B}", "--row 100000000", "n must lie within"),
+])
+def test_oeis_size_guard_just_inside_and_just_outside(capsys, monkeypatch, inside, outside,
+                                                      message):
+    monkeypatch.setattr("seqfam.oeis.cross_check", evaluated)
+    with pytest.raises(Evaluated):
+        main(["oeis", "--family", "fib", "--offline", *inside.split()])
+    code, out, err = run(capsys, "oeis", "--family", "fib", "--offline", *outside.split())
+    assert code == 2 and out == "" and message in err
 
 
 def test_float_check_json(capsys):

@@ -1,15 +1,21 @@
 """Tests for the family evaluators: closed forms, recursions, windows, roots."""
 
+import json
 import math
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqfam.cli import STANDARD_FAMILIES, load_roots_file, table_lines
+from seqfam.exact import exact_decimal, parse_exact
 from seqfam.families import (FIB, ExplicitRootsFamily, LucasFamily, PochhammerFamily,
                              PowerFamily, X, fibonacci_polynomial, table)
+
+from classic import lucas_binomial_sum
 
 from grids import FIBONACCI_GRID, POCHHAMMER_GRID, POWER0_GRID
 
@@ -229,8 +235,49 @@ def test_window_rejects_empty_ranges():
         table(FIB, (3, 2), (0, 5))
 
 
-def test_formatted_column_refuses_the_rounding_default_context():
-    with pytest.raises(RuntimeError, match="exact_decimal"):
-        PochhammerFamily().formatted_column(3, 0, 40)
-    with pytest.raises(RuntimeError, match="exact_decimal"):
-        PowerFamily(Fraction(1, 2)).formatted_width(3, 0, 40)
+def test_decimal_table_rows_refuse_the_rounding_default_context(monkeypatch):
+    # the default context rounds at 28 digits: 40! and 2^40 would be inexact
+    families = [PochhammerFamily(), PowerFamily(Fraction(1, 2)), LucasFamily(2)]
+    for family in families:
+        with pytest.raises(RuntimeError, match="exact_decimal"):
+            next(family.rows([Decimal(3)], 0, 40))
+    monkeypatch.setattr("seqfam.cli.DECIMAL_FROM_BITS", 0)  # decimal labels at any length
+    for family in families:
+        with pytest.raises(RuntimeError, match="exact_decimal"):
+            list(table_lines(family, (0, 40), (3, 3), "csv"))
+
+
+ROOTS_FILE = {"label": "mixed", "roots": {"1": ["1/2"], "2": ["3", "-1/3"],
+                                          "3": ["1/2", "2/3", "-5"], "4": ["1", "2", "3", "4"]}}
+
+
+def literal_member(family, n, m):
+    """X(n, m) from the binomial sum of the Lucas numbers or the literal root product."""
+    if isinstance(family, LucasFamily):
+        return lucas_binomial_sum(family.q, n, m)
+    if isinstance(family, PowerFamily):
+        roots = [family.c] * n
+    elif isinstance(family, PochhammerFamily):
+        roots = range(1, n + 1)
+    else:
+        roots = [parse_exact(x) for x in ROOTS_FILE["roots"][str(n)]]
+    return math.prod((m + x for x in roots), start=Fraction(1))
+
+
+@pytest.mark.parametrize("label_type", [int, Decimal], ids=["int", "decimal"])
+def test_rows_are_the_members_over_a_common_denominator(tmp_path, label_type):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(ROOTS_FILE))
+    labels = range(-6, 7)
+    for family in [*STANDARD_FAMILIES, load_roots_file(str(path))]:
+        roots = isinstance(family, ExplicitRootsFamily)
+        n_lo, n_hi = (1, 4) if roots else (0, 14)
+        with exact_decimal():
+            rows = list(family.rows([label_type(m) for m in labels], n_lo, n_hi))
+        assert len(rows) == n_hi - n_lo + 1
+        for n, (d, row) in enumerate(rows, n_lo):
+            members = [literal_member(family, n, m) for m in labels]
+            assert [Fraction(v) for v in row] == [Fraction(d) * x for x in members], family
+            assert d == math.lcm(*(x.denominator for x in members))
+            # the labels' number type, but explicit roots multiply exact rationals
+            assert {type(d), *map(type, row)} == {int if roots else label_type}

@@ -183,7 +183,7 @@ def test_sweep_domain_filtering():
 
 
 def test_sweep_skips_fib_entries_on_other_families(monkeypatch):
-    asked = record_columns(monkeypatch, PowerFamily)
+    asked = record_rows(monkeypatch, PowerFamily)
     report = sweep([Identity.FIB_POLY, Identity.FIB_POSNEG], [PowerFamily(0)],
                    SweepRanges(n=(1, 6), m=(-3, 3)))
     assert report.total_checks == 0
@@ -206,21 +206,26 @@ def test_symbolic_m_bound_must_be_n():
     assert SweepRanges(n=(1, 3), m=(-1, "n")).m_values(2) == [-1, 0, 1, 2]
 
 
-def record_columns(monkeypatch, family_type):
-    """The (m, n_lo, n_hi) of every ``column`` call on families of this type, in order."""
+def record_rows(monkeypatch, family_type):
+    """The (labels, n_lo, n_hi) of every ``rows`` call on families of this type, in order."""
     asked = []
-    real = family_type.column
+    real = family_type.rows
 
-    def column(self, m, n_lo, n_hi):
-        asked.append((m, n_lo, n_hi))
-        return real(self, m, n_lo, n_hi)
+    def rows(self, labels, n_lo, n_hi):
+        asked.append((list(labels), n_lo, n_hi))
+        return real(self, labels, n_lo, n_hi)
 
-    monkeypatch.setattr(family_type, "column", column)
+    monkeypatch.setattr(family_type, "rows", rows)
     return asked
 
 
+def built_labels(asked):
+    """Every label of the recorded ``rows`` calls, in order."""
+    return [m for labels, *_ in asked for m in labels]
+
+
 def test_sweep_far_from_the_origin_builds_few_members(monkeypatch):
-    built = record_columns(monkeypatch, LucasFamily)
+    built = built_labels(record_rows(monkeypatch, LucasFamily))
     report = sweep(ALL_IDENTITIES, [FIB], SweepRanges(n=(1, 6), m=(5000, 5001)))
     assert report.total_checks > 0 and report.failures == []
     # labels the entries read (near 0, near m, near -m and l*m); not every label between
@@ -230,16 +235,16 @@ def test_sweep_far_from_the_origin_builds_few_members(monkeypatch):
 @pytest.mark.parametrize("family", [FIB, PowerFamily(Fraction(1, 2))], ids=lambda f: f.label())
 def test_whole_catalog_sweep_builds_each_label_once(monkeypatch, family):
     # every entry of a family's pass reads the same rows, built once for all of them
-    asked = record_columns(monkeypatch, type(family))
+    asked = record_rows(monkeypatch, type(family))
     report = sweep(ALL_IDENTITIES, [family], SweepRanges(n=(1, 7), m=(-4, 5)))
     assert report.total_checks > 0 and report.failures == []
-    assert set(Counter(m for m, *_ in asked).values()) == {1}
+    assert len(asked) == 1 and set(Counter(built_labels(asked)).values()) == {1}
 
 
 @pytest.mark.parametrize("entry", [Identity.SUBFAM_ZERO, Identity.SUBFAM_FACT],
                          ids=lambda e: e.value)
 def test_subfam_builds_only_the_rows_n_minus_p(monkeypatch, entry):
-    asked = record_columns(monkeypatch, LucasFamily)
+    asked = record_rows(monkeypatch, LucasFamily)
     q = 5 if entry is Identity.SUBFAM_ZERO else None
     assert eval_identity(entry, FIB, n=20, m=3, p=19, q=q).passed
     assert {(lo, hi) for _, lo, hi in asked} == {(1, 1)}  # the one row n - p, not rows 1..n
@@ -254,9 +259,9 @@ def test_subfam_builds_only_the_rows_n_minus_p(monkeypatch, entry):
     (Identity.EXPL_NEG, {"n": 9, "m": 12}, {-12, *range(-8, 1)}),  # X(9, -m) and X(9, -l), l < 9
 ], ids=["FIB_POLY", "EXPL_NEG"])
 def test_one_point_call_builds_only_the_labels_it_reads(monkeypatch, entry, point, labels):
-    asked = record_columns(monkeypatch, LucasFamily)
+    asked = record_rows(monkeypatch, LucasFamily)
     assert eval_identity(entry, FIB, **point).passed
-    assert [m for m, *_ in asked] == sorted(labels)  # each label once
+    assert built_labels(asked) == sorted(labels)  # each label once
 
 
 class RecordingRow(dict):
@@ -276,7 +281,7 @@ class RecordingRow(dict):
 def test_a_cell_builds_exactly_the_labels_its_kernel_reads(monkeypatch, entry, family):
     from seqfam import identities
 
-    built = record_columns(monkeypatch, type(family))
+    built = record_rows(monkeypatch, type(family))
     read = set()
     int_rows = identities._int_rows
     monkeypatch.setattr(identities, "_int_rows", lambda *args: {
@@ -284,7 +289,7 @@ def test_a_cell_builds_exactly_the_labels_its_kernel_reads(monkeypatch, entry, f
     report = sweep([entry], [family], SweepRanges(n=(1, 7), m=(-4, 5)))
     assert report.failures == []
     assert bool(report.total_checks) == bool(read) == (family == FIB or not CATALOG[entry].fib_only)
-    assert {m for m, *_ in built} == read
+    assert set(built_labels(built)) == read
 
 
 def test_sweep_rational_family():
@@ -633,8 +638,8 @@ def test_subfam_differences_each_row_once_per_cell(monkeypatch, entries, m):
 class Doubled(PowerFamily):
     """A power family with every member doubled: rows of degree r, leading coefficient 2."""
 
-    def column(self, m, n_lo, n_hi):
-        return (2 * v for v in super().column(m, n_lo, n_hi))
+    def rows(self, labels, n_lo, n_hi):
+        return ((d, [2 * v for v in row]) for d, row in super().rows(labels, n_lo, n_hi))
 
 
 @pytest.mark.parametrize("family", [Doubled(2), Doubled(Fraction(1, 2))], ids=["int", "half"])
@@ -653,9 +658,9 @@ def test_subfam_on_rows_that_are_not_monic(family):
 class OffByOne(PowerFamily):
     """A power family with X(3, 2) one too large; picklable, so pool workers see it too."""
 
-    def column(self, m, n_lo, n_hi):
-        for n, value in enumerate(super().column(m, n_lo, n_hi), n_lo):
-            yield value + 1 if (n, m) == (3, 2) else value
+    def rows(self, labels, n_lo, n_hi):
+        for n, (d, row) in enumerate(super().rows(labels, n_lo, n_hi), n_lo):
+            yield d, [v + d if (n, m) == (3, 2) else v for m, v in zip(labels, row)]
 
 
 def test_workers_match_serial_on_a_corrupted_family():
