@@ -32,8 +32,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import floatcheck, identities, oeis
-from .exact import (decimal_text, decimal_width, exact_decimal, format_exact, parse_exact,
-                    unlimited_digits)
+from .exact import (ExactScalar, decimal_text, decimal_width, exact_decimal, format_exact,
+                    parse_exact, unlimited_digits)
 from .families import (FIB, ExplicitRootsFamily, Family, LucasFamily, PochhammerFamily,
                        PowerFamily, Row, SequenceWindow, check_window, cleared)
 
@@ -90,19 +90,6 @@ def check_size(n_range: Tuple[int, int], m_range) -> None:
         raise UsageError(f"at most {MAX_POINTS:,} (n, m) points per family, got {points:,}")
 
 
-class _MappedRoots:
-    """Roots read from a file: mapping n -> tuple of exact scalars."""
-
-    def __init__(self, mapping):
-        self.mapping = mapping
-
-    def __call__(self, n, l):
-        row = self.mapping.get(n)
-        if row is None:
-            raise ValueError(f"roots file lists no roots for n={n}")
-        return row[l - 1]
-
-
 def load_roots_file(path: str) -> ExplicitRootsFamily:
     """Load an explicit-roots family from a JSON file.
 
@@ -129,7 +116,13 @@ def load_roots_file(path: str) -> ExplicitRootsFamily:
             raise UsageError(f"roots file {path}: entry n={key} must list exactly {key} roots")
         mapping[n] = values
     label = str(body.get("label", Path(path).stem))
-    return ExplicitRootsFamily(_MappedRoots(mapping), label=f"roots:{label}")
+
+    def root(n: int, l: int) -> ExactScalar:
+        if n not in mapping:
+            raise ValueError(f"roots file lists no roots for n={n}")
+        return mapping[n][l - 1]
+
+    return ExplicitRootsFamily(root, label=f"roots:{label}")
 
 
 def parse_one_family(text: str) -> Family:
@@ -147,10 +140,9 @@ def parse_one_family(text: str) -> Family:
             raise UsageError(f"bad power parameter in {text!r}") from None
     if text.startswith("lucas:"):
         try:
-            family = LucasFamily(int(text.split(":", 1)[1]))
+            return LucasFamily(int(text.split(":", 1)[1]))
         except ValueError as exc:
             raise UsageError(f"bad lucas parameter in {text!r}: {exc}") from None
-        return family
     if text.startswith("roots:"):
         return load_roots_file(text.split(":", 1)[1])
     raise UsageError(
@@ -488,7 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="restrict p (default: all admissible)")
     p_verify.add_argument("--q", default=None, metavar="A..B",
                           help="restrict q (default: all admissible)")
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=int, default=1,
+                          help="processes for the sweep, clamped to the CPUs and to the "
+                          "families with work (default 1)")
     add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

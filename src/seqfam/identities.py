@@ -42,6 +42,7 @@ the generalized Fibonacci family, where the root sum vanishes identically.
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 import time
@@ -154,7 +155,7 @@ def eval_identity(identity: Identity, family: Family, *, n: int,
         require(q in Q_SPAN.values(p), f"{Q_SPAN.statement} (got p={p}, q={q})")
     plan = _plan([identity], SweepRanges(n=(n, n), m=(m, m), p=(p, p), q=(q, q)))
     ((_, _, ((m,), p, (q,), lhs, rhs, k)),) = _blocks(plan, family)
-    return _record(identity, family, n, m, p, q, lhs, rhs, k)
+    return _record(family, identity, n, m, p, q, lhs, rhs, k)
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +448,15 @@ def _plan(identities: Sequence[Identity], ranges: SweepRanges) -> Optional[_Plan
     return _Plan(points, labels, min(r_values), max(r_values))
 
 
-def _blocks(plan: Optional[_Plan], family: Family) -> Iterator[Tuple[Identity, int, Tuple]]:
-    """(identity, n, block) for every check block of the plan on one family; the fib_only
-    entries run on lucas:-1 alone."""
-    if plan is None:
-        return
+def _points(plan: Optional[_Plan], family: Family) -> List[Tuple]:
+    """The points of the plan on one family; the fib_only entries run on lucas:-1 alone."""
     fib = family == FIB
-    points = [point for point in plan.points if fib or not CATALOG[point[0]].fib_only]
+    return [pt for pt in plan.points if fib or not CATALOG[pt[0]].fib_only] if plan else []
+
+
+def _blocks(plan: Optional[_Plan], family: Family) -> Iterator[Tuple[Identity, int, Tuple]]:
+    """(identity, n, block) for every check block of the plan on one family."""
+    points = _points(plan, family)
     if not points:
         return
     rows, memo = _int_rows(family, plan.r_lo, plan.r_hi, plan.labels), {}
@@ -462,9 +465,10 @@ def _blocks(plan: Optional[_Plan], family: Family) -> Iterator[Tuple[Identity, i
             yield identity, n, block
 
 
-def _record(identity: Identity, family: Family, n: int, m: Optional[int], p: Optional[int],
+def _record(family: Family, identity: str, n: int, m: Optional[int], p: Optional[int],
             q: Optional[int], lhs: ExactScalar, rhs: ExactScalar, k: int) -> IdentityCheck:
     """The check at one point, from its kernel's cleared sides."""
+    identity = Identity(identity)
     point = {"n": n, "m": m, "p": p, "q": q}
     params = {name: point[name] for name in "n" + CATALOG[identity].params}
     lhs, rhs = normalize(Fraction(lhs, k)), normalize(Fraction(rhs, k))
@@ -473,47 +477,76 @@ def _record(identity: Identity, family: Family, n: int, m: Optional[int], p: Opt
                          residual=residual, passed=residual == 0)
 
 
-def _run_family(plan: Optional[_Plan], family: Family) -> Tuple[int, List[IdentityCheck]]:
-    """The check count and the failing checks of the plan on one family."""
+def _run_family(plan: Optional[_Plan], family: Family) -> Tuple[int, List[Tuple]]:
+    """The check count of the plan on one family and its failing points, each
+    (identity, n, m, p, q, lhs, rhs, k) in ints and strings, as a forked child sends it."""
     count = 0
-    failures: List[IdentityCheck] = []
+    failing = []
     for identity, n, (ms, p, qs, lhs, rhs, k) in _blocks(plan, family):
         count += len(ms) * len(qs)
         if lhs != rhs:
-            failures.extend(_record(identity, family, n, m, p, q, lhs, rhs, k)
-                            for m in ms for q in qs)
-    return count, failures
+            failing.extend((identity.value, n, m, p, q, lhs, rhs, k) for m in ms for q in qs)
+    return count, failing
+
+
+def _deal(plan: Optional[_Plan], shares: List[List[Family]]) -> List[List[Tuple]]:
+    """The results of each share of families: shares[0] run here, each other share in a
+    child forked here, which inherits the plan and sends its results down a pipe.  A child
+    that fails has its share rerun here, so that its exception surfaces as in a serial run.
+    No child outlives the call."""
+    children = []  # (pid, read end of its pipe, share) of each child not yet reaped
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if not pid:  # the child: exit status 0 only once its whole result is written
+                try:
+                    with open(write, "wb") as pipe:
+                        pipe.write(marshal.dumps([_run_family(plan, f) for f in share]))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children.append((pid, open(read, "rb"), share))
+            os.close(write)
+        results = [[_run_family(plan, family) for family in shares[0]]]
+        while children:
+            pid, pipe, share = children[0]
+            data = pipe.read()
+            sent = os.waitpid(pid, 0)[1] == 0 and data
+            pipe.close()
+            children.pop(0)
+            results.append(marshal.loads(data) if sent else [_run_family(plan, f) for f in share])
+        return results
+    finally:
+        for pid, pipe, _ in children:  # left running by an exception
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
 
 
 def sweep(identities: Sequence[Identity], families: Sequence[Family],
           ranges: SweepRanges, workers: int = 1) -> SweepReport:
     """Verify identities over every admissible point of the grid.
 
-    Failures are data (collected, sorted, reported), never exceptions.  The
-    report content is independent of ``workers``; only wall time changes.
-    The sweep is planned once; each family is one pass of that plan and one
-    pool task.  ``workers`` is clamped to the CPU count and to the number of
-    families.
+    Failures are data (collected, sorted, reported), never exceptions; only
+    wall time depends on ``workers``.  The sweep is planned once, and each
+    family is one pass of that plan.  ``workers`` is clamped to the CPU count
+    and to the families with a point, which are dealt round-robin into that
+    many shares: the caller runs the first, forked children the others.
+    Without ``os.fork`` the sweep runs serially.
     """
     identities = [Identity(i) for i in identities]
     started = time.perf_counter()
-    run_family = partial(_run_family, _plan(identities, ranges))
-
-    workers = max(1, min(os.cpu_count() or 1, len(families), workers))
-    if workers > 1 and not _picklable(families):
-        workers = 1
-
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_family, families, chunksize=1))
-    else:
-        results = map(run_family, families)
+    plan = _plan(identities, ranges)
+    busy = [family for family in families if _points(plan, family)]
+    k = max(1, min(os.cpu_count() or 1, len(busy), workers)) if hasattr(os, "fork") else 1
+    results = _deal(plan, [busy[i::k] for i in range(k)])
     total = 0
     failures: List[IdentityCheck] = []
-    for count, family_failures in results:
+    for j, family in enumerate(busy):
+        count, failing = results[j % k][j // k]
         total += count
-        failures.extend(family_failures)
+        failures.extend(_record(family, *point) for point in failing)
 
     failures.sort(key=_failure_key)
     return SweepReport(
@@ -524,13 +557,3 @@ def sweep(identities: Sequence[Identity], families: Sequence[Family],
         failures=failures,
         wall_time_s=time.perf_counter() - started,
     )
-
-
-def _picklable(families: Sequence[Family]) -> bool:
-    import pickle
-
-    try:
-        pickle.dumps(tuple(families))
-        return True
-    except Exception:
-        return False

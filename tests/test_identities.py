@@ -315,12 +315,6 @@ def test_sweep_workers_do_not_change_content():
     assert a == b
 
 
-def test_sweep_unpicklable_family_falls_back_to_serial():
-    replica = ExplicitRootsFamily(lambda n, l: 1, label="roots:lambda")
-    report = sweep([Identity.REC_M], [replica], SweepRanges(n=(1, 5), m=(-3, 3)), workers=4)
-    assert report.failures == [] and report.total_checks == 5 * 7
-
-
 def test_failures_are_data_not_exceptions(monkeypatch):
     # the catalog holds for every genuine root set, so a failure can only be
     # provoked by corrupting one member value behind the engine's back
@@ -656,7 +650,7 @@ def test_subfam_on_rows_that_are_not_monic(family):
 
 
 class OffByOne(PowerFamily):
-    """A power family with X(3, 2) one too large; picklable, so pool workers see it too."""
+    """A power family with X(3, 2) one too large, in forked children too."""
 
     def rows(self, labels, n_lo, n_hi):
         for n, (d, row) in enumerate(super().rows(labels, n_lo, n_hi), n_lo):
@@ -672,34 +666,143 @@ def test_workers_match_serial_on_a_corrupted_family():
     assert serial["failures"] and serial == parallel
 
 
-def test_workers_are_clamped_to_cpus_and_cells(monkeypatch):
-    import concurrent.futures
+def content(report):
+    out = report.to_json_dict()
+    out.pop("wall_time_s")
+    return out
 
-    pools = []
 
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children the sweep forks, on 8 CPUs; after the test, none is left."""
+    pids = []
+    fork = os.fork
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_are_clamped_to_cpus_and_families(forks):
     ranges = SweepRanges(n=(1, 4), m=(-2, 2))
     reports = []
     for workers in (0, 1, 3):
-        report = sweep([Identity.REC_M], [FIB, PochhammerFamily()], ranges, workers=workers)
-        reports.append(report.to_json_dict())
-        reports[-1].pop("wall_time_s")
-    assert pools == [2]  # two families: 0 and 1 run serially, 3 is cut to 2
+        forks.clear()
+        reports.append(content(sweep([Identity.REC_M], [FIB, PochhammerFamily()], ranges,
+                                     workers=workers)))
+        assert len(forks) == (workers == 3)  # two families: 3 is cut to 2, one of them forked
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_pool_is_imported_only_when_used():
-    code = "import sys, seqfam.cli; print('concurrent.futures.process' in sys.modules)"
+def test_workers_are_clamped_to_families_with_a_point(forks):
+    standard = [PowerFamily(0), PochhammerFamily(), FIB, LucasFamily(2), LucasFamily(-2)]
+    ranges = SweepRanges(n=(1, 20), m=(-10, 10))
+    only_fib = sweep([Identity.FIB_POLY], standard, ranges, workers=2)
+    assert only_fib.total_checks == 20 * 21 and only_fib.families == [f.label() for f in standard]
+    none = sweep([Identity.L1], standard, SweepRanges(n=(0, 0)), workers=2)
+    assert none.total_checks == 0 and none.passed
+    assert forks == []
+    assert content(only_fib) == content(sweep([Identity.FIB_POLY], standard, ranges))
+
+
+def test_sweep_runs_a_lambda_roots_family_in_a_child(forks):
+    replica = ExplicitRootsFamily(lambda n, l: 1, label="roots:lambda")
+    families, ranges = [FIB, replica], SweepRanges(n=(1, 5), m=(-3, 3))
+    serial = sweep([Identity.REC_M], families, ranges)
+    assert forks == []
+    parallel = sweep([Identity.REC_M], families, ranges, workers=4)
+    assert len(forks) == 1
+    assert serial.failures == [] and serial.total_checks == 2 * 5 * 7
+    assert content(parallel) == content(serial)
+
+
+def test_sweep_runs_serially_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    families, ranges = [FIB, PochhammerFamily()], SweepRanges(n=(1, 6), m=(-3, 3))
+    assert (content(sweep(ALL_IDENTITIES, families, ranges, workers=2))
+            == content(sweep(ALL_IDENTITIES, families, ranges)))
+
+
+class Broken(Exception):
+    pass
+
+
+class Raising(PowerFamily):
+    def rows(self, labels, n_lo, n_hi):
+        raise Broken(self.c)
+
+
+@pytest.mark.parametrize("at", [0, 1], ids=["in_the_caller", "in_a_child"])
+def test_a_family_that_raises_raises_as_in_a_serial_run(forks, at):
+    families = [FIB, PochhammerFamily()]
+    families.insert(at, Raising(3))
+    ranges = SweepRanges(n=(1, 5), m=(-3, 3))
+    with pytest.raises(Broken):
+        sweep(ALL_IDENTITIES, families, ranges)
+    assert forks == []
+    with pytest.raises(Broken):
+        sweep(ALL_IDENTITIES, families, ranges, workers=2)
+    assert len(forks) == 1
+
+
+def _exit_0():
+    os._exit(0)
+
+
+def _exit_3():
+    os._exit(3)
+
+
+def _kill_self():
+    os.kill(os.getpid(), 9)
+
+
+@pytest.mark.parametrize("leave", [_exit_0, _exit_3, _kill_self], ids=lambda f: f.__name__)
+def test_a_child_that_dies_never_gives_a_short_count(forks, leave):
+    caller = os.getpid()
+
+    class Dying(PowerFamily):
+        def rows(self, labels, n_lo, n_hi):
+            if os.getpid() != caller:
+                leave()
+            return super().rows(labels, n_lo, n_hi)
+
+    families = [FIB, Dying(1), PochhammerFamily(), OffByOne(2)]
+    ranges = SweepRanges(n=(1, 7), m=(-4, 5))
+    serial = sweep(ALL_IDENTITIES, families, ranges)
+    parallel = sweep(ALL_IDENTITIES, families, ranges, workers=2)
+    assert len(forks) == 1
+    assert serial.failures and content(parallel) == content(serial)
+
+
+PARALLEL_VERIFY = """
+import os, sys
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(0) or fork()
+os.cpu_count = lambda: 2
+import seqfam.cli
+print(sorted(name for name in ("concurrent.futures", "multiprocessing") if name in sys.modules))
+code = seqfam.cli.main(["verify", "--family", "fib,power:1", "--n", "1..6", "--m", "-3..3",
+                        "--workers", "2", "--format", "json"])
+print(code, len(forks), sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules)))
+"""
+
+
+def test_a_parallel_verify_imports_no_pool():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", PARALLEL_VERIFY], capture_output=True,
+                          text=True, env=env, check=True)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "[]"  # after import
+    assert lines[-1] == "0 1 []"  # a parallel verify: exit 0, one child forked, no pool
 
 
 def test_a_sweep_is_planned_once(monkeypatch):
