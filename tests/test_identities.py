@@ -788,11 +788,12 @@ import os, sys
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(0) or fork()
 os.cpu_count = lambda: 2
+pools = lambda: sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules))
 import seqfam.cli
-print(sorted(name for name in ("concurrent.futures", "multiprocessing") if name in sys.modules))
+print(pools())
 code = seqfam.cli.main(["verify", "--family", "fib,power:1", "--n", "1..6", "--m", "-3..3",
                         "--workers", "2", "--format", "json"])
-print(code, len(forks), sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules)))
+print(code, len(forks), pools())
 """
 
 
