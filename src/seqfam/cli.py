@@ -140,9 +140,10 @@ def parse_one_family(text: str) -> Family:
             raise UsageError(f"bad power parameter in {text!r}") from None
     if text.startswith("lucas:"):
         try:
-            return LucasFamily(int(text.split(":", 1)[1]))
+            family = LucasFamily(int(text.split(":", 1)[1]))
         except ValueError as exc:
             raise UsageError(f"bad lucas parameter in {text!r}: {exc}") from None
+        return family
     if text.startswith("roots:"):
         return load_roots_file(text.split(":", 1)[1])
     raise UsageError(

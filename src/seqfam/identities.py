@@ -154,7 +154,7 @@ def eval_identity(identity: Identity, family: Family, *, n: int,
     if "q" in entry.params:
         require(q in Q_SPAN.values(p), f"{Q_SPAN.statement} (got p={p}, q={q})")
     plan = _plan([identity], SweepRanges(n=(n, n), m=(m, m), p=(p, p), q=(q, q)))
-    ((_, _, ((m,), p, (q,), lhs, rhs, k)),) = _blocks(plan, family)
+    ((_, _, ((m,), p, (q,), lhs, rhs, k)),) = _blocks(plan, plan.points, family)
     return _record(family, identity, n, m, p, q, lhs, rhs, k)
 
 
@@ -268,16 +268,19 @@ def _scaled_dot(w: List[int], row: Dict[int, int], n: int, m: int, memo: Memo) -
 def _kernel_root_sum(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo,
                      scale: bool):
     # L1 of the family relabeled x -> a + b*x, (a, b) = (0, m) if scale else (m, 1): its
-    # members are X(n, a + b*l)/b^n and its root sum is (S_n + n*a)/b; k = n!*d*b^(n-1).
+    # members are X(n, a + b*l)/b^n and its root sum is (S_n + n*a)/b; k = n!*d*b^(n-1)*e,
+    # where e is the denominator of S_n, so that both sides are ints.
     d, row = rows[n]
     fd, sign, w = math.factorial(n) * d, (-1) ** n, _weights(n, 1)[1:]
     root_sum = family.root_sum(n)
+    s, e = root_sum.numerator, root_sum.denominator
     for m in ms:
         a, b = (0, m) if scale else (m, 1)
         k = fd * b ** (n - 1)
         total = (_scaled_dot(w, row, n, m, memo) if scale
                  else _dot(w, row, range(a + b, a + (n + 1) * b, b)))  # a + b*l for l = 1..n
-        yield (m,), None, _ONE, root_sum * k, sign * total - (n * a + n * (n + 1) // 2 * b) * k, k
+        rhs = sign * total - (n * a + n * (n + 1) // 2 * b) * k
+        yield (m,), None, _ONE, s * k, rhs * e, k * e
 
 
 def _kernel_rec_m(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo):
@@ -454,11 +457,9 @@ def _points(plan: Optional[_Plan], family: Family) -> List[Tuple]:
     return [pt for pt in plan.points if fib or not CATALOG[pt[0]].fib_only] if plan else []
 
 
-def _blocks(plan: Optional[_Plan], family: Family) -> Iterator[Tuple[Identity, int, Tuple]]:
-    """(identity, n, block) for every check block of the plan on one family."""
-    points = _points(plan, family)
-    if not points:
-        return
+def _blocks(plan: _Plan, points: List[Tuple], family: Family
+            ) -> Iterator[Tuple[Identity, int, Tuple]]:
+    """(identity, n, block) for every check block of some points of the plan on one family."""
     rows, memo = _int_rows(family, plan.r_lo, plan.r_hi, plan.labels), {}
     for identity, n, ms, pqs in points:
         for block in CATALOG[identity].kernel(rows, family, n, ms, pqs, memo):
@@ -477,23 +478,25 @@ def _record(family: Family, identity: str, n: int, m: Optional[int], p: Optional
                          residual=residual, passed=residual == 0)
 
 
-def _run_family(plan: Optional[_Plan], family: Family) -> Tuple[int, List[Tuple]]:
-    """The check count of the plan on one family and its failing points, each
-    (identity, n, m, p, q, lhs, rhs, k) in ints and strings, as a forked child sends it."""
+def _run_cell_star(task: Tuple[_Plan, List[Tuple], Family]) -> Tuple[int, List[Tuple]]:
+    """One task of a sweep, (plan, its points on one family, the family): its check count
+    and its failing points, each (identity, n, m, p, q, lhs, rhs, k) in ints and strings,
+    as a forked child sends it.  perfbench/layers.py times each process's tasks by
+    wrapping this name, so every process calls it through the module."""
     count = 0
     failing = []
-    for identity, n, (ms, p, qs, lhs, rhs, k) in _blocks(plan, family):
+    for identity, n, (ms, p, qs, lhs, rhs, k) in _blocks(*task):
         count += len(ms) * len(qs)
         if lhs != rhs:
             failing.extend((identity.value, n, m, p, q, lhs, rhs, k) for m in ms for q in qs)
     return count, failing
 
 
-def _deal(plan: Optional[_Plan], shares: List[List[Family]]) -> List[List[Tuple]]:
-    """The results of each share of families: shares[0] run here, each other share in a
-    child forked here, which inherits the plan and sends its results down a pipe.  A child
-    that fails has its share rerun here, so that its exception surfaces as in a serial run.
-    No child outlives the call."""
+def _deal(shares: List[List[Tuple]]) -> List[List[Tuple]]:
+    """The results of each share of tasks: shares[0] run here, each other share in a child
+    forked here, which inherits the tasks and sends its results down a pipe.  A child that
+    fails has its share rerun here, so that its exception surfaces as in a serial run.  No
+    child outlives the call."""
     children = []  # (pid, read end of its pipe, share) of each child not yet reaped
     try:
         for share in shares[1:]:
@@ -502,26 +505,30 @@ def _deal(plan: Optional[_Plan], shares: List[List[Family]]) -> List[List[Tuple]
             if not pid:  # the child: exit status 0 only once its whole result is written
                 try:
                     with open(write, "wb") as pipe:
-                        pipe.write(marshal.dumps([_run_family(plan, f) for f in share]))
+                        pipe.write(marshal.dumps([_run_cell_star(task) for task in share]))
                     os._exit(0)
                 finally:
                     os._exit(1)
             children.append((pid, open(read, "rb"), share))
             os.close(write)
-        results = [[_run_family(plan, family) for family in shares[0]]]
+        results = [[_run_cell_star(task) for task in shares[0]]]
         while children:
             pid, pipe, share = children[0]
             data = pipe.read()
             sent = os.waitpid(pid, 0)[1] == 0 and data
-            pipe.close()
             children.pop(0)
-            results.append(marshal.loads(data) if sent else [_run_family(plan, f) for f in share])
-        return results
-    finally:
-        for pid, pipe, _ in children:  # left running by an exception
             pipe.close()
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
+            results.append(marshal.loads(data) if sent else list(map(_run_cell_star, share)))
+        return results
+    finally:  # after an exception: kill and reap each child still running
+        for pid, pipe, _ in children:
+            pipe.close()
+            try:  # a child reaped just before the exception is no longer ours, and raises
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, 9)  # SIGKILL
+                    os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
 
 
 def sweep(identities: Sequence[Identity], families: Sequence[Family],
@@ -538,12 +545,12 @@ def sweep(identities: Sequence[Identity], families: Sequence[Family],
     identities = [Identity(i) for i in identities]
     started = time.perf_counter()
     plan = _plan(identities, ranges)
-    busy = [family for family in families if _points(plan, family)]
-    k = max(1, min(os.cpu_count() or 1, len(busy), workers)) if hasattr(os, "fork") else 1
-    results = _deal(plan, [busy[i::k] for i in range(k)])
+    tasks = [(plan, points, family) for family in families if (points := _points(plan, family))]
+    k = max(1, min(os.cpu_count() or 1, len(tasks), workers)) if hasattr(os, "fork") else 1
+    results = _deal([tasks[i::k] for i in range(k)])
     total = 0
     failures: List[IdentityCheck] = []
-    for j, family in enumerate(busy):
+    for j, (_, _, family) in enumerate(tasks):
         count, failing = results[j % k][j // k]
         total += count
         failures.extend(_record(family, *point) for point in failing)

@@ -54,12 +54,23 @@ class OeisMatch(NamedTuple):
     ambiguous: bool = False
 
     def to_json_dict(self) -> dict:
-        return {**self._asdict(), "terms": list(self.terms), "ids": list(self.ids)}
+        return {
+            "terms": list(self.terms),
+            "ids": list(self.ids),
+            "source": self.source,
+            "ambiguous": self.ambiguous,
+        }
 
 
 def _contains_run(haystack: Sequence[int], needle: Sequence[int]) -> bool:
-    k, needle = len(needle), list(needle)
-    return k > 0 and any(list(haystack[i:i + k]) == needle for i in range(len(haystack) - k + 1))
+    k = len(needle)
+    if k == 0 or k > len(haystack):
+        return False
+    first = needle[0]
+    for i in range(len(haystack) - k + 1):
+        if haystack[i] == first and list(haystack[i:i + k]) == list(needle):
+            return True
+    return False
 
 
 @functools.cache
@@ -70,9 +81,12 @@ def fixture_entries() -> List[Dict]:
 
 
 def default_cache_dir() -> Path:
-    if os.environ.get("SEQFAM_CACHE_DIR"):
-        return Path(os.environ["SEQFAM_CACHE_DIR"])
-    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "seqfam"
+    env = os.environ.get("SEQFAM_CACHE_DIR")
+    if env:
+        return Path(env)
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    base = Path(xdg) if xdg else Path.home() / ".cache"
+    return base / "seqfam"
 
 
 def _requests_transport(url: str) -> str:
@@ -206,8 +220,10 @@ class OeisClient:
             if cached is not None:
                 return OeisMatch(terms=terms, ids=cached, source="cache", ambiguous=ambiguous)
 
-        fixture_ids = tuple(entry["id"] for entry in fixture_entries()
-                            if _contains_run(entry["terms"], terms))
+        fixture_ids = tuple(
+            entry["id"] for entry in fixture_entries()
+            if _contains_run(entry["terms"], terms)
+        )
         if fixture_ids or self.offline:
             return OeisMatch(terms=terms, ids=fixture_ids, source="fixture", ambiguous=ambiguous)
 
@@ -253,5 +269,6 @@ def cross_check(family: Family, axis: str, fixed: int, rng: Tuple[int, int],
     The verdict is true iff at least one catalog entry matched.
     """
     terms = window_terms(family, axis, fixed, rng)
-    match = (client or OeisClient()).search_by_terms(terms)
+    client = client or OeisClient()
+    match = client.search_by_terms(terms)
     return match, bool(match.ids)

@@ -578,7 +578,7 @@ def test_subfam_falls_back_exactly_where_the_window_holds_the_member(
     corrupt_member(monkeypatch, type(family), 3, label)
     ranges = SweepRanges(n=(1, 8), m=m)
     plan = identities._plan([entry], ranges)
-    blocks = Counter((n, p) for _, n, (_, p, *_) in identities._blocks(plan, family))
+    blocks = Counter((n, p) for _, n, (_, p, *_) in identities._blocks(plan, plan.points, family))
     assert {np for np, count in blocks.items() if count > 1} == {(n, n - 3) for n in fallback}
     assert_sweep_matches_oracle(entry, family, ranges)
 
@@ -664,6 +664,28 @@ def test_workers_match_serial_on_a_corrupted_family():
     parallel = sweep(ALL_IDENTITIES, families, ranges, workers=2).to_json_dict()
     serial.pop("wall_time_s"), parallel.pop("wall_time_s")
     assert serial["failures"] and serial == parallel
+
+
+def test_a_child_sends_a_failing_rational_family_without_a_rerun(forks, monkeypatch, tmp_path):
+    from seqfam import identities
+
+    run, log = identities._run_cell_star, tmp_path / "tasks"
+
+    def logged(task):  # one line per task, with the pid of the process that runs it
+        out = run(task)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {task[2].label()}\n")
+        return out
+
+    monkeypatch.setattr(identities, "_run_cell_star", logged)
+    families = [FIB, OffByOne(Fraction(1, 2))]  # dealt to a child, whose L1 sides are rational
+    ranges = SweepRanges(n=(1, 7), m=(-4, 5))
+    parallel = sweep(ALL_IDENTITIES, families, ranges, workers=2)
+    assert len(forks) == 1
+    tasks = sorted(line.split() for line in log.read_text().splitlines())
+    assert tasks == sorted([[str(os.getpid()), "lucas:-1"], [str(forks[0]), "power:1/2"]])
+    assert {c.identity for c in parallel.failures} >= {Identity.L1, Identity.L2_SHIFT}
+    assert content(parallel) == content(sweep(ALL_IDENTITIES, families, ranges))
 
 
 def content(report):
