@@ -27,7 +27,6 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -355,20 +354,15 @@ def cmd_verify(args) -> int:
 
 def cmd_float_check(args) -> int:
     families = parse_families(args.family)
-    n_range = parse_range(args.n)
-    m_range = parse_range(args.m)
+    n_range, m_range = parse_range(args.n), parse_range(args.m)
     tol = args.tol
     if not tol > 0:  # nan, 0 or below: even an exact point would fail; inf passes every finite one
         raise UsageError(f"--tol must be positive, got {tol:g}")
-    floatcheck.check_n(n_range)
+    check_window(n_range, m_range, 1)
     check_size(n_range, m_range)
 
-    results: List[floatcheck.FloatCompareResult] = []
-    for family in families:
-        results.extend(floatcheck.compare_grid(family, n_range, m_range))
-    failures = [r for r in results if not r.within(tol)]
-    worst_rel = max((r.relative_error for r in results), default=0.0)
-    worst_imag = max((r.imaginary_ratio for r in results), default=0.0)
+    total, worst_rel, worst_imag, failures = floatcheck.summarize(chain.from_iterable(
+        floatcheck.iter_compare_grid(family, n_range, m_range) for family in families), tol)
 
     if args.format == "json":
         _emit_json({
@@ -377,20 +371,18 @@ def cmd_float_check(args) -> int:
             "n": list(n_range),
             "m": list(m_range),
             "tolerance": floatcheck.json_float(tol),
-            "total_checks": len(results),
+            "total_checks": total,
             "max_relative_error": floatcheck.json_float(worst_rel),
             "max_imaginary_ratio": floatcheck.json_float(worst_imag),
             "failure_count": len(failures),
             "failures": [r.to_json_dict() for r in failures],
         })
     elif args.format == "csv":
-        header = ["family", "n", "m", "exact", "float_real", "float_imag",
-                  "relative_error", "imaginary_residual"]  # the keys of to_json_dict()
-        _csv(header, (itemgetter(*header)(r.to_json_dict()) for r in failures))
-        print(f"# total_checks={len(results)} failures={len(failures)}", file=sys.stderr)
+        _csv(list(floatcheck.FIELDS), (r.to_json_dict().values() for r in failures))
+        print(f"# total_checks={total} failures={len(failures)}", file=sys.stderr)
     else:
         print(f"families: {', '.join(f.label() for f in families)}")
-        print(f"checks:   {len(results)}  tolerance {tol:g}")
+        print(f"checks:   {total}  tolerance {tol:g}")
         print(f"worst relative error:  {worst_rel:.3e}")
         print(f"worst imaginary ratio: {worst_imag:.3e}")
         for r in failures:

@@ -28,8 +28,8 @@ number type (int, or ``decimal.Decimal`` inside
 :func:`seqfam.exact.exact_decimal`, so that writing a member is a linear copy
 of its digits).  Explicit roots take the literal product per n, in exact
 rationals at each label's integer value, over the row's least common
-denominator.  ``X``, ``table``, the sweeps and ``seqfam table`` all read
-``rows``, and nothing is cached between calls.  ``root_sum(n)`` is the exact
+denominator.  ``X``, ``table``, the sweeps, ``seqfam table`` and ``float-check``
+all read ``rows``, and nothing is cached between calls.  ``root_sum(n)`` is the exact
 root sum sum_l x[n,l], which the identities read.  ``float_roots(n)`` gives
 the roots as floats in increasing l order, for :mod:`seqfam.floatcheck`; those
 of LucasFamily(q) with q < 0 are purely imaginary, ``complex(0.0, v)``.
@@ -280,12 +280,12 @@ class SequenceWindow(NamedTuple):
         return self.values[n - self.n_range[0]]
 
 
-def check_window(n_range: Tuple[int, int], m_range: Tuple[int, int]) -> None:
-    """ValueError unless the inclusive ranges are nonempty and n >= 0."""
+def check_window(n_range: Tuple[int, int], m_range: Tuple[int, int], n_min: int = 0) -> None:
+    """ValueError unless the inclusive ranges are nonempty and n >= n_min."""
     if n_range[0] > n_range[1] or m_range[0] > m_range[1]:
         raise ValueError(f"empty range: n {n_range}, m {m_range}")
-    if n_range[0] < 0:
-        raise ValueError(f"member index n must be >= 0, got {n_range[0]}")
+    if n_range[0] < n_min:
+        raise ValueError(f"member index n must be >= {n_min}, got {n_range[0]}")
 
 
 def table(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int]) -> SequenceWindow:

@@ -7,17 +7,24 @@ members, validating the product representation numerically.  Factors are
 multiplied in increasing l order; at desk scale (n <= 30, |m| <= 10) the
 rounding error stays orders of magnitude below the default 1e-9 tolerance.
 Members beyond the double range are compared exactly, and a product that
-overflows to inf or nan has an infinite relative error, so it fails.
+overflows to inf or nan has an infinite relative error, so it fails.  The
+points stream from the family's ``rows``, one row at a time, and ``summarize``
+folds them into a report that holds only the failing points.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
-from .exact import ExactScalar, format_exact
-from .families import Family, table
+from .exact import ExactScalar, format_exact, normalize
+from .families import Family, check_window
+
+
+#: The keys of ``FloatCompareResult.to_json_dict()``, in order: float-check's csv columns.
+FIELDS = ("family", "n", "m", "exact", "float_real", "float_imag", "relative_error",
+          "imaginary_residual")
 
 
 class FloatCompareResult(NamedTuple):
@@ -48,16 +55,8 @@ class FloatCompareResult(NamedTuple):
         return self.relative_error < tol and self.imaginary_ratio < tol
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "m": self.m,
-            "exact": format_exact(self.exact),
-            "float_real": json_float(self.real),
-            "float_imag": json_float(self.imag),
-            "relative_error": json_float(self.relative_error),
-            "imaginary_residual": json_float(self.imaginary_residual),
-        }
+        return dict(zip(FIELDS, (self.family, self.n, self.m, format_exact(self.exact),
+                                 *map(json_float, self[4:]))))
 
 
 def json_float(value: float) -> object:
@@ -83,32 +82,40 @@ def _relative_error(real: float, exact: ExactScalar) -> float:
         return float(abs(Fraction(real) - exact) / abs(exact))
 
 
-def check_n(n_range: Tuple[int, int]) -> None:
-    """ValueError unless every member index is at least 1: X(0, m) has no roots."""
-    if n_range[0] < 1:
-        raise ValueError(f"member index n must be >= 1, got {n_range[0]}")
+def iter_compare_grid(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int]
+                      ) -> Iterator[FloatCompareResult]:
+    """Multiply the n root factors (m + x[n,l]) in double precision at each point of an
+    inclusive (n, m) rectangle, n-major, against the exact member, read from ``family.rows``
+    one row at a time; n >= 1, as X(0, m) has no roots.  Where the float roots are complex
+    (LucasFamily with q < 0) the product's imaginary part should cancel to rounding noise."""
+    check_window(n_range, m_range, 1)
+    label, labels = family.label(), range(m_range[0], m_range[1] + 1)
+    for n, (d, row) in zip(range(n_range[0], n_range[1] + 1), family.rows(labels, *n_range)):
+        roots = family.float_roots(n)
+        for m, v in zip(labels, row):
+            exact = v if d == 1 else normalize(Fraction(v, d))
+            product = 1.0  # complex only for complex roots, so real rows keep imag = 0.0
+            for r in roots:
+                product *= m + r
+            yield FloatCompareResult(label, n, m, exact, product.real, product.imag,
+                                     _relative_error(product.real, exact), abs(product.imag))
 
 
 def compare_grid(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int]
                  ) -> List[FloatCompareResult]:
-    """Multiply the n root factors (m + x[n,l]) in double precision at each point
-    of an inclusive (n, m) rectangle, n-major, against the exact member.
+    """The points of :func:`iter_compare_grid`, as a list."""
+    return list(iter_compare_grid(family, n_range, m_range))
 
-    Where the family's float roots are complex (LucasFamily with q < 0) the
-    product's imaginary part is expected to cancel to rounding noise.
-    """
-    check_n(n_range)
-    window = table(family, n_range, m_range)
-    results = []
-    for n, row in zip(range(n_range[0], n_range[1] + 1), window.values):
-        roots = family.float_roots(n)
-        for m, exact in zip(range(m_range[0], m_range[1] + 1), row):
-            product = 1.0  # complex only for complex roots, so real rows keep imag = 0.0
-            for r in roots:
-                product *= m + r
-            results.append(FloatCompareResult(
-                family=family.label(), n=n, m=m, exact=exact, real=product.real,
-                imag=product.imag, relative_error=_relative_error(product.real, exact),
-                imaginary_residual=abs(product.imag)))
-    return results
 
+def summarize(results: Iterable[FloatCompareResult], tol: float
+              ) -> Tuple[int, float, float, List[FloatCompareResult]]:
+    """(count, max relative error, max imaginary ratio, the points not within ``tol``).
+    Each maximum is that of max(..., default=0.0): seeded from the first point, so a
+    nan there is kept and a later one passed over."""
+    count, worst_rel, worst_imag, failures = 0, 0.0, 0.0, []
+    for count, r in enumerate(results, 1):
+        worst_rel = max(worst_rel, r.relative_error) if count > 1 else r.relative_error
+        worst_imag = max(worst_imag, r.imaginary_ratio) if count > 1 else r.imaginary_ratio
+        if not r.within(tol):
+            failures.append(r)
+    return count, worst_rel, worst_imag, failures

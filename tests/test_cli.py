@@ -23,6 +23,7 @@ from seqfam.cli import (DECIMAL_FROM_BITS, MAX_INDEX, MAX_POINTS, STANDARD_FAMIL
                         window_json_dict)
 from seqfam.exact import format_exact, unlimited_digits
 from seqfam.families import LucasFamily, PochhammerFamily, PowerFamily, table
+from seqfam.floatcheck import compare_grid, json_float
 
 from grids import FIBONACCI_GRID, POCHHAMMER_GRID, POWER0_GRID
 from seams import corrupt_member
@@ -552,14 +553,93 @@ def test_float_check_rejects_member_index_zero(capsys):
 
 
 def test_float_check_rejects_member_index_zero_before_building_the_window(capsys, monkeypatch):
-    def table(*args):
+    def compare(*args):
         raise AssertionError("float-check built the window of a rejected range")
 
-    monkeypatch.setattr("seqfam.floatcheck.table", table)
+    monkeypatch.setattr("seqfam.floatcheck.iter_compare_grid", compare)
     code, out, err = run(capsys, "float-check", "--family", "fib", "--n", "0..100000000",
                          "--m", "0..0")
     assert code == 2 and out == ""
     assert "member index n must be >= 1, got 0" in err
+
+
+def float_check_reference(argv, fmt):
+    """``run``'s (exit code, stdout, stderr) for float-check, folded from compare_grid lists."""
+    args = dict(zip(argv[::2], argv[1::2]))
+    families = parse_families(args["--family"])
+    n_range = parse_range(args.get("--n", "1..25"))
+    m_range = parse_range(args.get("--m", "-10..10"))
+    tol = float(args.get("--tol", "1e-9"))
+    results = [r for family in families for r in compare_grid(family, n_range, m_range)]
+    failures = [r for r in results if not r.within(tol)]
+    worst_rel = max((r.relative_error for r in results), default=0.0)
+    worst_imag = max((r.imaginary_ratio for r in results), default=0.0)
+    code, err = int(bool(failures)), ""
+    if fmt == "json":
+        out = json.dumps({
+            "kind": "float-check", "families": [f.label() for f in families],
+            "n": list(n_range), "m": list(m_range), "tolerance": json_float(tol),
+            "total_checks": len(results), "max_relative_error": json_float(worst_rel),
+            "max_imaginary_ratio": json_float(worst_imag), "failure_count": len(failures),
+            "failures": [r.to_json_dict() for r in failures]}, indent=2, allow_nan=False) + "\n"
+    elif fmt == "csv":
+        header = ["family", "n", "m", "exact", "float_real", "float_imag",
+                  "relative_error", "imaginary_residual"]
+        out = csv_writer_text(header, [[r.to_json_dict()[k] for k in header] for r in failures])
+        err = f"# total_checks={len(results)} failures={len(failures)}\n"
+    else:
+        out = "".join([f"families: {', '.join(f.label() for f in families)}\n",
+                       f"checks:   {len(results)}  tolerance {tol:g}\n",
+                       f"worst relative error:  {worst_rel:.3e}\n",
+                       f"worst imaginary ratio: {worst_imag:.3e}\n",
+                       *(f"FAIL {r.family} n={r.n} m={r.m}: exact={format_exact(r.exact)} "
+                         f"float={r.real!r} rel={r.relative_error:.3e}\n" for r in failures)])
+    return code, out, err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("argv", [
+    "--family all",
+    "--family power:2 --n 1..400 --m 10..10",  # exit 1: the product overflows to inf
+    "--family power:1/2",
+    "--family ROOTS --n 1..4 --m -6..6",  # rational roots: rows over d != 1
+    "--family lucas:-2 --n 1..1000 --m 10..10",  # a nan imaginary part after finite ones
+    "--family lucas:-2 --n 1000..1000 --m 10..10",  # a nan imaginary part first
+    "--family all --n 1..12 --tol inf",
+])
+def test_float_check_report_equals_the_list_built_reference(capsys, tmp_path, argv, fmt):
+    path = tmp_path / "thirds.json"
+    roots = {"1": ["1/2"], "2": ["3", "-1/3"], "3": ["2/3", "1/6", "-5"],
+             "4": ["1", "1/2", "1/3", "1/4"]}
+    path.write_text(json.dumps({"label": "thirds", "roots": roots}))
+    argv = argv.replace("ROOTS", f"roots:{path}").split()
+    assert run(capsys, "float-check", *argv, "--format", fmt) == float_check_reference(argv, fmt)
+
+
+def test_float_check_maxima_keep_a_leading_nan(capsys):
+    # the overflowed complex product at n = 1000 has a nan imaginary part; like max(), the
+    # report keeps a nan met first and passes over one met after finite ratios
+    argv = ["float-check", "--family", "lucas:-2", "--m", "10..10", "--format", "json"]
+    _, first, _ = run(capsys, *argv, "--n", "1000..1000")
+    _, later, _ = run(capsys, *argv, "--n", "1..1000")
+    assert json.loads(first)["max_imaginary_ratio"] == "nan"
+    assert math.isfinite(json.loads(later)["max_imaginary_ratio"])
+
+
+@pytest.mark.parametrize("reach", [100, 400])
+def test_float_check_memory_does_not_grow_with_the_grid(reach):
+    # 20,100 and 80,100 points: one row per family is held, and no failing point
+    with contextlib.redirect_stdout(ByteSink()):
+        main(["float-check", "--family", "all", "--n", "1..2", "--m", "0..1"])
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(ByteSink()):
+            code = main(["float-check", "--family", "all", "--n", "1..10", "--m",
+                         f"-{reach}..{reach}"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 4_000_000, f"peak {peak:,} B"
 
 
 # -- the size guard: checked before any evaluation --
@@ -574,7 +654,7 @@ def evaluated(*args, **kwargs):
 
 #: The evaluator each guarded command reaches past the guard.
 EVALUATORS = {"table": "seqfam.cli.table_lines", "verify": "seqfam.identities.sweep",
-              "float-check": "seqfam.floatcheck.compare_grid"}
+              "float-check": "seqfam.floatcheck.iter_compare_grid"}
 B = MAX_INDEX
 
 

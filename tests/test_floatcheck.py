@@ -1,9 +1,11 @@
 """Tests for the floating-point product evaluation."""
 
+import math
+
 import pytest
 
 from seqfam.families import FIB, LucasFamily, PochhammerFamily, PowerFamily, X
-from seqfam.floatcheck import compare_grid
+from seqfam.floatcheck import FloatCompareResult, compare_grid, summarize
 
 from classic import chebyshev_zero_sum, classic_fibonacci, classic_fibonacci_products
 
@@ -85,3 +87,12 @@ def test_result_serialization():
     assert payload["family"] == "lucas:-1"
     assert payload["exact"] == "13"
     assert isinstance(payload["relative_error"], float)
+
+
+@pytest.mark.parametrize("ratios", [[], [0.5], [math.nan, 2.0], [1.0, math.nan, 3.0], [2.0, 1.0]])
+def test_summarize_maxima_are_those_of_max_with_default_zero(ratios):
+    points = [FloatCompareResult("f", n, 0, 1, 1.0, 0.0, rel, 0.0) for n, rel in enumerate(ratios)]
+    count, worst_rel, _, failures = summarize(points, 1.5)
+    expected = max(ratios, default=0.0)
+    assert count == len(ratios) and failures == [p for p in points if not p.relative_error < 1.5]
+    assert worst_rel == expected or math.isnan(worst_rel) and math.isnan(expected)
