@@ -55,8 +55,9 @@ class FloatCompareResult(NamedTuple):
         return self.relative_error < tol and self.imaginary_ratio < tol
 
     def to_json_dict(self) -> dict:
+        floats = self.real, self.imag, self.relative_error, self.imaginary_residual
         return dict(zip(FIELDS, (self.family, self.n, self.m, format_exact(self.exact),
-                                 *map(json_float, self[4:]))))
+                                 *map(json_float, floats))))
 
 
 def json_float(value: float) -> object:
