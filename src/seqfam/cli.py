@@ -78,11 +78,11 @@ MAX_POINTS = 1_000_000
 def check_size(n_range: Tuple[int, int], m_range) -> None:
     """UsageError unless the request is within the size guard; an m bound "n" (verify)
     stands for the n of each point."""
-    for axis, bounds in (("n", n_range), ("m", m_range or ())):
+    for axis, bounds in (("n", n_range), ("m", m_range)):
         if any(isinstance(b, int) and abs(b) > MAX_INDEX for b in bounds):
             raise UsageError(f"{axis} must lie within -{MAX_INDEX}..{MAX_INDEX}, "
                              f"got {bounds[0]}..{bounds[1]}")
-    m_lo, m_hi = m_range or (0, -1)
+    m_lo, m_hi = m_range
     points = sum(max(0, (n if m_hi == "n" else m_hi) - (n if m_lo == "n" else m_lo) + 1)
                  for n in range(n_range[0], n_range[1] + 1))
     if points > MAX_POINTS:
@@ -322,9 +322,9 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
     ranges = identities.SweepRanges(
         n=parse_range(args.n),
-        m=parse_range(args.m, m_bound) if args.m else None,
-        p=parse_range(args.p) if args.p else None,
-        q=parse_range(args.q) if args.q else None,
+        m=parse_range(args.m, m_bound),
+        p=None if args.p is None else parse_range(args.p),
+        q=None if args.q is None else parse_range(args.q),
     )
     check_size(ranges.n, ranges.m)
     report = identities.sweep(entries, families, ranges, workers=args.workers)
@@ -402,9 +402,10 @@ def cmd_oeis(args) -> int:
     if (args.n if args.row is not None else args.m) is not None:
         raise UsageError("--row N takes --m A..B and --column M takes --n A..B")
     if args.row is not None:
-        axis, fixed, rng = "row", args.row, parse_range(args.m or "0..9")
+        axis, fixed, text = "row", args.row, "0..9" if args.m is None else args.m
     else:
-        axis, fixed, rng = "column", args.column, parse_range(args.n or "0..11")
+        axis, fixed, text = "column", args.column, "0..11" if args.n is None else args.n
+    rng = parse_range(text)
     n_range, m_range = ((fixed, fixed), rng) if axis == "row" else (rng, (fixed, fixed))
     check_size(n_range, m_range)
 

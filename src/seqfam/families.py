@@ -28,14 +28,15 @@ number type (int, or ``decimal.Decimal`` inside
 :func:`seqfam.exact.exact_decimal`, so that writing a member is a linear copy
 of its digits).  Explicit roots take the literal product per n, in exact
 rationals at each label's integer value, over the row's least common
-denominator.  ``X``, ``table``, the sweeps, ``seqfam table`` and ``float-check``
-all read ``rows``, and nothing is cached between calls.  ``root_sum(n)`` is the exact
-root sum sum_l x[n,l], which the identities read.  ``float_roots(n)`` gives
-the roots as floats in increasing l order, for :mod:`seqfam.floatcheck`; those
-of LucasFamily(q) with q < 0 are purely imaginary, ``complex(0.0, v)``.
-Lucas-type roots are irrational, so those members come from the integer
-recursion rather than the product.  All evaluators are exact for every
-integer m, positive or negative.
+denominator.  :func:`exact_rows` reads a window's rows as exact members, one
+row at a time, for ``X``, ``table``, ``float-check`` and ``oeis``; only it, the
+sweeps' integer kernels and ``seqfam table`` read ``rows``, and nothing is
+cached between calls.  ``root_sum(n)`` is the exact root sum sum_l x[n,l], which
+the identities read.  ``float_roots(n)`` gives the roots as floats in increasing
+l order, for :mod:`seqfam.floatcheck`; those of LucasFamily(q) with q < 0 are
+purely imaginary, ``complex(0.0, v)``.  Lucas-type roots are irrational, so
+those members come from the integer recursion rather than the product.  All
+evaluators are exact for every integer m, positive or negative.
 
 ``PowerFamily``, ``PochhammerFamily`` and ``LucasFamily`` are values: two are
 equal, and hash alike, when they have the same type and parameters, so
@@ -241,20 +242,10 @@ FIB = LucasFamily(-1)
 
 
 def X(family: Family, n: int, m: int) -> ExactScalar:
-    """Member (n, m) of the family: the product over l of (m + x[n,l]).
-
-    n = 0 is the empty product (1 for every family); the result is an integer
-    whenever all roots and m are integers.
-    """
-    if n < 0:
-        raise ValueError(f"member index n must be >= 0, got {n}")
-    (d, row), = family.rows([m], n, n)
-    return _members(d, row)[0]
-
-
-def _members(d: int, numerators: List[int]) -> List[ExactScalar]:
-    """The members of a row at int labels, as exact scalars."""
-    return numerators if d == 1 else [normalize(Fraction(v, d)) for v in numerators]
+    """Member (n, m) of the family, the product over l of (m + x[n,l]), at an integer m:
+    1 at n = 0, the empty product, and an integer whenever all roots are integers."""
+    (_, (member,)), = exact_rows(family, (n, n), (m, m))
+    return member
 
 
 def fibonacci_polynomial(n: int, m: int) -> int:
@@ -276,9 +267,6 @@ class SequenceWindow(NamedTuple):
     m_range: Tuple[int, int]
     values: Tuple[Tuple[ExactScalar, ...], ...]
 
-    def row(self, n: int) -> Tuple[ExactScalar, ...]:
-        return self.values[n - self.n_range[0]]
-
 
 def check_window(n_range: Tuple[int, int], m_range: Tuple[int, int], n_min: int = 0) -> None:
     """ValueError unless the inclusive ranges are nonempty and n >= n_min."""
@@ -288,9 +276,18 @@ def check_window(n_range: Tuple[int, int], m_range: Tuple[int, int], n_min: int 
         raise ValueError(f"member index n must be >= {n_min}, got {n_range[0]}")
 
 
+def exact_rows(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int],
+               n_min: int = 0) -> Iterator[Tuple[int, List[ExactScalar]]]:
+    """Each row of an inclusive window as (n, [X(n, m) for each m]), one row at a time from
+    ``family.rows``: ints, or reduced Fractions where the row's d is not 1.  ValueError
+    (from :func:`check_window`) unless the ranges are nonempty and n >= n_min."""
+    check_window(n_range, m_range, n_min)
+    rows = family.rows(range(m_range[0], m_range[1] + 1), *n_range)
+    for n, (d, row) in zip(range(n_range[0], n_range[1] + 1), rows):
+        yield n, row if d == 1 else [normalize(Fraction(v, d)) for v in row]
+
+
 def table(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int]) -> SequenceWindow:
     """Fully populated window of X values over inclusive n and m ranges."""
-    check_window(n_range, m_range)
-    rows = family.rows(range(m_range[0], m_range[1] + 1), *n_range)
-    values = tuple(tuple(_members(d, row)) for d, row in rows)
+    values = tuple(tuple(row) for _, row in exact_rows(family, n_range, m_range))
     return SequenceWindow(family, tuple(n_range), tuple(m_range), values)

@@ -8,8 +8,8 @@ multiplied in increasing l order; at desk scale (n <= 30, |m| <= 10) the
 rounding error stays orders of magnitude below the default 1e-9 tolerance.
 Members beyond the double range are compared exactly, and a product that
 overflows to inf or nan has an infinite relative error, so it fails.  The
-points stream from the family's ``rows``, one row at a time, and ``summarize``
-folds them into a report that holds only the failing points.
+points stream from :func:`seqfam.families.exact_rows`, one row at a time, and
+``summarize`` folds them into a report that holds only the failing points.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
-from .exact import ExactScalar, format_exact, normalize
-from .families import Family, check_window
+from .exact import ExactScalar, format_exact
+from .families import Family, exact_rows
 
 
 #: The keys of ``FloatCompareResult.to_json_dict()``, in order: float-check's csv columns.
@@ -86,15 +86,14 @@ def _relative_error(real: float, exact: ExactScalar) -> float:
 def iter_compare_grid(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int]
                       ) -> Iterator[FloatCompareResult]:
     """Multiply the n root factors (m + x[n,l]) in double precision at each point of an
-    inclusive (n, m) rectangle, n-major, against the exact member, read from ``family.rows``
-    one row at a time; n >= 1, as X(0, m) has no roots.  Where the float roots are complex
-    (LucasFamily with q < 0) the product's imaginary part should cancel to rounding noise."""
-    check_window(n_range, m_range, 1)
-    label, labels = family.label(), range(m_range[0], m_range[1] + 1)
-    for n, (d, row) in zip(range(n_range[0], n_range[1] + 1), family.rows(labels, *n_range)):
+    inclusive (n, m) rectangle, n-major, against the exact member, read from
+    :func:`exact_rows` one row at a time; n >= 1, as X(0, m) has no roots.  Where the float
+    roots are complex (LucasFamily with q < 0) the product's imaginary part should cancel to
+    rounding noise."""
+    label = family.label()
+    for n, members in exact_rows(family, n_range, m_range, 1):
         roots = family.float_roots(n)
-        for m, v in zip(labels, row):
-            exact = v if d == 1 else normalize(Fraction(v, d))
+        for m, exact in enumerate(members, m_range[0]):
             product = 1.0  # complex only for complex roots, so real rows keep imag = 0.0
             for r in roots:
                 product *= m + r

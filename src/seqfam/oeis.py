@@ -6,9 +6,11 @@ families are known to generate, and finally the public search endpoint.
 Offline mode (the default for the test suite) uses the fixtures only, so no
 test ever needs the network.
 
-A query is a list of at least 8 leading terms; an entry matches when the
-query appears as a consecutive run of its terms.  Matching is by terms only;
-the catalog identifiers carried in fixtures and responses are opaque labels.
+A query is a list of at least 8 leading terms, one row or one column of a
+family's members as :func:`seqfam.families.exact_rows` yields them; an entry
+matches when the query appears as a consecutive run of its terms.  Matching
+is by terms only; the catalog identifiers carried in fixtures and responses
+are opaque labels.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import format_exact, unlimited_digits
-from .families import Family, table
+from .families import Family, exact_rows
 
 SEARCH_URL = "https://oeis.org/search?q=signed:{terms}&fmt=json"
 B_FILE_URL = "https://oeis.org/{ident}/b{digits}.txt"
@@ -250,16 +252,15 @@ def parse_b_file(text: str) -> List[int]:
 
 
 def window_terms(family: Family, axis: str, fixed: int, rng: Tuple[int, int]) -> List[int]:
-    """Integer terms of one row (fixed n, m varying) or column (fixed m, n varying)."""
-    if axis == "row":
-        values = table(family, (fixed, fixed), rng).values[0]
-    elif axis == "column":
-        values = [row[0] for row in table(family, rng, (fixed, fixed)).values]
-    else:
+    """Integer terms of one row (fixed n, m varying) or column (fixed m, n varying): the
+    members of that one-row or one-column window of :func:`exact_rows`, in order."""
+    if axis not in ("row", "column"):
         raise ValueError(f"axis must be 'row' or 'column', got {axis!r}")
+    window = ((fixed, fixed), rng) if axis == "row" else (rng, (fixed, fixed))
+    values = [value for _, row in exact_rows(family, *window) for value in row]
     if not all(isinstance(value, int) for value in values):
         raise ValueError(f"{family.label()} produces non-integer terms; cannot query the catalog")
-    return list(values)
+    return values
 
 
 def cross_check(family: Family, axis: str, fixed: int, rng: Tuple[int, int],

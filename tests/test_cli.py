@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 import seqfam
 from seqfam.cli import (DECIMAL_FROM_BITS, MAX_INDEX, MAX_POINTS, STANDARD_FAMILIES, UsageError,
                         long_members, m_bound, main, parse_families, parse_range,
-                        window_json_dict)
+                        render_table_csv, render_table_text, window_json_dict)
 from seqfam.exact import format_exact, unlimited_digits
 from seqfam.families import LucasFamily, PochhammerFamily, PowerFamily, table
 from seqfam.floatcheck import compare_grid, json_float
+from seqfam.identities import Identity, SweepRanges, sweep
 
 from grids import FIBONACCI_GRID, POCHHAMMER_GRID, POWER0_GRID
 from seams import corrupt_member
@@ -126,8 +127,8 @@ def reference_csv(window):
 
 def reference_text(window):
     header = ["n\\m"] + [str(m) for m in range(window.m_range[0], window.m_range[1] + 1)]
-    rows = [[str(n)] + [format_exact(v) for v in window.row(n)]
-            for n in range(window.n_range[0], window.n_range[1] + 1)]
+    rows = [[str(n)] + [format_exact(v) for v in row]
+            for n, row in zip(range(window.n_range[0], window.n_range[1] + 1), window.values)]
     widths = [max(len(line[j]) for line in [header] + rows) for j in range(len(header))]
     return "".join("  ".join(cell.rjust(widths[j]) for j, cell in enumerate(line)) + "\n"
                    for line in [header] + rows)
@@ -230,6 +231,22 @@ def test_table_stream_escapes_a_roots_file_label(tmp_path, capsys, monkeypatch):
     _, out, _ = run(capsys, "table", "--family", f"roots:{path}", "--n", "1..2", "--m", "0..0",
                     "--format", "json")
     assert json.loads(out)["family"] == f"roots:{label}"
+
+
+@pytest.mark.parametrize("selector, n, m, decimal", [
+    ("fib", "1..7", "0..7", False),
+    ("power:1/2", "0..6", "-3..3", False),
+    ("pochhammer", "0..300", "-60..60", True),  # decimal labels in the CLI, ints in table()
+])
+def test_render_seams_are_the_table_reports(capsys, selector, n, m, decimal):
+    family, n_range, m_range = parse_families(selector)[0], parse_range(n), parse_range(m)
+    assert long_members(family, n_range[1], m_range) == decimal
+    window = table(family, n_range, m_range)
+    for fmt, render in (("text", render_table_text), ("csv", render_table_csv)):
+        code, out, err = run(capsys, "table", "--family", selector, "--n", n, "--m", m,
+                             "--format", fmt)
+        assert code == 0 and err == "" and out.endswith("\n")
+        assert render(window) == out[:-1], fmt
 
 
 def test_long_members_start_at_decimal_from_bits():
@@ -447,6 +464,19 @@ def test_verify_csv_failure_rows_are_the_json_failures(capsys, monkeypatch):
     assert {len(f["params"]) for f in payload["failures"]} == {1, 2, 3, 4}  # blank m, p, q too
     assert out == csv_writer_text(header, rows) and out.count("\r\n") == len(rows) + 1
     assert f"# total_checks={payload['total_checks']} failures={len(rows)}\n" in err
+
+
+def test_verify_text_fail_lines_are_the_report_failures(capsys, monkeypatch):
+    corrupt_member(monkeypatch, PowerFamily, 3, 2)
+    report = sweep([Identity.REC_M], [PowerFamily(0)], SweepRanges(n=(3, 3), m=(-2, 4)))
+    code, out, _ = run(capsys, "verify", "--identity", "REC_M", "--family", "power:0",
+                       "--n", "3..3", "--m", "-2..4")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert code == 1 and len(fails) == len(report.failures) == 4
+    assert "checks:     7 (4 failed) in " in out
+    for line, check in zip(fails, report.failures):
+        assert line == (f"FAIL REC_M power:0 {dict(check.params)}: lhs={format_exact(check.lhs)} "
+                        f"rhs={format_exact(check.rhs)} residual={format_exact(check.residual)}")
 
 
 def test_verify_unknown_identity_is_usage_error(capsys):
@@ -800,6 +830,11 @@ def test_oeis_range_of_the_other_axis_is_usage_error(capsys, axis, other):
     assert code == 2 and out == "" and "--row N takes --m" in err
 
 
+def test_oeis_takes_exactly_one_family(capsys):
+    code, out, err = run(capsys, "oeis", "--family", "fib,pochhammer", "--row", "2", "--offline")
+    assert (code, out) == (2, "") and "oeis takes exactly one family" in err
+
+
 def test_oeis_requires_exactly_one_axis(capsys):
     code, _, err = run(capsys, "oeis", "--family", "fib", "--offline")
     assert code == 2 and "--row N or --column M" in err
@@ -821,6 +856,18 @@ def test_unknown_family_is_usage_error(capsys):
 def test_empty_family_selection_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert code == 2 and out == "" and "no families selected" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "1..3", "--m", ""],
+    ["verify", "--p", ""],
+    ["verify", "--q", ""],
+    ["oeis", "--family", "fib", "--row", "3", "--m", "", "--offline"],
+    ["oeis", "--family", "fib", "--column", "1", "--n", "", "--offline"],
+], ids=["verify-m", "verify-p", "verify-q", "oeis-row-m", "oeis-column-n"])
+def test_empty_range_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, out) == (2, "") and "range must be 'a..b'" in err and "got ''" in err
 
 
 def test_bad_range_is_usage_error(capsys):

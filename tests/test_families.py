@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from seqfam.cli import STANDARD_FAMILIES, load_roots_file, table_lines
 from seqfam.exact import exact_decimal, parse_exact
 from seqfam.families import (FIB, ExplicitRootsFamily, LucasFamily, PochhammerFamily,
-                             PowerFamily, X, fibonacci_polynomial, table)
+                             PowerFamily, X, exact_rows, fibonacci_polynomial, table)
 
 from classic import lucas_binomial_sum
 
@@ -63,6 +63,36 @@ def test_member_empty_product():
 def test_member_rejects_negative_n():
     with pytest.raises(ValueError):
         X(FIB, -1, 0)
+
+
+@pytest.mark.parametrize("label", [Fraction(1, 2), Fraction(2), 0.5, 2.0])
+def test_member_takes_integer_labels_only(label):
+    halves = ExplicitRootsFamily(lambda n, l: Fraction(1, 2), label="roots:halves")
+    for family in (PowerFamily(0), halves):
+        with pytest.raises(TypeError):
+            X(family, 2, label)
+    # at the integer label, both still answer: (2 + 0)^2 and (2 + 1/2)^2
+    assert (X(PowerFamily(0), 2, 2), X(halves, 2, 2)) == (4, Fraction(25, 4))
+
+
+def test_exact_rows_are_the_members_of_each_row():
+    # n = 2 roots 1/2 and 2: (m + 1/2)(m + 2), an int at m = 0 and 2, over d = 2 elsewhere
+    roots = ExplicitRootsFamily(lambda n, l: (Fraction(1, 2), 2)[l - 1] if n == 2 else l)
+    for family in (*STANDARD_FAMILIES, roots):
+        rows = zip(range(1, 5), family.rows(range(-3, 4), 1, 4))
+        expected = [(n, [Fraction(v, d) for v in row]) for n, (d, row) in rows]
+        got = list(exact_rows(family, (1, 4), (-3, 3)))
+        assert got == expected
+        assert all(type(v) is (int if v.denominator == 1 else Fraction)
+                   for _, members in got for v in members)
+    assert list(exact_rows(roots, (2, 2), (0, 2))) == [(2, [1, Fraction(9, 2), 10])]
+
+
+def test_exact_rows_stream_and_check_their_window():
+    assert next(exact_rows(FIB, (0, 10 ** 9), (0, 2))) == (0, [1, 1, 1])  # one row at a time
+    for window, message in [(((3, 2), (0, 5)), "empty range"), (((0, 2), (0, 0)), ">= 1, got 0")]:
+        with pytest.raises(ValueError, match=message):
+            next(exact_rows(FIB, *window, n_min=1))
 
 
 def rising(a, n):
@@ -220,8 +250,8 @@ def test_roots_float_values():
 def test_window_matches_reference_grid():
     window = table(FIB, (1, 7), (0, 7))
     assert [list(row) for row in window.values] == FIBONACCI_GRID
-    assert window.values[3][2] == window.row(4)[2] == 29
-    assert window.row(2) == (1, 2, 5, 10, 17, 26, 37, 50)
+    assert window.values[3][2] == X(FIB, 4, 2) == 29  # row n = 4, column m = 2
+    assert window.values[1] == (1, 2, 5, 10, 17, 26, 37, 50)
     assert tuple(row[1] for row in window.values) == (1, 2, 3, 5, 8, 13, 21)
 
 

@@ -1,11 +1,12 @@
 """Tests for the floating-point product evaluation."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from seqfam.families import FIB, LucasFamily, PochhammerFamily, PowerFamily, X
-from seqfam.floatcheck import FloatCompareResult, compare_grid, summarize
+from seqfam.floatcheck import FloatCompareResult, _relative_error, compare_grid, summarize
 
 from classic import chebyshev_zero_sum, classic_fibonacci, classic_fibonacci_products
 
@@ -45,6 +46,16 @@ def test_real_family_products():
 def test_lucas_grid_within_tolerance(q):
     for result in compare_grid(LucasFamily(q), (1, 25), (-10, 10)):
         assert result.within(1e-9), (q, result.n, result.m, result.relative_error)
+
+
+@pytest.mark.parametrize("real, exact", [(1e300, 10 ** 400), (-1e308, 10 ** 400),
+                                         (0.0, -10 ** 400), (1e308, 3 * 10 ** 399 + 1)])
+def test_relative_error_past_the_double_range_is_exact(real, exact):
+    with pytest.raises(OverflowError):
+        float(exact)
+    expected = abs(Fraction(real) - exact) / abs(exact)
+    assert _relative_error(real, exact) == float(expected)
+    assert _relative_error(real, exact) == pytest.approx(1.0)  # real is negligible
 
 
 def test_relative_error_guard_at_exact_zero():

@@ -206,6 +206,13 @@ def test_symbolic_m_bound_must_be_n():
     assert SweepRanges(n=(1, 3), m=(-1, "n")).m_values(2) == [-1, 0, 1, 2]
 
 
+def test_a_sweep_without_an_m_range_checks_no_entry_that_needs_m():
+    ranges = SweepRanges(n=(1, 3))
+    assert ranges.m_values(2) == []
+    report = sweep([Identity.L2_SHIFT], [FIB, PowerFamily(2)], ranges)
+    assert report.total_checks == 0 and report.failures == [] and report.passed
+
+
 def record_rows(monkeypatch, family_type):
     """The (labels, n_lo, n_hi) of every ``rows`` call on families of this type, in order."""
     asked = []
