@@ -93,7 +93,7 @@ def load_roots_file(path: str) -> ExplicitRootsFamily:
     """Load an explicit-roots family from a JSON file.
 
     Schema: {"label": str, "roots": {"<n>": ["<int or p/q>", ...], ...}} with
-    exactly n root strings listed under each key n.
+    exactly n root strings listed under each key n, for every n from 1 to the largest.
     """
     try:
         body = json.loads(Path(path).read_text())
@@ -114,6 +114,10 @@ def load_roots_file(path: str) -> ExplicitRootsFamily:
         if n < 1 or len(values) != n:
             raise UsageError(f"roots file {path}: entry n={key} must list exactly {key} roots")
         mapping[n] = values
+    missing = [n for n in range(1, max(mapping) + 1) if n not in mapping]
+    if missing:
+        raise UsageError(f"roots file {path} lists no roots for n={missing[0]}; it must list "
+                         f"every n from 1 to {max(mapping)}")
     label = str(body.get("label", Path(path).stem))
 
     def root(n: int, l: int) -> ExactScalar:

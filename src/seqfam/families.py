@@ -21,21 +21,22 @@ Every family answers four methods, and no other module tests a family's type.
 ``label()`` names it in reports.  ``rows(labels, n_lo, n_hi)`` is its one
 evaluation path: it yields each row n_lo..n_hi as ``(d, numerators)``, where d
 is the row's common denominator and ``numerators[i] = d * X(n, labels[i])``.
-Each step runs the family's recurrence over every label at once, up from the
-empty product X(0, m) = 1: a factor (b*m + a) over d = b^n for powers of
-c = a/b, (m + n) for rising products, or the Lucas recursion, in the labels'
-number type (int, or ``decimal.Decimal`` inside
-:func:`seqfam.exact.exact_decimal`, so that writing a member is a linear copy
-of its digits).  Explicit roots take the literal product per n, in exact
-rationals at each label's integer value, over the row's least common
-denominator.  :func:`exact_rows` reads a window's rows as exact members, one
-row at a time, for ``X``, ``table``, ``float-check`` and ``oeis``; only it, the
-sweeps' integer kernels and ``seqfam table`` read ``rows``, and nothing is
-cached between calls.  ``root_sum(n)`` is the exact root sum sum_l x[n,l], which
-the identities read.  ``float_roots(n)`` gives the roots as floats in increasing
-l order, for :mod:`seqfam.floatcheck`; those of LucasFamily(q) with q < 0 are
-purely imaginary, ``complex(0.0, v)``.  Lucas-type roots are irrational, so
-those members come from the integer recursion rather than the product.  All
+The power, Pochhammer and Lucas families pass their step to one driver, which
+runs it over every label at once, up from the empty product X(0, m) = 1: a
+factor (b*m + a) over d = b^n for powers of c = a/b, (m + n) for rising
+products, or the Lucas recursion, in the labels' number type (int, or
+``decimal.Decimal`` inside :func:`seqfam.exact.exact_decimal`, so that writing
+a member is a linear copy of its digits).  Explicit roots take the literal
+product of each n on its own, in exact rationals at each label's integer
+value, over the row's least common denominator.  :func:`exact_rows` reads a
+window's rows as exact members, one row at a time, for ``X``, ``table``,
+``float-check`` and ``oeis``; only it, the sweeps' integer kernels and
+``seqfam table`` read ``rows``, and nothing is cached between calls.
+``root_sum(n)`` is the exact root sum sum_l x[n,l], which the identities read.
+``float_roots(n)`` gives the roots as floats in increasing l order, for
+:mod:`seqfam.floatcheck`; those of LucasFamily(q) with q < 0 are purely
+imaginary, ``complex(0.0, v)``.  Lucas-type roots are irrational, so those
+members come from the integer recursion rather than the product.  All
 evaluators are exact for every integer m, positive or negative.
 
 ``PowerFamily``, ``PochhammerFamily`` and ``LucasFamily`` are values: two are
@@ -58,13 +59,23 @@ Label = Union[int, Decimal]
 Row = Tuple[Label, List[Label]]
 
 
-def _one(labels: Sequence[Label]) -> Label:
-    """The empty product 1 in the labels' number type; decimal labels only inside
-    exact_decimal(), as the default context rounds."""
+def _stepped(labels: Sequence[Label], n_lo: int, n_hi: int,
+             step: Callable[[int, Label, List[Label], List[Label]], Row],
+             three_term: bool = False) -> Iterator[Row]:
+    """Rows n_lo..n_hi of a family's recurrence over every label at once, up from the empty
+    product at n = 0 (over 1, row -1 all zero) in the labels' number type: ``step(n, d, row,
+    prev)`` gives row n as (d, numerators) from row n-1, over d, and row n-2, which is held
+    only when ``three_term``.  Decimal labels only inside exact_decimal(), which never rounds."""
+    one = 1
     if labels and isinstance(labels[0], Decimal):
         require_exact_decimal()
-        return Decimal(1)
-    return 1
+        one = Decimal(1)
+    d, row, prev = one, [one] * len(labels), [0] * len(labels)
+    for n in range(n_hi + 1):
+        if n:
+            prev, (d, row) = row if three_term else None, step(n, d, row, prev)
+        if n >= n_lo:
+            yield d, row
 
 
 def cleared(values: Sequence[ExactScalar]) -> Tuple[int, List[int]]:
@@ -123,13 +134,8 @@ class PowerFamily(_Parameters):
         coprime to d, as gcd(a, b) = 1."""
         a, b = self.c.numerator, self.c.denominator
         factors = [b * m + a for m in labels]
-        d = _one(labels)  # the empty product, over 1
-        row = [d] * len(labels)
-        for n in range(n_hi + 1):
-            if n:
-                d, row = d * b, list(map(mul, row, factors))
-            if n >= n_lo:
-                yield d, row
+        return _stepped(labels, n_lo, n_hi,
+                        lambda n, d, row, prev: (d * b, list(map(mul, row, factors))))
 
     def root_sum(self, n: int) -> ExactScalar:
         return normalize(n * self.c)
@@ -148,13 +154,8 @@ class PochhammerFamily(_Parameters):
 
     def rows(self, labels: Sequence[Label], n_lo: int, n_hi: int) -> Iterator[Row]:
         """One factor (m + n) per step, over d = 1."""
-        one = _one(labels)
-        row = [one] * len(labels)
-        for n in range(n_hi + 1):
-            if n:
-                row = [v * (m + n) for v, m in zip(row, labels)]
-            if n >= n_lo:
-                yield one, row
+        return _stepped(labels, n_lo, n_hi,
+                        lambda n, d, row, prev: (d, [v * (m + n) for v, m in zip(row, labels)]))
 
     def root_sum(self, n: int) -> int:
         return n * (n + 1) // 2
@@ -182,13 +183,9 @@ class LucasFamily(_Parameters):
 
     def rows(self, labels: Sequence[Label], n_lo: int, n_hi: int) -> Iterator[Row]:
         """L[n_lo+1..n_hi+1] over d = 1, stepped up from L[0] = 0, L[1] = 1."""
-        one, q = _one(labels), self.q
-        prev, row = [0] * len(labels), [one] * len(labels)
-        for n in range(n_hi + 1):
-            if n:
-                prev, row = row, [m * v - q * u for m, v, u in zip(labels, row, prev)]
-            if n >= n_lo:
-                yield one, row
+        q = self.q
+        return _stepped(labels, n_lo, n_hi, lambda n, d, row, prev: (
+            d, [m * v - q * u for m, v, u in zip(labels, row, prev)]), three_term=True)
 
     def root_sum(self, n: int) -> int:
         return 0  # the scaled Chebyshev zeros are symmetric about 0

@@ -49,6 +49,7 @@ import time
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from operator import mul, sub
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -446,7 +447,7 @@ def _plan(identities: Sequence[Identity], ranges: SweepRanges) -> Optional[_Plan
     points = [(identity, n, ms, pqs) for identity, n, ms, pqs in points if ms and pqs]
     if not points:
         return None
-    labels = sorted(set().union(*(CATALOG[i].reads(n, ms) for i, n, ms, _ in points)))
+    labels = sorted(set(chain.from_iterable(CATALOG[i].reads(n, ms) for i, n, ms, _ in points)))
     r_values = [n - (p or 0) for _, n, _, pqs in points for p, _ in pqs]  # rows n - p
     return _Plan(points, labels, min(r_values), max(r_values))
 

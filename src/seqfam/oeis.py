@@ -130,15 +130,19 @@ class OeisClient:
         return self.cache_dir / f"terms-{digest}.json"
 
     def _cache_read(self, terms: Sequence[int]) -> Optional[Tuple[str, ...]]:
+        """The cached ids of these terms; None (a miss) for a missing or unreadable file, or
+        a record that is not an object with these terms and a list of string ids."""
         path = self._cache_path(terms)
         try:
             with unlimited_digits():  # the cache holds this program's own output
                 record = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
-        if record.get("terms") != list(terms):
+        ids = record.get("ids") if isinstance(record, dict) else None
+        if (not isinstance(ids, list) or not all(isinstance(i, str) for i in ids)
+                or record.get("terms") != list(terms)):
             return None
-        return tuple(record.get("ids", ()))
+        return tuple(ids)
 
     def _cache_write(self, terms: Sequence[int], ids: Sequence[str]) -> None:
         self.cache_dir.mkdir(parents=True, exist_ok=True)

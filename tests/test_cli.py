@@ -484,6 +484,11 @@ def test_verify_unknown_identity_is_usage_error(capsys):
     assert code == 2 and "unknown identity" in err
 
 
+def test_verify_with_no_identity_selected_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--identity", ",", "--format", "json")
+    assert (code, out) == (2, "") and "no identities selected" in err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_verify_workers_below_one_is_usage_error(capsys, workers):
     code, out, err = run(capsys, "verify", "--identity", "L1", "--family", "fib", "--n", "1..3",
@@ -807,20 +812,34 @@ def test_oeis_network_error_exits_three(capsys, monkeypatch, tmp_path):
     assert code == 3 and "network error" in err
 
 
-def test_oeis_malformed_reply_exits_three(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("reply, message", [
+    ("<html>Service Unavailable</html>", "unparseable search response"),
+    (json.dumps({"results": [{"number": "A45", "data": "1,1,2"}]}), "malformed search entry"),
+], ids=["not-json", "bad-number"])
+def test_oeis_malformed_reply_exits_three(capsys, monkeypatch, tmp_path, reply, message):
+    monkeypatch.setattr("seqfam.oeis._requests_transport", lambda url: reply)
+    code, out, err = run(capsys, "oeis", "--family", "lucas:3", "--row", "5",
+                         "--m", "0..9", "--cache-dir", str(tmp_path))
+    assert (code, out) == (3, "") and f"service error: {message}" in err
+
+
+@pytest.mark.parametrize("record", [
+    [],
+    {"terms": [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144], "ids": 7},
+    {"terms": [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144], "ids": "A000045"},
+], ids=["list", "ids-int", "ids-string"])
+def test_oeis_cache_record_of_the_wrong_shape_is_a_miss(capsys, monkeypatch, tmp_path, record):
     from seqfam.oeis import OeisClient
 
-    real_init = OeisClient.__init__
+    def no_network(url):
+        raise AssertionError(f"touched the network: {url}")
 
-    def patched_init(self, *args, **kwargs):
-        kwargs["transport"] = lambda url: "<html>Service Unavailable</html>"
-        kwargs["min_interval"] = 0.0
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr("seqfam.oeis.OeisClient.__init__", patched_init)
-    code, _, err = run(capsys, "oeis", "--family", "lucas:3", "--row", "5",
-                       "--m", "0..9", "--cache-dir", str(tmp_path))
-    assert code == 3 and "service error: unparseable search response" in err
+    monkeypatch.setattr("seqfam.oeis._requests_transport", no_network)
+    monkeypatch.setenv("SEQFAM_CACHE_DIR", str(tmp_path))
+    terms = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]  # fib column 1, n 0..11
+    OeisClient()._cache_path(terms).write_text(json.dumps(record))
+    code, out, err = run(capsys, "oeis", "--family", "fib", "--column", "1")
+    assert (code, err) == (0, "") and out.splitlines()[1] == "MATCH: A000045 [fixture]"
 
 
 @pytest.mark.parametrize("axis, other", [(["--row", "3"], ["--n", "0..9"]),
@@ -910,6 +929,23 @@ def test_roots_file_validation(tmp_path, capsys, body, message):
     path.write_text(json.dumps(body))
     code, _, err = run(capsys, "table", "--family", f"roots:{path}", "--n", "2..2", "--m", "0..0")
     assert code == 2 and message in err and str(path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--n", "0..3", "--m", "0..2", "--format", "csv"],
+    ["table", "--n", "0..3", "--m", "0..2", "--format", "json"],
+    ["table", "--n", "0..3", "--m", "0..2", "--format", "text"],
+    ["verify", "--n", "1..3", "--m", "-2..2"],
+    ["float-check", "--n", "1..3", "--m", "0..2"],
+    ["oeis", "--column", "0", "--offline"],
+], ids=["table-csv", "table-json", "table-text", "verify", "float-check", "oeis"])
+def test_roots_file_with_a_gap_is_refused_before_any_output(tmp_path, capsys, argv):
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps({"roots": {"1": ["1"], "3": ["1", "2", "3"]}}))
+    code, out, err = run(capsys, argv[0], "--family", f"roots:{path}", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == (f"error: roots file {path} lists no roots for n=2; it must list every n "
+                   "from 1 to 3\n")
 
 
 def test_table_renders_members_past_the_digit_limit(capsys):

@@ -170,6 +170,11 @@ def test_fibonacci_polynomial_spot_values():
         assert fibonacci_polynomial(2, m) == m * m + 1
 
 
+def test_fibonacci_polynomial_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match="degree n must be >= 0"):
+        fibonacci_polynomial(-1, 2)
+
+
 def test_negative_label_totality():
     families = (FIB, LucasFamily(2), PowerFamily(-1), PochhammerFamily())
     for family in families:
@@ -311,3 +316,11 @@ def test_rows_are_the_members_over_a_common_denominator(tmp_path, label_type):
             assert d == math.lcm(*(x.denominator for x in members))
             # the labels' number type, but explicit roots multiply exact rationals
             assert {type(d), *map(type, row)} == {int if roots else label_type}
+
+
+@pytest.mark.parametrize("label_type", [int, Decimal], ids=["int", "decimal"])
+def test_stepped_rows_from_any_n_lo_are_the_rows_from_zero(label_type):
+    labels = [label_type(m) for m in range(-6, 7)]
+    for family in STANDARD_FAMILIES:  # power, pochhammer and lucas: all stepped
+        with exact_decimal():
+            assert list(family.rows(labels, 5, 14)) == list(family.rows(labels, 0, 14))[5:]

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -18,7 +19,7 @@ from seqfam.exact import ExactScalar, normalize
 from seqfam.families import (FIB, ExplicitRootsFamily, Family, LucasFamily, PochhammerFamily,
                              PowerFamily, X, fibonacci_polynomial)
 from seqfam.identities import (ALL_IDENTITIES, CATALOG, DomainError, Identity, IdentityCheck,
-                               SweepRanges, _weights, eval_identity, sweep)
+                               SweepRanges, _plan, _weights, eval_identity, sweep)
 
 from seams import corrupt_member
 
@@ -880,3 +881,20 @@ def test_l2_scale_and_scale_id_share_one_dot_and_keep_their_sides(monkeypatch, l
     points = sweep([Identity.L2_SCALE], [family], ranges).total_checks  # the (n, m), m != 0
     l2_scale, scale_id = dots([Identity.L2_SCALE]), dots([Identity.SCALE_ID])
     assert dots([Identity.L2_SCALE, Identity.SCALE_ID]) == l2_scale + scale_id - points
+
+
+def test_plan_holds_one_label_list_at_a_time():
+    # 30 n by 600 m: the shifted and scaled entries list n * 600 labels per (entry, n),
+    # about 40 MB held at once if every list is built before the union
+    ranges = SweepRanges(n=(1, 30), m=(-300, 299))
+    tracemalloc.start()
+    try:
+        plan = _plan(ALL_IDENTITIES, ranges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000, f"peak {peak:,} B"
+    union = set()
+    for identity, n, ms, _ in plan.points:
+        union.update(CATALOG[identity].reads(n, ms))
+    assert plan.labels == sorted(union)

@@ -247,3 +247,39 @@ def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         OeisClient(cache_dir=tmp_path)._cache_write([1, 2, 3, 4, 5, 6, 7, 8], ["A000001"])
     assert list(tmp_path.iterdir()) == []
+
+
+# -- cache records of the wrong shape, and the request spacing --
+
+#: Records that are not an object with the query's terms and a list of string ids.
+BAD_RECORDS = {
+    "not-an-object": [],
+    "ids-not-a-list": {"terms": [3, 1, 4, 1, 5, 9, 2, 6], "ids": 7},
+    "ids-a-string": {"terms": [3, 1, 4, 1, 5, 9, 2, 6], "ids": "A000045"},
+    "ids-not-strings": {"terms": [3, 1, 4, 1, 5, 9, 2, 6], "ids": [45]},
+    "ids-missing": {"terms": [3, 1, 4, 1, 5, 9, 2, 6]},
+    "other-terms": {"terms": [3, 1, 4, 1, 5, 9, 2, 7], "ids": ["A000001"]},
+}
+
+
+@pytest.mark.parametrize("record", BAD_RECORDS.values(), ids=BAD_RECORDS)
+def test_a_cache_record_of_the_wrong_shape_is_a_miss_and_is_rewritten(tmp_path, record):
+    terms = [3, 1, 4, 1, 5, 9, 2, 6]  # matches no fixture
+    transport = _canned_transport({"search": search_payload(999999, terms)})
+    client = OeisClient(cache_dir=tmp_path, transport=transport, min_interval=0.0)
+    path = client._cache_path(terms)
+    path.write_text(json.dumps(record))
+    match = client.search_by_terms(terms)
+    assert (match.source, match.ids, len(transport.calls)) == ("network", ("A999999",), 1)
+    assert json.loads(path.read_text())["ids"] == ["A999999"]
+    assert client.search_by_terms(terms).source == "cache"
+
+
+def test_a_second_request_waits_out_the_interval(monkeypatch):
+    clock, sleeps = [100.0], []
+    monkeypatch.setattr("seqfam.oeis.time.monotonic", lambda: clock[0])
+    monkeypatch.setattr("seqfam.oeis.time.sleep", sleeps.append)
+    client = OeisClient(transport=lambda url: "ok", min_interval=1.0)
+    assert client._fetch("first") == "ok" and sleeps == []
+    clock[0] += 0.25
+    assert client._fetch("second") == "ok" and sleeps == [0.75]
