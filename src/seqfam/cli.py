@@ -122,7 +122,7 @@ def load_roots_file(path: str) -> ExplicitRootsFamily:
 
     def root(n: int, l: int) -> ExactScalar:
         if n not in mapping:
-            raise ValueError(f"roots file lists no roots for n={n}")
+            raise ValueError(f"roots file {path} lists no roots for n={n}")
         return mapping[n][l - 1]
 
     return ExplicitRootsFamily(root, label=f"roots:{label}")

@@ -49,9 +49,9 @@ import time
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import chain
-from operator import mul, sub
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import chain, cycle
+from operator import add, mul, sub
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import ExactScalar, format_exact, normalize
 from .families import FIB, Family, fibonacci_polynomial
@@ -155,8 +155,9 @@ def eval_identity(identity: Identity, family: Family, *, n: int,
     if "q" in entry.params:
         require(q in Q_SPAN.values(p), f"{Q_SPAN.statement} (got p={p}, q={q})")
     plan = _plan([identity], SweepRanges(n=(n, n), m=(m, m), p=(p, p), q=(q, q)))
-    ((_, _, ((m,), p, (q,), lhs, rhs, k)),) = _blocks(plan, plan.points, family)
-    return _record(family, identity, n, m, p, q, lhs, rhs, k)
+    ((_, _, ms, pqs, _),) = plan.points
+    (point,) = entry.kernel(_Pass(plan, family), n, ms, pqs, True)
+    return _record(family, identity, n, *point)
 
 
 # ---------------------------------------------------------------------------
@@ -231,143 +232,190 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 # Fraction-free kernels, the one evaluation of every entry.  Each entry is
 # linear in the members of one row X(r, .), so a family's pass builds each row
 # once for every entry, as the family's ``rows`` yields it, ints over a common
-# denominator d: ``rows[r]`` is (d, row), and ``row[x]`` is d * X(r, x) for each
-# label x that some entry's ``reads`` names at some n.  A kernel yields blocks
-# (ms, p, qs, lhs, rhs, k) at one n: the checks at every m in ms and q in qs
-# share the two sides lhs and rhs, each times one nonzero clearing factor k (d,
-# n!*d*b^(n-1), m!/(m-n)!*d or m^(n-1)*d), so they pass iff lhs == rhs, and
-# their exact sides are lhs/k and rhs/k.  Most blocks hold one point, (m,) and
-# (q,), with None for a parameter the entry does not carry; the SUBFAM_* kernel
-# yields whole blocks, below.  Every kernel also gets ``memo``, a dict that lives
-# for one family's pass: the SUBFAM_* kernels keep there the differences of each
-# row, and L2_SCALE and SCALE_ID the one sum they share at each (n, m).
+# denominator d over the plan's labels: ``rows[r]`` is (d, row), and
+# ``row[plan.at[x]]`` is d * X(r, x) for each label x that some entry's ``reads``
+# names at some n.  A kernel decides every check of one (entry, n) at once: it
+# builds, as lists over ms, the two things each check compares, each times one
+# nonzero clearing factor k (d, n!*d*b^(n-1), m!/(m-n)!*d or m^(n-1)*d), and the
+# checks pass iff the two lists are equal.  Only at an m where they differ does
+# it compute the point (m, p, q, lhs, rhs, k) of a failing check, whose exact
+# sides are lhs/k and rhs/k; with ``every`` it computes every point, which is
+# how eval_identity reads a passing check.  Its sums are ``_dots`` over slices
+# of a row, in C.  What a kernel reads that depends on the grid alone (weights,
+# n!, row positions, m^(n-1), m!/(m-n)!, C(m, n)) is made once per sweep and
+# kept in the plan for every family (``_Pass.grid``).  REC_M and SUBFAM_* read
+# forward differences: a pass differences each row r r times, once, over the
+# span of labels the plan states for it from the entries' ``tables``.
 
-Rows = Dict[int, Tuple[int, Dict[int, int]]]
-Memo = Dict[Tuple, object]
+Rows = Dict[int, Tuple[int, List[int]]]
 PQs = List[Tuple[Optional[int], Sequence[Optional[int]]]]  # (p, the q at p) at one n
-_ONE = (None,)  # the values of a parameter that a block does not carry
+_ONE = (None,)  # the values of a parameter that a point does not carry
 
 
-def _int_rows(family: Family, r_lo: int, r_hi: int, labels: List[int]) -> Rows:
-    return {r: (d, dict(zip(labels, row)))
-            for r, (d, row) in enumerate(family.rows(labels, r_lo, r_hi), r_lo)}
+def _int_rows(family: Family, labels: List[int], r_lo: int, r_hi: int) -> Rows:
+    return dict(zip(range(r_lo, r_hi + 1), family.rows(labels, r_lo, r_hi)))
 
 
-def _dot(weights: Sequence[int], row: Dict[int, int], labels: Sequence[int]) -> int:
-    return sum(map(mul, weights, map(row.__getitem__, labels)))
+def _dots(a: Iterable[int], b: Iterable[int], size: int) -> List[int]:
+    """The sum of each run of ``size`` consecutive products a[i]*b[i], in C: with a =
+    cycle(w), the dot product of w with each window of b."""
+    return list(map(sum, zip(*[map(mul, a, b)] * size)))
 
 
-def _scaled_dot(w: List[int], row: Dict[int, int], n: int, m: int, memo: Memo) -> int:
-    """sum_{l=1..n} (-1)^l C(n,l) l d*X(n, l*m), for w = _weights(n, 1)[1:]: L2_SCALE's
-    sum at (a, b) = (0, m) and SCALE_ID's scaled sum, computed once per pass at (n, m)."""
-    key = ("scaled", n, m)
-    if key not in memo:
-        memo[key] = _dot(w, row, range(m, (n + 1) * m, m))
-    return memo[key]
+def _failing(got: List[int], want: List[int], every: bool, point: Callable) -> Sequence:
+    """point(i) at each i where got[i] != want[i], or at every i when ``every``."""
+    if got == want and not every:
+        return ()
+    return [point(i) for i, (a, b) in enumerate(zip(got, want)) if every or a != b]
 
 
-def _kernel_root_sum(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo,
-                     scale: bool):
+class _Pass:
+    """One family's pass of a plan: its rows, built once, and what its kernels compute
+    once from them, in ``memo``: each row r's differences of order r, and the sums of
+    ``sums``.  It lives for the pass."""
+
+    def __init__(self, plan: "_Plan", family: Family):
+        self.plan, self.family, self.memo = plan, family, {}
+        self.rows = _int_rows(family, plan.labels, plan.r_lo, plan.r_hi)
+
+    def grid(self, key: Tuple, make: Callable):
+        """make(), which depends on the grid alone: the plan keeps it for every pass."""
+        if key not in self.plan.grid:
+            self.plan.grid[key] = make()
+        return self.plan.grid[key]
+
+    def differences(self, r: int, x: int, size: int) -> List[int]:
+        """Delta^r d*X(r, .) at the labels x..x+size-1, from the row's table over the span
+        lo..hi that the plan states for row r: the row differenced r times, once."""
+        lo, hi = self.plan.spans[r]
+        if r not in self.memo:
+            at, table = self.plan.at, self.rows[r][1]
+            table = table[at[lo]:at[hi] + 1]
+            for _ in range(r):
+                table = list(map(sub, table[1:], table))
+            self.memo[r] = table
+        return self.memo[r][x - lo:x - lo + size]
+
+    def sums(self, n: int, ms: List[int], scale: bool) -> Tuple:
+        """(n!, m^(n-1) if scale, the sum) at each m of ms, for (a, b) = (0, m) if scale
+        else (m, 1), where the sum is sum_{l=1..n} (-1)^l C(n,l) l d*X(n, a + b*l): the
+        sum of L1 relabeled x -> a + b*x.  Each sum is computed once per pass, so
+        L2_SCALE and SCALE_ID share theirs."""
+        key, at, count = (scale, n, ms[0], ms[-1]), self.plan.at, len(ms)
+        w, fact = self.grid(n, lambda: (_weights(n, 1)[1:], math.factorial(n)))
+        where, powers = self.grid(key, lambda: (  # the row positions of X(n, a + b*l)
+            [at[l * m] for m in ms for l in range(1, n + 1)], [m ** (n - 1) for m in ms])
+            if scale else (at[ms[0] + 1], None))
+        if key not in self.memo:
+            get = self.rows[n][1].__getitem__
+            if scale:
+                values = map(get, where)
+            else:  # the n labels from m + 1, m by m
+                values = chain.from_iterable(map(get, map(slice, range(where, where + count),
+                                                          range(where + n, where + n + count))))
+            self.memo[key] = _dots(cycle(w), values, n)
+        return fact, powers, self.memo[key]
+
+
+def _kernel_root_sum(ps, n, ms, pqs, every, scale):
     # L1 of the family relabeled x -> a + b*x, (a, b) = (0, m) if scale else (m, 1): its
-    # members are X(n, a + b*l)/b^n and its root sum is (S_n + n*a)/b; k = n!*d*b^(n-1)*e,
-    # where e is the denominator of S_n, so that both sides are ints.
-    d, row = rows[n]
-    fd, sign, w = math.factorial(n) * d, (-1) ** n, _weights(n, 1)[1:]
-    root_sum = family.root_sum(n)
-    s, e = root_sum.numerator, root_sum.denominator
-    for m in ms:
-        a, b = (0, m) if scale else (m, 1)
-        k = fd * b ** (n - 1)
-        total = (_scaled_dot(w, row, n, m, memo) if scale
-                 else _dot(w, row, range(a + b, a + (n + 1) * b, b)))  # a + b*l for l = 1..n
-        rhs = sign * total - (n * a + n * (n + 1) // 2 * b) * k
-        yield (m,), None, _ONE, s * k, rhs * e, k * e
+    # members are X(n, a + b*l)/b^n and its root sum is (S_n + n*a)/b.  With S_n = s/e and
+    # k = n!*d*b^(n-1), both sides times k*e are ints, and a check passes iff
+    # (-1)^n e*sum == k*(s + (n*a + n(n+1)/2*b)*e).
+    d, half = ps.rows[n][0], n * (n + 1) // 2
+    root_sum = ps.family.root_sum(n)
+    s, e, sign = root_sum.numerator, root_sum.denominator, (-1) ** n
+    fact, powers, sums = ps.sums(n, ms, scale)
+    ks = list(map((fact * d).__mul__, powers)) if scale else [fact * d] * len(ms)
+    terms = list(map(half.__mul__, ms) if scale else map(half.__add__, map(n.__mul__, ms)))
+    want = list(map(mul, ks, map(s.__add__, map(e.__mul__, terms))))
+    return _failing(list(map((sign * e).__mul__, sums)), want, every, lambda i: (
+        ms[i], None, None, s * ks[i], (sign * sums[i] - terms[i] * ks[i]) * e, ks[i] * e))
 
 
-def _kernel_rec_m(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo):
-    d, row = rows[n]
-    w = [(-1) ** (n + l) * math.comb(n, l - 1) for l in range(1, n + 1)]
+def _kernel_rec_m(ps, n, ms, pqs, every):
+    # sum_{l=1..n} (-1)^(n+l) C(n,l-1) f(m-n+l) = f(m+1) - Delta^n f(m-n+1), so with
+    # f = d*X(n, .) a check holds iff Delta^n f(m-n+1) == n!*d; its rhs is the same int.
+    d, row = ps.rows[n]
     fd = math.factorial(n) * d
-    for m in ms:
-        yield (m,), None, _ONE, row[m + 1], _dot(w, row, range(m - n + 1, m + 1)) + fd, d
+    window = ps.differences(n, ms[0] - n + 1, len(ms))
+
+    def point(i):
+        lhs = row[ps.plan.at[ms[i] + 1]]
+        return ms[i], None, None, lhs, lhs - window[i] + fd, d
+
+    return _failing(window, [fd] * len(ms), every, point)
 
 
-def _kernel_scale_id(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo):
-    d, row = rows[n]
-    w = _weights(n, 1)[1:]
-    plain = _dot(w, row, range(1, n + 1))
-    half = (-1) ** (n - 1) * n * math.factorial(n + 1) // 2 * d
-    for m in ms:
-        power = m ** (n - 1)
-        scaled = _scaled_dot(w, row, n, m, memo)
-        yield (m,), None, _ONE, scaled, power * (plain + (1 - m) * half), power * d
+def _kernel_scale_id(ps, n, ms, pqs, every):
+    d = ps.rows[n][0]
+    fact, powers, sums = ps.sums(n, ms, True)
+    (plain,) = ps.sums(n, [0], False)[2]  # at m = 0, over X(n, l) for l = 1..n
+    half = (-1) ** (n - 1) * n * (n + 1) * fact // 2 * d
+    # m^(n-1) * (plain + (1-m)*half)
+    want = list(map(mul, powers, map((plain + half).__sub__, map(half.__mul__, ms))))
+    return _failing(sums, want, every,
+                    lambda i: (ms[i], None, None, sums[i], want[i], powers[i] * d))
 
 
-def _kernel_expl(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo,
-                 sign: int):
-    d, row = rows[n]
-    coeffs = [(-1) ** (n + l) * (n - l) * math.comb(n, l) for l in range(n)]
-    values = [row[sign * l] for l in range(n)]  # X(n, sign*l)
-    for m in ms:
-        ff, c = math.perm(m, n), math.comb(m, n)
-        w = [a * c * (ff // (l - m)) for l, a in enumerate(coeffs)]
-        total = sum(map(mul, w, values)) + sign ** n * ff * ff * d
-        yield (m,), None, _ONE, ff * row[sign * m], total, ff * d
+def _kernel_expl(ps, n, ms, pqs, every, sign):
+    d, row = ps.rows[n]
+    at = ps.plan.at
+    ffs, weights = ps.grid(("expl", n), lambda: ([math.perm(m, n) for m in ms], [
+        (-1) ** (n + l) * (n - l) * math.comb(n, l) * math.comb(m, n) * (math.perm(m, n) // (l - m))
+        for m in ms for l in range(n)]))
+    values = [row[at[sign * l]] for l in range(n)]  # X(n, sign*l), l = 0..n-1
+    want = list(map(add, _dots(weights, cycle(values), n),
+                    map((sign ** n * d).__mul__, map(mul, ffs, ffs))))
+    got = [ff * row[at[sign * m]] for ff, m in zip(ffs, ms)]  # m!/(m-n)! * X(n, sign*m)
+    return _failing(got, want, every, lambda i: (ms[i], None, None, got[i], want[i], ffs[i] * d))
 
 
-def _differences(row: Dict[int, int], r: int, lo: int, hi: int) -> List[int]:
-    """D for the row f over the labels lo..hi: D[i] = Delta^r f(lo + i)."""
-    diffs = [row[x] for x in range(lo, hi + 1)]
-    for _ in range(r):
-        diffs = list(map(sub, diffs[1:], diffs))
-    return diffs
-
-
-def _kernel_subfam(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo,
-                   fact: bool):
+def _kernel_subfam(ps, n, ms, pqs, every, fact):
     # With f = d*X(n-p, .), r = n-p and Stirling numbers S(q, j), the entry's sum is
     # T_q(m) = (-1)^n sum_{j<=q} S(q,j) n!/(n-j)! Delta^(n-j) f(m-n+j).  Where
-    # Delta^r f is constant on ms[0]-n..ms[-1]-r, so on the window ms[0]-n..ms[-1]
-    # that the (n, p) checks read, every term with j < p vanishes: T_q = 0 for every
-    # q < p and every m, and T_p = (-1)^n n!/(n-p)! Delta^r f.  memo["differences", r]
-    # is (lo, hi, Delta^r f on lo..hi), redone on the union span when a window leaves
-    # it; a pass visits n largest first, so each row is differenced once and serves
-    # every n > r.
-    # Elsewhere each check is its own dot product, so failing sides stay exact.
-    sign = (-1) ** n
+    # Delta^r f is constant on the window ms[0]-n..ms[-1]-r that the (n, p) checks read,
+    # every term with j < p vanishes: T_q = 0 for every q < p and every m, and
+    # T_p = (-1)^n n!/(n-p)! Delta^r f.  Elsewhere _subfam_points sums each check.
+    sign, failing = (-1) ** n, []
     for p, qs in pqs:
-        r = n - p
-        d, row = rows[r]
-        lo, hi, diffs = memo.get(("differences", r), (ms[0] - n, ms[-1], None))
-        if diffs is None or ms[0] - n < lo or ms[-1] > hi:
-            lo, hi = min(lo, ms[0] - n), max(hi, ms[-1])
-            diffs = _differences(row, r, lo, hi)
-            memo["differences", r] = lo, hi, diffs
+        d = ps.rows[n - p][0]
         rhs = sign * math.factorial(n) * d if fact else 0
-        window = diffs[ms[0] - n - lo:ms[-1] - r - lo + 1]
-        if window.count(window[0]) == len(window):
-            lhs = sign * math.perm(n, p) * window[0] if fact else 0
-            yield ms, p, qs, lhs, rhs, d
+        window = ps.differences(n - p, ms[0] - n, len(ms) + p)
+        if window.count(window[0]) != len(window):
+            failing += _subfam_points(ps, n, ms, p, qs, rhs, every, fact)
             continue
-        weights = [_weights(n, p if fact else q) for q in qs]
-        for m in ms:
-            for q, w in zip(qs, weights):
-                yield (m,), p, (q,), _dot(w, row, range(m - n, m + 1)), rhs, d
+        lhs = sign * math.perm(n, p) * window[0] if fact else 0
+        if every or lhs != rhs:
+            failing += [(m, p, q, lhs, rhs, d) for m in ms for q in qs]
+    return failing
 
 
-def _kernel_fib_posneg(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo,
-                       compl: bool):
-    d, row = rows[n]
-    w = _weights(n, 1)[1:]
-    pos, neg = _dot(w, row, range(1, n + 1)), _dot(w, row, range(-1, -n - 1, -1))
+def _subfam_points(ps, n, ms, p, qs, rhs, every, fact):
+    """The SUBFAM_* checks at one (n, p) whose window is not constant, each its own sum."""
+    d, row = ps.rows[n - p]
+    start, failing = ps.plan.at[ms[0] - n], []
+    for q in qs:
+        w = _weights(n, p if fact else q)
+        sums = [sum(map(mul, w, row[start + i:start + i + n + 1])) for i in range(len(ms))]
+        failing += [(m, p, q, lhs, rhs, d) for m, lhs in zip(ms, sums) if every or lhs != rhs]
+    return failing
+
+
+def _kernel_fib_posneg(ps, n, ms, pqs, every, compl):
+    d = ps.rows[n][0]
+    (pos,), (neg,) = ps.sums(n, [0], False)[2], ps.sums(n, [-1], True)[2]  # X(n, l), X(n, -l)
+    lhs = neg + ((-1) ** n if compl else -1) * pos
     rhs = n * math.factorial(n + 1) * d * (1 if compl else n % 2)
-    yield _ONE, None, _ONE, neg + ((-1) ** n if compl else -1) * pos, rhs, d
+    return _failing([lhs], [rhs], every, lambda i: (None, None, None, lhs, rhs, d))
 
 
-def _kernel_fib_poly(rows: Rows, family: Family, n: int, ms: List[int], pqs: PQs, memo: Memo):
-    d, row = rows[n]
-    for m in ms:
-        yield (m,), None, _ONE, fibonacci_polynomial(n, m) * d, row[m], d
+def _kernel_fib_poly(ps, n, ms, pqs, every):
+    d, row = ps.rows[n]
+    got = [fibonacci_polynomial(n, m) * d for m in ms]
+    start = ps.plan.at[ms[0]]
+    want = row[start:start + len(ms)]
+    return _failing(got, want, every, lambda i: (ms[i], None, None, got[i], want[i], d))
 
 
 class Entry(NamedTuple):
@@ -377,13 +425,19 @@ class Entry(NamedTuple):
     m_hypothesis: Optional[Tuple[Callable[[int, int], bool], str]]  # holds(n, m), statement
     fib_only: bool  # holds for the generalized Fibonacci family lucas:-1 only
     reads: Callable[[int, List[int]], Sequence[int]]  # (n, ms) -> the labels the kernel reads
-    kernel: Callable  # the integer kernel: yields blocks (ms, p, qs, lhs, rhs, k) of checks
+    # (ps, n, ms, pqs, every) -> the points (m, p, q, lhs, rhs, k) of the failing checks at
+    # n, for the pass ps, the admissible ms and pqs of Entry.points, and every: bool
+    kernel: Callable
+    # (n, ms, pqs) -> (r, lo, hi) for each row r whose differences at lo..hi the kernel reads
+    tables: Callable = lambda n, ms, pqs: ()
 
     def points(self, n: int, ranges: SweepRanges) -> Tuple[List[int], PQs]:
         """The admissible m of a sweep at n, and its admissible p that have an admissible q,
         each with those q; [0] and [(None, (None,))] for an entry without m or p."""
-        holds = self.m_hypothesis[0] if self.m_hypothesis else lambda n, m: True
-        ms = [m for m in ranges.m_values(n) if holds(n, m)] if "m" in self.params else [0]
+        ms = ranges.m_values(n) if "m" in self.params else [0]
+        if self.m_hypothesis:
+            holds = self.m_hypothesis[0]
+            ms = [m for m in ms if holds(n, m)]
         if "p" not in self.params:
             return ms, [(None, _ONE)]
         pqs = [(p, Q_SPAN.values(p, ranges.q) if "q" in self.params else _ONE)
@@ -391,8 +445,8 @@ class Entry(NamedTuple):
         return ms, [(p, qs) for p, qs in pqs if qs]
 
 
-def _shifted(n: int, ms: Sequence[int]) -> List[int]:
-    return [l + m for m in ms for l in range(1, n + 1)]
+def _shifted(n: int, ms: List[int]) -> range:
+    return range(ms[0] + 1, ms[-1] + n + 1)  # l + m for l = 1..n, at each m of a range
 
 
 def _scaled(n: int, ms: Sequence[int]) -> List[int]:
@@ -401,6 +455,8 @@ def _scaled(n: int, ms: Sequence[int]) -> List[int]:
 
 _M_NONZERO = (lambda n, m: m != 0, "m != 0")
 _M_AT_LEAST_N = (lambda n, m: m >= n, "m >= n")
+_SUBFAM = (lambda n, ms: range(ms[0] - n, ms[-1] + 1),  # reads, of the row n - p at each p
+           lambda n, ms, pqs: [(n - p, ms[0] - n, ms[-1]) for p, _ in pqs])
 
 #: The identity catalog.  L1, L2_SHIFT and L2_SCALE are one root-sum kernel, relabeled;
 #: EXPL_NEG is EXPL_POS over the labels -l and -m; FIB_POSNEG_COMPL flips the sign of X(n, l).
@@ -409,8 +465,9 @@ CATALOG: Dict[Identity, Entry] = {
     Identity.L2_SHIFT: Entry("m", None, False, _shifted, partial(_kernel_root_sum, scale=False)),
     Identity.L2_SCALE: Entry("m", _M_NONZERO, False, _scaled,
                              partial(_kernel_root_sum, scale=True)),
-    Identity.REC_M: Entry("m", None, False, lambda n, ms: _shifted(n + 1, [m - n for m in ms]),
-                          _kernel_rec_m),  # X(n, l+m-n) for l = 1..n+1
+    Identity.REC_M: Entry("m", None, False, lambda n, ms: range(ms[0] - n + 1, ms[-1] + 2),
+                          _kernel_rec_m,  # X(n, l+m-n) for l = 1..n+1
+                          lambda n, ms, pqs: [(n, ms[0] - n + 1, ms[-1] + 1)]),
     Identity.SCALE_ID: Entry("m", _M_NONZERO, False, lambda n, ms: _scaled(n, [1, *ms]),
                              _kernel_scale_id),
     Identity.EXPL_POS: Entry("m", _M_AT_LEAST_N, False, lambda n, ms: [*range(n), *ms],
@@ -418,10 +475,10 @@ CATALOG: Dict[Identity, Entry] = {
     Identity.EXPL_NEG: Entry("m", _M_AT_LEAST_N, False,
                              lambda n, ms: [*range(1 - n, 1), *(-m for m in ms)],
                              partial(_kernel_expl, sign=-1)),
-    Identity.SUBFAM_ZERO: Entry("mpq", None, False, lambda n, ms: range(ms[0] - n, ms[-1] + 1),
-                                partial(_kernel_subfam, fact=False)),
-    Identity.SUBFAM_FACT: Entry("mp", None, False, lambda n, ms: range(ms[0] - n, ms[-1] + 1),
-                                partial(_kernel_subfam, fact=True)),
+    Identity.SUBFAM_ZERO: Entry("mpq", None, False, _SUBFAM[0],
+                                partial(_kernel_subfam, fact=False), _SUBFAM[1]),
+    Identity.SUBFAM_FACT: Entry("mp", None, False, _SUBFAM[0],
+                                partial(_kernel_subfam, fact=True), _SUBFAM[1]),
     Identity.FIB_POSNEG: Entry("", None, True, lambda n, ms: _scaled(n, (1, -1)),
                                partial(_kernel_fib_posneg, compl=False)),
     Identity.FIB_POSNEG_COMPL: Entry("", None, True, lambda n, ms: _scaled(n, (1, -1)),
@@ -431,40 +488,44 @@ CATALOG: Dict[Identity, Entry] = {
 
 
 class _Plan(NamedTuple):
-    """What every family's pass runs: each entry's admissible points at each n, n largest
-    first, and the rows r_lo..r_hi it builds, over the labels the kernels read."""
+    """What every family's pass runs: each entry's admissible points at each n, with their
+    check counts; the rows r_lo..r_hi it builds, over the labels the kernels read, and the
+    position of each label in a row; the span of labels lo..hi of each row's difference
+    table; and what the kernels read that depends on the grid alone, made on first use."""
 
-    points: List[Tuple[Identity, int, List[int], PQs]]  # (identity, n, ms, pqs)
+    points: List[Tuple]  # (identity, n, ms, pqs, its check count)
     labels: List[int]
+    at: Dict[int, int]
     r_lo: int
     r_hi: int
+    spans: Dict[int, Tuple[int, int]]
+    grid: Dict[Tuple, object]
 
 
 def _plan(identities: Sequence[Identity], ranges: SweepRanges) -> Optional[_Plan]:
     """The plan of every family of a sweep; None when no entry has an admissible point."""
     points = [(identity, n, *CATALOG[identity].points(n, ranges)) for identity in identities
-              for n in range(ranges.n[1], max(ranges.n[0], 1) - 1, -1)]
-    points = [(identity, n, ms, pqs) for identity, n, ms, pqs in points if ms and pqs]
+              for n in range(max(ranges.n[0], 1), ranges.n[1] + 1)]
+    points = [(identity, n, ms, pqs, len(ms) * sum(len(qs) for _, qs in pqs))
+              for identity, n, ms, pqs in points if ms and pqs]
     if not points:
         return None
-    labels = sorted(set(chain.from_iterable(CATALOG[i].reads(n, ms) for i, n, ms, _ in points)))
-    r_values = [n - (p or 0) for _, n, _, pqs in points for p, _ in pqs]  # rows n - p
-    return _Plan(points, labels, min(r_values), max(r_values))
+    # the windows of one row's table overlap, so its span holds only labels ``reads`` names
+    spans: Dict[int, Tuple[int, int]] = {}
+    for identity, n, ms, pqs, _ in points:
+        for r, lo, hi in CATALOG[identity].tables(n, ms, pqs):
+            old = spans.get(r, (lo, hi))
+            spans[r] = min(lo, old[0]), max(hi, old[1])
+    labels = sorted(set(chain.from_iterable(CATALOG[i].reads(n, ms) for i, n, ms, *_ in points)))
+    r_values = [n - (p or 0) for _, n, _, pqs, _ in points for p, _ in pqs]  # rows n - p
+    return _Plan(points, labels, {x: i for i, x in enumerate(labels)}, min(r_values),
+                 max(r_values), spans, {})
 
 
 def _points(plan: Optional[_Plan], family: Family) -> List[Tuple]:
     """The points of the plan on one family; the fib_only entries run on lucas:-1 alone."""
     fib = family == FIB
     return [pt for pt in plan.points if fib or not CATALOG[pt[0]].fib_only] if plan else []
-
-
-def _blocks(plan: _Plan, points: List[Tuple], family: Family
-            ) -> Iterator[Tuple[Identity, int, Tuple]]:
-    """(identity, n, block) for every check block of some points of the plan on one family."""
-    rows, memo = _int_rows(family, plan.r_lo, plan.r_hi, plan.labels), {}
-    for identity, n, ms, pqs in points:
-        for block in CATALOG[identity].kernel(rows, family, n, ms, pqs, memo):
-            yield identity, n, block
 
 
 def _record(family: Family, identity: str, n: int, m: Optional[int], p: Optional[int],
@@ -484,12 +545,14 @@ def _run_cell_star(task: Tuple[_Plan, List[Tuple], Family]) -> Tuple[int, List[T
     and its failing points, each (identity, n, m, p, q, lhs, rhs, k) in ints and strings,
     as a forked child sends it.  perfbench/layers.py times each process's tasks by
     wrapping this name, so every process calls it through the module."""
+    plan, points, family = task
+    ps = _Pass(plan, family)
     count = 0
     failing = []
-    for identity, n, (ms, p, qs, lhs, rhs, k) in _blocks(*task):
-        count += len(ms) * len(qs)
-        if lhs != rhs:
-            failing.extend((identity.value, n, m, p, q, lhs, rhs, k) for m in ms for q in qs)
+    for identity, n, ms, pqs, checks in points:
+        count += checks
+        failing += [(identity.value, n, *point)
+                    for point in CATALOG[identity].kernel(ps, n, ms, pqs, False)]
     return count, failing
 
 

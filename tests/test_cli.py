@@ -948,6 +948,20 @@ def test_roots_file_with_a_gap_is_refused_before_any_output(tmp_path, capsys, ar
                    "from 1 to 3\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--n", "0..3", "--m", "0..2"],
+    ["verify", "--n", "1..3", "--m", "0..2"],
+    ["float-check", "--n", "1..3", "--m", "0..0"],
+    ["oeis", "--row", "3", "--offline"],
+], ids=["table", "verify", "float-check", "oeis"])
+def test_a_row_past_the_roots_file_names_the_file(tmp_path, capsys, argv):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"roots": {"1": ["1/2"], "2": ["3", "-1/3"]}}))
+    code, out, err = run(capsys, argv[0], "--family", f"roots:{path}", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: roots file {path} lists no roots for n=3\n"
+
+
 def test_table_renders_members_past_the_digit_limit(capsys):
     # 12^9000 has 9,713 digits, past the 4,300 Python's str() allows
     code, out, err = run(capsys, "table", "--family", "power:2", "--n", "9000..9000",

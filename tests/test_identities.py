@@ -1,5 +1,6 @@
 """Tests for the identity catalog and sweep driver."""
 
+import contextlib
 import json
 import math
 import os
@@ -272,28 +273,36 @@ def test_one_point_call_builds_only_the_labels_it_reads(monkeypatch, entry, poin
     assert built_labels(asked) == sorted(labels)  # each label once
 
 
-class RecordingRow(dict):
-    """A built row that notes every label a kernel reads from it."""
+class RecordingRow(list):
+    """A built row, over the plan's labels, that notes the label of every position a kernel
+    reads from it, one at a time or by slice."""
 
-    def __init__(self, row, read):
+    def __init__(self, row, labels, read):
         super().__init__(row)
-        self.read = read
+        self.labels, self.read = labels, read
 
-    def __getitem__(self, label):
-        self.read.add(label)
-        return super().__getitem__(label)
+    def __getitem__(self, at):
+        for label in self.labels[at] if isinstance(at, slice) else [self.labels[at]]:
+            self.read.add(label)
+        return super().__getitem__(at)
+
+
+def record_reads(monkeypatch, read):
+    """Make every pass build RecordingRows; read(r) is where row r notes its reads."""
+    from seqfam import identities
+
+    int_rows = identities._int_rows
+    monkeypatch.setattr(identities, "_int_rows", lambda family, labels, lo, hi: {
+        r: (d, RecordingRow(row, labels, read(r)))
+        for r, (d, row) in int_rows(family, labels, lo, hi).items()})
 
 
 @pytest.mark.parametrize("entry", ALL_IDENTITIES, ids=lambda e: e.value)
 @pytest.mark.parametrize("family", [FIB, PowerFamily(Fraction(1, 2))], ids=lambda f: f.label())
 def test_a_cell_builds_exactly_the_labels_its_kernel_reads(monkeypatch, entry, family):
-    from seqfam import identities
-
     built = record_rows(monkeypatch, type(family))
     read = set()
-    int_rows = identities._int_rows
-    monkeypatch.setattr(identities, "_int_rows", lambda *args: {
-        r: (d, RecordingRow(row, read)) for r, (d, row) in int_rows(*args).items()})
+    record_reads(monkeypatch, lambda r: read)
     report = sweep([entry], [family], SweepRanges(n=(1, 7), m=(-4, 5)))
     assert report.failures == []
     assert bool(report.total_checks) == bool(read) == (family == FIB or not CATALOG[entry].fib_only)
@@ -555,6 +564,22 @@ def test_subfam_window_edges_agree_with_oracle(monkeypatch, entry, family, label
         assert (7, 2) in failed
 
 
+# REC_M decides every m at one n from the differences of order n of the row X(n, .),
+# over the labels m_lo-n+1..m_hi+1: Delta^n X(n, m-n+1) must equal n!.  A corrupted
+# member at either end of that window of n = 7 fails the one m that reads it, with the
+# exact sides of the sum, alone and where the SUBFAM_* entries share the row's table.
+@pytest.mark.parametrize("family", [HALF, PochhammerFamily(), FIB], ids=lambda f: f.label())
+@pytest.mark.parametrize("label, m", [(-3 - 7 + 1, -3), (4 + 1, 4)],
+                         ids=["left-edge", "right-edge"])
+def test_rec_m_window_edges_agree_with_oracle(monkeypatch, family, label, m):
+    corrupt_member(monkeypatch, type(family), 7, label)
+    ranges = SweepRanges(n=(5, 7), m=(-3, 4))
+    report = assert_sweep_matches_oracle(Identity.REC_M, family, ranges)
+    assert [(c.params["n"], c.params["m"]) for c in report.failures] == [(7, m)]
+    shared = sweep([Identity.REC_M, *SUBFAM], [family], ranges).failures
+    assert [c for c in shared if c.identity is Identity.REC_M] == report.failures
+
+
 @pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
 @pytest.mark.parametrize("p, q", [((2, 3), (1, 1)), ((1, 2), None), ((3, 5), (0, 2))])
 def test_subfam_restricted_p_and_q_agree_with_oracle(monkeypatch, entry, p, q):
@@ -567,7 +592,20 @@ def test_subfam_restricted_p_and_q_agree_with_oracle(monkeypatch, entry, p, q):
 
 # Each row r is differenced once per family and serves every n > r; its window at
 # (n, p = n - r) is m_lo-n..m_hi at that n.  A corrupted member of row 3 sends to the
-# per-check fallback exactly the (n, n - 3) whose window holds its label.
+# per-check fallback, _subfam_points, exactly the (n, n - 3) whose window holds its
+# label, each once.
+@contextlib.contextmanager
+def recorded_fallbacks(monkeypatch):
+    """The (n, p) of every call to the SUBFAM_* per-check fallback within the block."""
+    from seqfam import identities
+
+    calls, points = [], identities._subfam_points
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "_subfam_points", lambda ps, n, ms, p, *args: (
+            calls.append((n, p)) or points(ps, n, ms, p, *args)))
+        yield calls
+
+
 @pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
 @pytest.mark.parametrize("family", [PowerFamily(Fraction(-3, 2)), FIB], ids=lambda f: f.label())
 @pytest.mark.parametrize("m, label, fallback", [
@@ -585,30 +623,36 @@ def test_subfam_falls_back_exactly_where_the_window_holds_the_member(
 
     corrupt_member(monkeypatch, type(family), 3, label)
     ranges = SweepRanges(n=(1, 8), m=m)
-    plan = identities._plan([entry], ranges)
-    blocks = Counter((n, p) for _, n, (_, p, *_) in identities._blocks(plan, plan.points, family))
-    assert {np for np, count in blocks.items() if count > 1} == {(n, n - 3) for n in fallback}
+    with recorded_fallbacks(monkeypatch) as fallbacks:
+        sweep([entry], [family], ranges)
+    assert Counter(fallbacks) == {(n, n - 3): 1 for n in fallback}
     assert_sweep_matches_oracle(entry, family, ranges)
 
 
-@pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
-@pytest.mark.parametrize("label", [-3 - 8, 4], ids=["left-edge", "right-edge"])
-def test_subfam_blocks_do_not_depend_on_the_order_n_is_visited(monkeypatch, entry, label):
+@pytest.mark.parametrize("entry, label", [
+    (Identity.REC_M, -3 - 3 + 1), (Identity.REC_M, 4 + 1),  # the ends of REC_M's window at n = 3
+    *((entry, label) for entry in SUBFAM for label in (-3 - 8, 4)),
+], ids=["REC_M-left-edge", "REC_M-right-edge", "SUBFAM_ZERO-left-edge", "SUBFAM_ZERO-right-edge",
+        "SUBFAM_FACT-left-edge", "SUBFAM_FACT-right-edge"])
+def test_kernel_points_do_not_depend_on_the_order_n_is_visited(monkeypatch, entry, label):
     from seqfam import identities
 
-    # a pass visits n largest first; smallest first, each row's memo is outgrown by the
-    # wider window of every larger n and must be differenced again over the union span
+    # the plan states each row's span, so the first n of a pass to read a row differences
+    # it over the labels every later n reads, whichever n that is
     corrupt_member(monkeypatch, PowerFamily, 3, label)
     family, ranges = PowerFamily(Fraction(-3, 2)), SweepRanges(n=(1, 8), m=(-3, 4))
-    kernel = CATALOG[entry].kernel
-    blocks = []
-    for order in (range(8, 1, -1), range(2, 9)):
-        rows, memo = identities._int_rows(family, 1, 7, list(range(-11, 5))), {}
-        blocks.append({n: list(kernel(rows, family, n, *CATALOG[entry].points(n, ranges), memo))
-                       for n in order})
-    assert blocks[0] == blocks[1]
-    # the corrupted row falls back to one-point blocks
-    assert any(len(ms) == 1 for b in blocks[0].values() for ms, *_ in b)
+    plan, kernel = identities._plan([entry], ranges), CATALOG[entry].kernel
+    points, fallbacks = [], []
+    for order in (plan.points, plan.points[::-1]):
+        with recorded_fallbacks(monkeypatch) as calls:
+            ps = identities._Pass(plan, family)
+            points.append({n: list(kernel(ps, n, ms, pqs, False)) for _, n, ms, pqs, _ in order})
+        fallbacks.append(sorted(calls))
+    assert points[0] == points[1] and fallbacks[0] == fallbacks[1]
+    # the corrupted row yields failing points, but for SUBFAM_FACT's left edge, which its sum
+    # weighs by 0^p = 0; the SUBFAM_* entries fall back to a sum per check where it is read
+    assert any(points[0].values()) == (entry is not Identity.SUBFAM_FACT or label > 0)
+    assert bool(fallbacks[0]) == (entry is not Identity.REC_M)
 
 
 class Reads(Counter):
@@ -618,22 +662,19 @@ class Reads(Counter):
         self[label] += 1
 
 
-@pytest.mark.parametrize("entries", [[Identity.SUBFAM_ZERO], [Identity.SUBFAM_FACT], SUBFAM],
+@pytest.mark.parametrize("entries", [[Identity.SUBFAM_ZERO], [Identity.SUBFAM_FACT], SUBFAM,
+                                     [Identity.REC_M], [Identity.REC_M, *SUBFAM]],
                          ids=lambda entries: "+".join(e.value for e in entries))
 @pytest.mark.parametrize("m", [(-6, 6), ("n", 12), (-3, "n")], ids=str)
-def test_subfam_differences_each_row_once_per_cell(monkeypatch, entries, m):
-    from seqfam import identities
-
+def test_differences_each_row_once_per_cell(monkeypatch, entries, m):
     reads = {}
-    int_rows = identities._int_rows
-    monkeypatch.setattr(identities, "_int_rows", lambda *args: {
-        r: (d, RecordingRow(row, reads.setdefault(r, Reads())))
-        for r, (d, row) in int_rows(*args).items()})
+    record_reads(monkeypatch, lambda r: reads.setdefault(r, Reads()))
     report = sweep(entries, [LucasFamily(2)], SweepRanges(n=(1, 10), m=m))
     assert report.total_checks > 0 and report.failures == []
-    # every (n, p) passes as one block, so each member is read once: when its row is differenced,
-    # once for both entries
-    assert set(reads) == set(range(1, 10))
+    # every (n, p) and every REC_M n passes on its window of the row's differences, so each
+    # member is read once: when its row is differenced, once for every entry
+    rows = range(1, 11) if Identity.REC_M in entries else range(1, 10)
+    assert set(reads) == set(rows)
     assert {count for row in reads.values() for count in row.values()} == {1}
 
 
@@ -870,17 +911,17 @@ def test_l2_scale_and_scale_id_share_one_dot_and_keep_their_sides(monkeypatch, l
         assert scale_failures(entries, family, ranges) == alone
 
     calls = []
-    dot = identities._dot
-    monkeypatch.setattr(identities, "_dot", lambda *args: calls.append(args) or dot(*args))
+    dots = identities._dots
+    monkeypatch.setattr(identities, "_dots", lambda *args: calls.append(args) or dots(*args))
 
-    def dots(entries):
+    def sums(entries):
         calls.clear()
         sweep(entries, [family], ranges)
         return len(calls)
 
-    points = sweep([Identity.L2_SCALE], [family], ranges).total_checks  # the (n, m), m != 0
-    l2_scale, scale_id = dots([Identity.L2_SCALE]), dots([Identity.SCALE_ID])
-    assert dots([Identity.L2_SCALE, Identity.SCALE_ID]) == l2_scale + scale_id - points
+    shared = len(identities._plan([Identity.L2_SCALE], ranges).points)  # the n, each all its m
+    l2_scale, scale_id = sums([Identity.L2_SCALE]), sums([Identity.SCALE_ID])
+    assert sums([Identity.L2_SCALE, Identity.SCALE_ID]) == l2_scale + scale_id - shared
 
 
 def test_plan_holds_one_label_list_at_a_time():
@@ -895,6 +936,22 @@ def test_plan_holds_one_label_list_at_a_time():
         tracemalloc.stop()
     assert peak < 12_000_000, f"peak {peak:,} B"
     union = set()
-    for identity, n, ms, _ in plan.points:
+    for identity, n, ms, *_ in plan.points:
         union.update(CATALOG[identity].reads(n, ms))
     assert plan.labels == sorted(union)
+
+
+def test_a_sweep_holds_one_family_pass_at_a_time():
+    # the headline sweep of every standard family: each pass's rows, difference tables and sums
+    # are dropped when the pass ends; kept to the end of the sweep, they raise the peak to 1.2 MB
+    from seqfam.cli import parse_families
+
+    families, ranges = parse_families("all"), SweepRanges(n=(1, 20), m=(-10, 10))
+    tracemalloc.start()
+    try:
+        report = sweep(ALL_IDENTITIES, families, ranges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.total_checks == 337_360 and report.failures == []
+    assert peak < 800_000, f"peak {peak:,} B"
