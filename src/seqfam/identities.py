@@ -236,16 +236,17 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 # ``row[plan.at[x]]`` is d * X(r, x) for each label x that some entry's ``reads``
 # names at some n.  A kernel decides every check of one (entry, n) at once: it
 # builds, as lists over ms, the two things each check compares, each times one
-# nonzero clearing factor k (d, n!*d*b^(n-1), m!/(m-n)!*d or m^(n-1)*d), and the
-# checks pass iff the two lists are equal.  Only at an m where they differ does
-# it compute the point (m, p, q, lhs, rhs, k) of a failing check, whose exact
-# sides are lhs/k and rhs/k; with ``every`` it computes every point, which is
-# how eval_identity reads a passing check.  Its sums are ``_dots`` over slices
-# of a row, in C.  What a kernel reads that depends on the grid alone (weights,
-# n!, row positions, m^(n-1), m!/(m-n)!, C(m, n)) is made once per sweep and
-# kept in the plan for every family (``_Pass.grid``).  REC_M and SUBFAM_* read
-# forward differences: a pass differences each row r r times, once, over the
-# span of labels the plan states for it from the entries' ``tables``.
+# nonzero clearing factor k, and the checks pass iff the two lists are equal.
+# Only at an m where they differ does it compute the point (m, p, q, lhs, rhs, k)
+# of a failing check, whose exact sides are lhs/k and rhs/k; with ``every`` it
+# computes every point, which is how eval_identity reads a passing check.  The
+# root-sum entries read ``_Pass.sums``, dot products over a row in C.  REC_M and
+# SUBFAM_* read forward differences: a pass differences each row r r times, once,
+# over the span of labels the plan states for it from the entries' ``tables``,
+# and a table that is r!*d throughout, as a family's always is, passes every
+# check that reads it.  What a kernel reads that depends on the grid alone
+# (weights, n!*b^(n-1), row positions, m!/(m-n)!, C(m, n)) is made once per sweep
+# and kept in the plan for every family (``_Pass.grid``).
 
 Rows = Dict[int, Tuple[int, List[int]]]
 PQs = List[Tuple[Optional[int], Sequence[Optional[int]]]]  # (p, the q at p) at one n
@@ -271,8 +272,8 @@ def _failing(got: List[int], want: List[int], every: bool, point: Callable) -> S
 
 class _Pass:
     """One family's pass of a plan: its rows, built once, and what its kernels compute
-    once from them, in ``memo``: each row r's differences of order r, and the sums of
-    ``sums``.  It lives for the pass."""
+    once from them, in ``memo``: the tables of ``table`` and the sums of ``sums``.  It
+    lives for the pass."""
 
     def __init__(self, plan: "_Plan", family: Family):
         self.plan, self.family, self.memo = plan, family, {}
@@ -284,28 +285,31 @@ class _Pass:
             self.plan.grid[key] = make()
         return self.plan.grid[key]
 
-    def differences(self, r: int, x: int, size: int) -> List[int]:
-        """Delta^r d*X(r, .) at the labels x..x+size-1, from the row's table over the span
-        lo..hi that the plan states for row r: the row differenced r times, once."""
-        lo, hi = self.plan.spans[r]
+    def table(self, r: int) -> Tuple[int, List[int], bool]:
+        """(lo, Delta^r d*X(r, .) at the labels lo..hi of the span the plan states for row
+        r, whether every value is r!*d): the row differenced r times, once.  Every row of a
+        family is a monic polynomial of degree r, so its table is r!*d throughout."""
         if r not in self.memo:
-            at, table = self.plan.at, self.rows[r][1]
-            table = table[at[lo]:at[hi] + 1]
+            lo, hi = self.plan.spans[r]
+            (d, row), at = self.rows[r], self.plan.at
+            table = row[at[lo]:at[hi] + 1]
             for _ in range(r):
                 table = list(map(sub, table[1:], table))
-            self.memo[r] = table
-        return self.memo[r][x - lo:x - lo + size]
+            self.memo[r] = lo, table, table.count(math.factorial(r) * d) == len(table)
+        return self.memo[r]
 
-    def sums(self, n: int, ms: List[int], scale: bool) -> Tuple:
-        """(n!, m^(n-1) if scale, the sum) at each m of ms, for (a, b) = (0, m) if scale
-        else (m, 1), where the sum is sum_{l=1..n} (-1)^l C(n,l) l d*X(n, a + b*l): the
-        sum of L1 relabeled x -> a + b*x.  Each sum is computed once per pass, so
-        L2_SCALE and SCALE_ID share theirs."""
+    def sums(self, n: int, ms: List[int], scale: bool) -> Tuple[List[int], List[int], List[int]]:
+        """(k, term, the sum) at each m of ms, for (a, b) = (0, m) if scale else (m, 1), where
+        the sum is sum_{l=1..n} (-1)^l C(n,l) l d*X(n, a + b*l), the sum of L1 relabeled
+        x -> a + b*x, k = n!*b^(n-1) and term = n*a + n(n+1)/2*b.  k and term depend on the
+        grid alone; each sum is computed once per pass, so L2_SCALE and SCALE_ID share theirs."""
         key, at, count = (scale, n, ms[0], ms[-1]), self.plan.at, len(ms)
-        w, fact = self.grid(n, lambda: (_weights(n, 1)[1:], math.factorial(n)))
-        where, powers = self.grid(key, lambda: (  # the row positions of X(n, a + b*l)
-            [at[l * m] for m in ms for l in range(1, n + 1)], [m ** (n - 1) for m in ms])
-            if scale else (at[ms[0] + 1], None))
+        w, fact, half = self.grid(n, lambda: (_weights(n, 1)[1:], math.factorial(n),
+                                              n * (n + 1) // 2))
+        where, ks, terms = self.grid(key, lambda: (  # the row positions of X(n, a + b*l)
+            [at[l * m] for m in ms for l in range(1, n + 1)], [fact * m ** (n - 1) for m in ms],
+            [half * m for m in ms]) if scale else (
+            at[ms[0] + 1], [fact] * count, [half + n * m for m in ms]))
         if key not in self.memo:
             get = self.rows[n][1].__getitem__
             if scale:
@@ -314,31 +318,32 @@ class _Pass:
                 values = chain.from_iterable(map(get, map(slice, range(where, where + count),
                                                           range(where + n, where + n + count))))
             self.memo[key] = _dots(cycle(w), values, n)
-        return fact, powers, self.memo[key]
+        return ks, terms, self.memo[key]
 
 
 def _kernel_root_sum(ps, n, ms, pqs, every, scale):
     # L1 of the family relabeled x -> a + b*x, (a, b) = (0, m) if scale else (m, 1): its
     # members are X(n, a + b*l)/b^n and its root sum is (S_n + n*a)/b.  With S_n = s/e and
-    # k = n!*d*b^(n-1), both sides times k*e are ints, and a check passes iff
-    # (-1)^n e*sum == k*(s + (n*a + n(n+1)/2*b)*e).
-    d, half = ps.rows[n][0], n * (n + 1) // 2
-    root_sum = ps.family.root_sum(n)
-    s, e, sign = root_sum.numerator, root_sum.denominator, (-1) ** n
-    fact, powers, sums = ps.sums(n, ms, scale)
-    ks = list(map((fact * d).__mul__, powers)) if scale else [fact * d] * len(ms)
-    terms = list(map(half.__mul__, ms) if scale else map(half.__add__, map(n.__mul__, ms)))
-    want = list(map(mul, ks, map(s.__add__, map(e.__mul__, terms))))
-    return _failing(list(map((sign * e).__mul__, sums)), want, every, lambda i: (
-        ms[i], None, None, s * ks[i], (sign * sums[i] - terms[i] * ks[i]) * e, ks[i] * e))
+    # k, term and the sum of ``sums``, both sides times k*d*e are ints, and a check passes
+    # iff (-1)^n e*sum == k*(d*s + d*e*term).
+    d, root_sum = ps.rows[n][0], ps.family.root_sum(n)
+    s, e = root_sum.numerator * d, root_sum.denominator
+    ks, terms, sums = ps.sums(n, ms, scale)
+    got = list(map(((-1) ** n * e).__mul__, sums))
+    want = list(map(mul, ks, map(s.__add__, map((d * e).__mul__, terms))))
+    return _failing(got, want, every, lambda i: (
+        ms[i], None, None, s * ks[i], got[i] - want[i] + s * ks[i], ks[i] * d * e))
 
 
 def _kernel_rec_m(ps, n, ms, pqs, every):
     # sum_{l=1..n} (-1)^(n+l) C(n,l-1) f(m-n+l) = f(m+1) - Delta^n f(m-n+1), so with
     # f = d*X(n, .) a check holds iff Delta^n f(m-n+1) == n!*d; its rhs is the same int.
+    lo, table, holds = ps.table(n)
+    if holds and not every:
+        return ()
     d, row = ps.rows[n]
-    fd = math.factorial(n) * d
-    window = ps.differences(n, ms[0] - n + 1, len(ms))
+    fd, start = math.factorial(n) * d, ms[0] - n + 1 - lo
+    window = table[start:start + len(ms)]
 
     def point(i):
         lhs = row[ps.plan.at[ms[i] + 1]]
@@ -348,14 +353,15 @@ def _kernel_rec_m(ps, n, ms, pqs, every):
 
 
 def _kernel_scale_id(ps, n, ms, pqs, every):
+    # With the sums of L2_SCALE at m and of L1 (plain), times k*d = n!*m^(n-1)*d a check
+    # passes iff n!*sum == k*(plain + c*(n(n+1)/2 - term)), c = (-1)^(n-1) n!*d.
     d = ps.rows[n][0]
-    fact, powers, sums = ps.sums(n, ms, True)
-    (plain,) = ps.sums(n, [0], False)[2]  # at m = 0, over X(n, l) for l = 1..n
-    half = (-1) ** (n - 1) * n * (n + 1) * fact // 2 * d
-    # m^(n-1) * (plain + (1-m)*half)
-    want = list(map(mul, powers, map((plain + half).__sub__, map(half.__mul__, ms))))
-    return _failing(sums, want, every,
-                    lambda i: (ms[i], None, None, sums[i], want[i], powers[i] * d))
+    ks, terms, sums = ps.sums(n, ms, True)
+    (fact,), (half,), (plain,) = ps.sums(n, [0], False)  # m = 0: k = n!, term = n(n+1)/2
+    c = (-1) ** (n - 1) * fact * d
+    got = list(map(fact.__mul__, sums))
+    want = list(map(mul, ks, map((plain + c * half).__sub__, map(c.__mul__, terms))))
+    return _failing(got, want, every, lambda i: (ms[i], None, None, got[i], want[i], ks[i] * d))
 
 
 def _kernel_expl(ps, n, ms, pqs, every, sign):
@@ -376,12 +382,16 @@ def _kernel_subfam(ps, n, ms, pqs, every, fact):
     # T_q(m) = (-1)^n sum_{j<=q} S(q,j) n!/(n-j)! Delta^(n-j) f(m-n+j).  Where
     # Delta^r f is constant on the window ms[0]-n..ms[-1]-r that the (n, p) checks read,
     # every term with j < p vanishes: T_q = 0 for every q < p and every m, and
-    # T_p = (-1)^n n!/(n-p)! Delta^r f.  Elsewhere _subfam_points sums each check.
+    # T_p = (-1)^n n!/(n-p)! Delta^r f, which is (-1)^n n!*d where the table holds.
+    # Elsewhere _subfam_points sums each check.
     sign, failing = (-1) ** n, []
     for p, qs in pqs:
+        lo, table, holds = ps.table(n - p)
+        if holds and not every:
+            continue
         d = ps.rows[n - p][0]
         rhs = sign * math.factorial(n) * d if fact else 0
-        window = ps.differences(n - p, ms[0] - n, len(ms) + p)
+        window = table[ms[0] - n - lo:ms[0] - n - lo + len(ms) + p]
         if window.count(window[0]) != len(window):
             failing += _subfam_points(ps, n, ms, p, qs, rhs, every, fact)
             continue

@@ -698,6 +698,18 @@ def test_subfam_on_rows_that_are_not_monic(family):
             check.params["n"])
 
 
+@pytest.mark.parametrize("family", [*SMALL_FAMILIES, PowerFamily(Fraction(-3, 2)), Doubled(2)],
+                         ids=lambda f: f.label() if type(f) is not Doubled else "doubled")
+def test_a_family_row_table_is_r_factorial_throughout(family):
+    # row r of a family is monic of degree r, so each table holds and REC_M and SUBFAM_*
+    # pass every check that reads it without reading its windows; a doubled row's does not
+    from seqfam import identities
+
+    plan = _plan([Identity.REC_M, *SUBFAM], SweepRanges(n=(1, 12), m=(-6, 6)))
+    holds = [identities._Pass(plan, family).table(r)[2] for r in plan.spans]
+    assert len(holds) == 12 and set(holds) == {type(family) is not Doubled}
+
+
 class OffByOne(PowerFamily):
     """A power family with X(3, 2) one too large, in forked children too."""
 
