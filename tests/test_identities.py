@@ -671,8 +671,8 @@ def test_differences_each_row_once_per_cell(monkeypatch, entries, m):
     record_reads(monkeypatch, lambda r: reads.setdefault(r, Reads()))
     report = sweep(entries, [LucasFamily(2)], SweepRanges(n=(1, 10), m=m))
     assert report.total_checks > 0 and report.failures == []
-    # every (n, p) and every REC_M n passes on its window of the row's differences, so each
-    # member is read once: when its row is differenced, once for every entry
+    # every row's table holds, so every (n, p) and every REC_M n passes without reading a
+    # window, and each member is read once: when its row is differenced, once for every entry
     rows = range(1, 11) if Identity.REC_M in entries else range(1, 10)
     assert set(reads) == set(rows)
     assert {count for row in reads.values() for count in row.values()} == {1}
