@@ -11,7 +11,7 @@ carries beyond n, the entry's hypothesis on m, whether it is specific to the
 generalized Fibonacci family, the labels x of the members X(r, x) it reads,
 and its integer kernel, the one evaluation of its two sides.  ``eval_identity``
 (one point) and ``sweep`` (a grid, planned once for all its families and run
-as one pass per family over rows built once) both run that kernel, so they
+as one pass per family, row by row) both run that kernel, so they
 agree on what is admissible and on every value; the admissible p and q are
 stated once, in ``P_SPAN`` and ``Q_SPAN``.
 
@@ -50,7 +50,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from itertools import chain, cycle
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact import ExactScalar, format_exact, normalize
@@ -148,16 +148,15 @@ def eval_identity(identity: Identity, family: Family, *, n: int,
     if "m" in entry.params:
         require(m is not None, "an m parameter")
         if entry.m_hypothesis is not None:
-            holds, statement = entry.m_hypothesis
-            require(holds(n, m), f"{statement} (got n={n}, m={m})")
+            admit, statement = entry.m_hypothesis
+            require(bool(admit(n, range(m, m + 1))), f"{statement} (got n={n}, m={m})")
     if "p" in entry.params:
         require(p in P_SPAN.values(n), f"{P_SPAN.statement} (got n={n}, p={p})")
     if "q" in entry.params:
         require(q in Q_SPAN.values(p), f"{Q_SPAN.statement} (got p={p}, q={q})")
     plan = _plan([identity], SweepRanges(n=(n, n), m=(m, m), p=(p, p), q=(q, q)))
-    ((_, _, ms, pqs, _),) = plan.points
-    (point,) = entry.kernel(_Pass(plan, family), n, ms, pqs, True)
-    return _record(family, identity, n, *point)
+    _, (point,) = _Pass(plan, family).run(plan.points, True)
+    return _record(family, *point)
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +185,14 @@ class SweepRanges(NamedTuple):
         out["q"] = f"{self.q[0]}..{self.q[1]}" if self.q else "admissible"
         return out
 
-    def m_values(self, n: int) -> List[int]:
+    def m_values(self, n: int) -> range:
         if self.m is None:
-            return []
+            return range(0)
         for bound in self.m:
             if isinstance(bound, str) and bound != "n":
                 raise ValueError(f"symbolic bound must be 'n', got {bound!r}")
         lo, hi = (n if bound == "n" else bound for bound in self.m)
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
 
 
 class SweepReport(NamedTuple):
@@ -230,31 +229,27 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 
 
 # Fraction-free kernels, the one evaluation of every entry.  Each entry is
-# linear in the members of one row X(r, .), so a family's pass builds each row
-# once for every entry, as the family's ``rows`` yields it, ints over a common
-# denominator d over the plan's labels: ``rows[r]`` is (d, row), and
-# ``row[plan.at[x]]`` is d * X(r, x) for each label x that some entry's ``reads``
-# names at some n.  A kernel decides every check of one (entry, n) at once: it
-# builds, as lists over ms, the two things each check compares, each times one
-# nonzero clearing factor k, and the checks pass iff the two lists are equal.
-# Only at an m where they differ does it compute the point (m, p, q, lhs, rhs, k)
-# of a failing check, whose exact sides are lhs/k and rhs/k; with ``every`` it
-# computes every point, which is how eval_identity reads a passing check.  The
-# root-sum entries read ``_Pass.sums``, dot products over a row in C.  REC_M and
-# SUBFAM_* read forward differences: a pass differences each row r r times, once,
-# over the span of labels the plan states for it from the entries' ``tables``,
-# and a table that is r!*d throughout, as a family's always is, passes every
-# check that reads it.  What a kernel reads that depends on the grid alone
-# (weights, n!*b^(n-1), row positions, m!/(m-n)!, C(m, n)) is made once per sweep
-# and kept in the plan for every family (``_Pass.grid``).
+# linear in the members of one row X(r, .), and a family's pass runs in row order:
+# it takes each row as the family's ``rows`` yields it, ints over a common
+# denominator d over the plan's labels (``row[plan.at[x]]`` is d * X(r, x) for each
+# label x that some entry's ``reads`` names at some n), runs the points the plan
+# assigns to it, and drops its members.  A kernel decides every check of one
+# (entry, n) at once: it builds, as lists over ms, the two things each check
+# compares, each times one nonzero clearing factor k, and the checks pass iff the
+# two lists are equal.  Only at an m where they differ does it compute the point
+# (m, p, q, lhs, rhs, k) of a failing check, whose exact sides are lhs/k and rhs/k;
+# with ``every`` it computes every point, which is how eval_identity reads a passing
+# check.  The root-sum entries read ``_Pass.sums``, dot products over the row in C.
+# REC_M and SUBFAM_* read forward differences: a pass differences each row r r
+# times, once, when it takes the row, over the span of labels the plan states for
+# it from the entries' ``tables``, and a table that is r!*d throughout, as a
+# family's always is, passes every check that reads it.  What a kernel reads that
+# depends on the grid alone (weights, n!*b^(n-1), row positions, m!/(m-n)!,
+# C(m, n)) is made once per sweep and kept in the plan for every family
+# (``_Pass.grid``).
 
-Rows = Dict[int, Tuple[int, List[int]]]
 PQs = List[Tuple[Optional[int], Sequence[Optional[int]]]]  # (p, the q at p) at one n
 _ONE = (None,)  # the values of a parameter that a point does not carry
-
-
-def _int_rows(family: Family, labels: List[int], r_lo: int, r_hi: int) -> Rows:
-    return dict(zip(range(r_lo, r_hi + 1), family.rows(labels, r_lo, r_hi)))
 
 
 def _dots(a: Iterable[int], b: Iterable[int], size: int) -> List[int]:
@@ -271,13 +266,47 @@ def _failing(got: List[int], want: List[int], every: bool, point: Callable) -> S
 
 
 class _Pass:
-    """One family's pass of a plan: its rows, built once, and what its kernels compute
-    once from them, in ``memo``: the tables of ``table`` and the sums of ``sums``.  It
-    lives for the pass."""
+    """One family's pass of a plan, run row by row.  ``rows[r]`` is (d, the members of row
+    r): the members of the row being run, and of each earlier row whose difference table
+    is not r!*d throughout, which only SUBFAM_*'s per-check fallback reads again; None for
+    every other row.  ``tables[r]`` is (lo, Delta^r d*X(r, .) at the labels lo..hi of the
+    span the plan states for row r, whether every value is r!*d), kept for the pass;
+    ``memo`` holds the sums of the row being run."""
 
     def __init__(self, plan: "_Plan", family: Family):
-        self.plan, self.family, self.memo = plan, family, {}
-        self.rows = _int_rows(family, plan.labels, plan.r_lo, plan.r_hi)
+        self.plan, self.family, self.rows, self.tables, self.memo = plan, family, {}, {}, {}
+
+    def run(self, points: List[Tuple], every: bool) -> Tuple[int, List[Tuple]]:
+        """The check count of points of the plan, in its row order, and the point (identity,
+        n, m, p, q, lhs, rhs, k) of each failing check, or of every check when ``every``."""
+        plan, count, out = self.plan, 0, []
+        todo = iter(points)
+        point = next(todo, None)
+        rows = self.family.rows(plan.labels, plan.r_lo, plan.r_hi)
+        for r, (d, row) in zip(range(plan.r_lo, plan.r_hi + 1), rows):
+            self.rows[r], self.memo = (d, row), {}
+            holds = r not in plan.spans or self._table(r, d, row)
+            while point is not None and point[5] == r:
+                identity, n, ms, pqs, checks, _ = point
+                count += checks
+                out += [(identity.value, n, *p)
+                        for p in CATALOG[identity].kernel(self, n, ms, pqs, every)]
+                point = next(todo, None)
+            if point is None:
+                break
+            if holds:
+                self.rows[r] = d, None
+        return count, out
+
+    def _table(self, r: int, d: int, row: List[int]) -> bool:
+        """Whether row r's table holds, once it is made: the row differenced r times.  Every
+        row of a family is a monic polynomial of degree r, so its table is r!*d throughout."""
+        lo, hi = self.plan.spans[r]
+        table = row[self.plan.at[lo]:self.plan.at[hi] + 1]
+        for _ in range(r):
+            table = list(map(sub, table[1:], table))
+        self.tables[r] = lo, table, table.count(math.factorial(r) * d) == len(table)
+        return self.tables[r][2]
 
     def grid(self, key: Tuple, make: Callable):
         """make(), which depends on the grid alone: the plan keeps it for every pass."""
@@ -285,31 +314,23 @@ class _Pass:
             self.plan.grid[key] = make()
         return self.plan.grid[key]
 
-    def table(self, r: int) -> Tuple[int, List[int], bool]:
-        """(lo, Delta^r d*X(r, .) at the labels lo..hi of the span the plan states for row
-        r, whether every value is r!*d): the row differenced r times, once.  Every row of a
-        family is a monic polynomial of degree r, so its table is r!*d throughout."""
-        if r not in self.memo:
-            lo, hi = self.plan.spans[r]
-            (d, row), at = self.rows[r], self.plan.at
-            table = row[at[lo]:at[hi] + 1]
-            for _ in range(r):
-                table = list(map(sub, table[1:], table))
-            self.memo[r] = lo, table, table.count(math.factorial(r) * d) == len(table)
-        return self.memo[r]
-
-    def sums(self, n: int, ms: List[int], scale: bool) -> Tuple[List[int], List[int], List[int]]:
+    def sums(self, n: int, ms: Sequence[int],
+             scale: bool) -> Tuple[List[int], List[int], List[int]]:
         """(k, term, the sum) at each m of ms, for (a, b) = (0, m) if scale else (m, 1), where
         the sum is sum_{l=1..n} (-1)^l C(n,l) l d*X(n, a + b*l), the sum of L1 relabeled
         x -> a + b*x, k = n!*b^(n-1) and term = n*a + n(n+1)/2*b.  k and term depend on the
-        grid alone; each sum is computed once per pass, so L2_SCALE and SCALE_ID share theirs."""
-        key, at, count = (scale, n, ms[0], ms[-1]), self.plan.at, len(ms)
+        grid alone.  The sums are computed once per row over the span of m that the plan
+        merges from every request at (scale, n) that overlaps this one (without m = 0 when
+        scaled), so L1, L2_SHIFT and SCALE_ID share theirs, and L2_SCALE and SCALE_ID theirs."""
+        lo, hi = self.plan.sums[scale, n, ms[0]]
+        key, at, count = (scale, n, lo), self.plan.at, hi - lo + 1
         w, fact, half = self.grid(n, lambda: (_weights(n, 1)[1:], math.factorial(n),
                                               n * (n + 1) // 2))
         where, ks, terms = self.grid(key, lambda: (  # the row positions of X(n, a + b*l)
-            [at[l * m] for m in ms for l in range(1, n + 1)], [fact * m ** (n - 1) for m in ms],
-            [half * m for m in ms]) if scale else (
-            at[ms[0] + 1], [fact] * count, [half + n * m for m in ms]))
+            [at[l * m] for m in range(lo, hi + 1) if m for l in range(1, n + 1)],
+            [fact * m ** (n - 1) for m in range(lo, hi + 1) if m],
+            [half * m for m in range(lo, hi + 1) if m]) if scale else (
+            at[lo + 1], [fact] * count, [half + n * m for m in range(lo, hi + 1)]))
         if key not in self.memo:
             get = self.rows[n][1].__getitem__
             if scale:
@@ -318,7 +339,11 @@ class _Pass:
                 values = chain.from_iterable(map(get, map(slice, range(where, where + count),
                                                           range(where + n, where + n + count))))
             self.memo[key] = _dots(cycle(w), values, n)
-        return ks, terms, self.memo[key]
+        sums = self.memo[key]
+        if len(ms) == len(sums):
+            return ks, terms, sums
+        i = ms[0] - lo - (scale and lo < 0 < ms[0])  # the place of ms[0] in the span
+        return ks[i:i + len(ms)], terms[i:i + len(ms)], sums[i:i + len(ms)]
 
 
 def _kernel_root_sum(ps, n, ms, pqs, every, scale):
@@ -338,7 +363,7 @@ def _kernel_root_sum(ps, n, ms, pqs, every, scale):
 def _kernel_rec_m(ps, n, ms, pqs, every):
     # sum_{l=1..n} (-1)^(n+l) C(n,l-1) f(m-n+l) = f(m+1) - Delta^n f(m-n+1), so with
     # f = d*X(n, .) a check holds iff Delta^n f(m-n+1) == n!*d; its rhs is the same int.
-    lo, table, holds = ps.table(n)
+    lo, table, holds = ps.tables[n]
     if holds and not every:
         return ()
     d, row = ps.rows[n]
@@ -386,7 +411,7 @@ def _kernel_subfam(ps, n, ms, pqs, every, fact):
     # Elsewhere _subfam_points sums each check.
     sign, failing = (-1) ** n, []
     for p, qs in pqs:
-        lo, table, holds = ps.table(n - p)
+        lo, table, holds = ps.tables[n - p]
         if holds and not every:
             continue
         d = ps.rows[n - p][0]
@@ -432,22 +457,25 @@ class Entry(NamedTuple):
     """One catalog entry, defined once."""
 
     params: str  # the parameters a point carries beyond n: "", "m", "mp" or "mpq"
-    m_hypothesis: Optional[Tuple[Callable[[int, int], bool], str]]  # holds(n, m), statement
+    # (n, a range of m) -> the m of the range that the hypothesis admits; the statement
+    m_hypothesis: Optional[Tuple[Callable[[int, range], Sequence[int]], str]]
     fib_only: bool  # holds for the generalized Fibonacci family lucas:-1 only
-    reads: Callable[[int, List[int]], Sequence[int]]  # (n, ms) -> the labels the kernel reads
+    reads: Callable[[int, Sequence[int]], Sequence[int]]  # (n, ms) -> the labels the kernel reads
     # (ps, n, ms, pqs, every) -> the points (m, p, q, lhs, rhs, k) of the failing checks at
     # n, for the pass ps, the admissible ms and pqs of Entry.points, and every: bool
     kernel: Callable
     # (n, ms, pqs) -> (r, lo, hi) for each row r whose differences at lo..hi the kernel reads
     tables: Callable = lambda n, ms, pqs: ()
+    # (n, ms) -> (scale, ms[0], ms[-1]) of each call _Pass.sums(n, ms, scale) of the kernel
+    sums: Callable = lambda n, ms: ()
 
-    def points(self, n: int, ranges: SweepRanges) -> Tuple[List[int], PQs]:
-        """The admissible m of a sweep at n, and its admissible p that have an admissible q,
-        each with those q; [0] and [(None, (None,))] for an entry without m or p."""
-        ms = ranges.m_values(n) if "m" in self.params else [0]
+    def points(self, n: int, ranges: SweepRanges) -> Tuple[Sequence[int], PQs]:
+        """The admissible m of a sweep at n, a range where they are contiguous, and its
+        admissible p that have an admissible q, each with those q; range(1), that is m = 0,
+        and [(None, (None,))] for an entry without m or p."""
+        ms = ranges.m_values(n) if "m" in self.params else range(1)
         if self.m_hypothesis:
-            holds = self.m_hypothesis[0]
-            ms = [m for m in ms if holds(n, m)]
+            ms = self.m_hypothesis[0](n, ms)
         if "p" not in self.params:
             return ms, [(None, _ONE)]
         pqs = [(p, Q_SPAN.values(p, ranges.q) if "q" in self.params else _ONE)
@@ -455,7 +483,7 @@ class Entry(NamedTuple):
         return ms, [(p, qs) for p, qs in pqs if qs]
 
 
-def _shifted(n: int, ms: List[int]) -> range:
+def _shifted(n: int, ms: Sequence[int]) -> range:
     return range(ms[0] + 1, ms[-1] + n + 1)  # l + m for l = 1..n, at each m of a range
 
 
@@ -463,23 +491,29 @@ def _scaled(n: int, ms: Sequence[int]) -> List[int]:
     return [l * m for m in ms for l in range(1, n + 1)]
 
 
-_M_NONZERO = (lambda n, m: m != 0, "m != 0")
-_M_AT_LEAST_N = (lambda n, m: m >= n, "m >= n")
+_M_NONZERO = (lambda n, ms: [m for m in ms if m] if 0 in ms else ms, "m != 0")
+_M_AT_LEAST_N = (lambda n, ms: range(max(n, ms.start), ms.stop), "m >= n")
+_SHIFT = lambda n, ms: [(False, ms[0], ms[-1])]
+_FIB_SUMS = lambda n, ms: [(False, 0, 0), (True, -1, -1)]
 _SUBFAM = (lambda n, ms: range(ms[0] - n, ms[-1] + 1),  # reads, of the row n - p at each p
            lambda n, ms, pqs: [(n - p, ms[0] - n, ms[-1]) for p, _ in pqs])
 
 #: The identity catalog.  L1, L2_SHIFT and L2_SCALE are one root-sum kernel, relabeled;
 #: EXPL_NEG is EXPL_POS over the labels -l and -m; FIB_POSNEG_COMPL flips the sign of X(n, l).
 CATALOG: Dict[Identity, Entry] = {
-    Identity.L1: Entry("", None, False, _shifted, partial(_kernel_root_sum, scale=False)),
-    Identity.L2_SHIFT: Entry("m", None, False, _shifted, partial(_kernel_root_sum, scale=False)),
+    Identity.L1: Entry("", None, False, _shifted, partial(_kernel_root_sum, scale=False),
+                       sums=_SHIFT),
+    Identity.L2_SHIFT: Entry("m", None, False, _shifted, partial(_kernel_root_sum, scale=False),
+                             sums=_SHIFT),
     Identity.L2_SCALE: Entry("m", _M_NONZERO, False, _scaled,
-                             partial(_kernel_root_sum, scale=True)),
+                             partial(_kernel_root_sum, scale=True),
+                             sums=lambda n, ms: [(True, ms[0], ms[-1])]),
     Identity.REC_M: Entry("m", None, False, lambda n, ms: range(ms[0] - n + 1, ms[-1] + 2),
                           _kernel_rec_m,  # X(n, l+m-n) for l = 1..n+1
                           lambda n, ms, pqs: [(n, ms[0] - n + 1, ms[-1] + 1)]),
     Identity.SCALE_ID: Entry("m", _M_NONZERO, False, lambda n, ms: _scaled(n, [1, *ms]),
-                             _kernel_scale_id),
+                             _kernel_scale_id,
+                             sums=lambda n, ms: [(True, ms[0], ms[-1]), (False, 0, 0)]),
     Identity.EXPL_POS: Entry("m", _M_AT_LEAST_N, False, lambda n, ms: [*range(n), *ms],
                              partial(_kernel_expl, sign=1)),
     Identity.EXPL_NEG: Entry("m", _M_AT_LEAST_N, False,
@@ -490,25 +524,28 @@ CATALOG: Dict[Identity, Entry] = {
     Identity.SUBFAM_FACT: Entry("mp", None, False, _SUBFAM[0],
                                 partial(_kernel_subfam, fact=True), _SUBFAM[1]),
     Identity.FIB_POSNEG: Entry("", None, True, lambda n, ms: _scaled(n, (1, -1)),
-                               partial(_kernel_fib_posneg, compl=False)),
+                               partial(_kernel_fib_posneg, compl=False), sums=_FIB_SUMS),
     Identity.FIB_POSNEG_COMPL: Entry("", None, True, lambda n, ms: _scaled(n, (1, -1)),
-                                     partial(_kernel_fib_posneg, compl=True)),
+                                     partial(_kernel_fib_posneg, compl=True), sums=_FIB_SUMS),
     Identity.FIB_POLY: Entry("m", None, True, lambda n, ms: ms, _kernel_fib_poly),
 }
 
 
 class _Plan(NamedTuple):
     """What every family's pass runs: each entry's admissible points at each n, with their
-    check counts; the rows r_lo..r_hi it builds, over the labels the kernels read, and the
-    position of each label in a row; the span of labels lo..hi of each row's difference
-    table; and what the kernels read that depends on the grid alone, made on first use."""
+    check counts, in the order of the row each is run on, the highest it reads; the rows
+    r_lo..r_hi a pass takes, over the labels the kernels read, and the position of each
+    label in a row; the span of labels lo..hi of each row's difference table; the spans
+    of m of the sums at each (scale, n); and what the kernels read that depends on the
+    grid alone, made on first use."""
 
-    points: List[Tuple]  # (identity, n, ms, pqs, its check count)
+    points: List[Tuple]  # (identity, n, ms, pqs, its check count, its row)
     labels: List[int]
     at: Dict[int, int]
     r_lo: int
     r_hi: int
     spans: Dict[int, Tuple[int, int]]
+    sums: Dict[Tuple[bool, int, int], List[int]]
     grid: Dict[Tuple, object]
 
 
@@ -516,20 +553,35 @@ def _plan(identities: Sequence[Identity], ranges: SweepRanges) -> Optional[_Plan
     """The plan of every family of a sweep; None when no entry has an admissible point."""
     points = [(identity, n, *CATALOG[identity].points(n, ranges)) for identity in identities
               for n in range(max(ranges.n[0], 1), ranges.n[1] + 1)]
-    points = [(identity, n, ms, pqs, len(ms) * sum(len(qs) for _, qs in pqs))
-              for identity, n, ms, pqs in points if ms and pqs]
+    # a point runs on row n, or on n - p at the least p of SUBFAM_*, which read rows n - p
+    points = sorted(((identity, n, ms, pqs, len(ms) * sum(len(qs) for _, qs in pqs),
+                      n - (pqs[0][0] or 0)) for identity, n, ms, pqs in points if ms and pqs),
+                    key=itemgetter(5))
     if not points:
         return None
-    # the windows of one row's table overlap, so its span holds only labels ``reads`` names
+    # the windows of one row's table overlap, so its span holds only labels ``reads`` names;
+    # sums over spans of m that overlap or touch read one run of labels, or share theirs
     spans: Dict[int, Tuple[int, int]] = {}
-    for identity, n, ms, pqs, _ in points:
+    requests: Dict[Tuple[bool, int], List[Tuple[int, int]]] = {}
+    for identity, n, ms, pqs, *_ in points:
         for r, lo, hi in CATALOG[identity].tables(n, ms, pqs):
             old = spans.get(r, (lo, hi))
             spans[r] = min(lo, old[0]), max(hi, old[1])
+        for scale, lo, hi in CATALOG[identity].sums(n, ms):
+            requests.setdefault((scale, n), []).append((lo, hi))
+    sums: Dict[Tuple[bool, int, int], List[int]] = {}  # (scale, n, lo) -> merged [lo, hi]
+    for (scale, n), spans_n in requests.items():
+        merged: List[List[int]] = []
+        for lo, hi in sorted(spans_n):
+            if merged and lo <= merged[-1][1] + 1:
+                merged[-1][1] = max(hi, merged[-1][1])
+            else:
+                merged.append([lo, hi])
+            sums[scale, n, lo] = merged[-1]
     labels = sorted(set(chain.from_iterable(CATALOG[i].reads(n, ms) for i, n, ms, *_ in points)))
-    r_values = [n - (p or 0) for _, n, _, pqs, _ in points for p, _ in pqs]  # rows n - p
+    r_values = [n - (p or 0) for _, n, _, pqs, *_ in points for p, _ in pqs]  # rows n - p
     return _Plan(points, labels, {x: i for i, x in enumerate(labels)}, min(r_values),
-                 max(r_values), spans, {})
+                 max(r_values), spans, sums, {})
 
 
 def _points(plan: Optional[_Plan], family: Family) -> List[Tuple]:
@@ -556,14 +608,7 @@ def _run_cell_star(task: Tuple[_Plan, List[Tuple], Family]) -> Tuple[int, List[T
     as a forked child sends it.  perfbench/layers.py times each process's tasks by
     wrapping this name, so every process calls it through the module."""
     plan, points, family = task
-    ps = _Pass(plan, family)
-    count = 0
-    failing = []
-    for identity, n, ms, pqs, checks in points:
-        count += checks
-        failing += [(identity.value, n, *point)
-                    for point in CATALOG[identity].kernel(ps, n, ms, pqs, False)]
-    return count, failing
+    return _Pass(plan, family).run(points, False)
 
 
 def _deal(shares: List[List[Tuple]]) -> List[List[Tuple]]:

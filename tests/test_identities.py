@@ -204,13 +204,13 @@ def test_symbolic_m_bound_must_be_n():
         SweepRanges(n=(1, 3), m=("x", 3)).m_values(1)
     with pytest.raises(ValueError, match="symbolic bound must be 'n', got 'N'"):
         SweepRanges(n=(1, 3), m=(0, "N")).m_values(1)
-    assert SweepRanges(n=(1, 3), m=("n", 5)).m_values(3) == [3, 4, 5]
-    assert SweepRanges(n=(1, 3), m=(-1, "n")).m_values(2) == [-1, 0, 1, 2]
+    assert SweepRanges(n=(1, 3), m=("n", 5)).m_values(3) == range(3, 6)
+    assert SweepRanges(n=(1, 3), m=(-1, "n")).m_values(2) == range(-1, 3)
 
 
 def test_a_sweep_without_an_m_range_checks_no_entry_that_needs_m():
     ranges = SweepRanges(n=(1, 3))
-    assert ranges.m_values(2) == []
+    assert ranges.m_values(2) == range(0)
     report = sweep([Identity.L2_SHIFT], [FIB, PowerFamily(2)], ranges)
     assert report.total_checks == 0 and report.failures == [] and report.passed
 
@@ -287,14 +287,16 @@ class RecordingRow(list):
         return super().__getitem__(at)
 
 
-def record_reads(monkeypatch, read):
-    """Make every pass build RecordingRows; read(r) is where row r notes its reads."""
-    from seqfam import identities
+def record_reads(monkeypatch, family_type, read):
+    """Make the families of this type yield RecordingRows; read(r) is where row r notes its
+    reads."""
+    real = family_type.rows
 
-    int_rows = identities._int_rows
-    monkeypatch.setattr(identities, "_int_rows", lambda family, labels, lo, hi: {
-        r: (d, RecordingRow(row, labels, read(r)))
-        for r, (d, row) in int_rows(family, labels, lo, hi).items()})
+    def rows(self, labels, n_lo, n_hi):
+        for r, (d, row) in enumerate(real(self, labels, n_lo, n_hi), n_lo):
+            yield d, RecordingRow(row, labels, read(r))
+
+    monkeypatch.setattr(family_type, "rows", rows)
 
 
 @pytest.mark.parametrize("entry", ALL_IDENTITIES, ids=lambda e: e.value)
@@ -302,7 +304,7 @@ def record_reads(monkeypatch, read):
 def test_a_cell_builds_exactly_the_labels_its_kernel_reads(monkeypatch, entry, family):
     built = record_rows(monkeypatch, type(family))
     read = set()
-    record_reads(monkeypatch, lambda r: read)
+    record_reads(monkeypatch, type(family), lambda r: read)
     report = sweep([entry], [family], SweepRanges(n=(1, 7), m=(-4, 5)))
     assert report.failures == []
     assert bool(report.total_checks) == bool(read) == (family == FIB or not CATALOG[entry].fib_only)
@@ -637,22 +639,43 @@ def test_subfam_falls_back_exactly_where_the_window_holds_the_member(
 def test_kernel_points_do_not_depend_on_the_order_n_is_visited(monkeypatch, entry, label):
     from seqfam import identities
 
-    # the plan states each row's span, so the first n of a pass to read a row differences
-    # it over the labels every later n reads, whichever n that is
+    # a pass runs n up in row order and keeps each row's table for every later n; a pass of
+    # each n on its own, from the last n down, differences its rows over that n's windows alone
     corrupt_member(monkeypatch, PowerFamily, 3, label)
     family, ranges = PowerFamily(Fraction(-3, 2)), SweepRanges(n=(1, 8), m=(-3, 4))
-    plan, kernel = identities._plan([entry], ranges), CATALOG[entry].kernel
     points, fallbacks = [], []
-    for order in (plan.points, plan.points[::-1]):
+    alone = [_plan([entry], ranges._replace(n=(n, n))) for n in range(8, 0, -1)]
+    for plans in ([_plan([entry], ranges)], [plan for plan in alone if plan]):
         with recorded_fallbacks(monkeypatch) as calls:
-            ps = identities._Pass(plan, family)
-            points.append({n: list(kernel(ps, n, ms, pqs, False)) for _, n, ms, pqs, _ in order})
+            points.append(sorted(point for plan in plans
+                                 for point in identities._Pass(plan, family).run(plan.points,
+                                                                                 False)[1]))
         fallbacks.append(sorted(calls))
     assert points[0] == points[1] and fallbacks[0] == fallbacks[1]
     # the corrupted row yields failing points, but for SUBFAM_FACT's left edge, which its sum
     # weighs by 0^p = 0; the SUBFAM_* entries fall back to a sum per check where it is read
-    assert any(points[0].values()) == (entry is not Identity.SUBFAM_FACT or label > 0)
+    assert any(points[0]) == (entry is not Identity.SUBFAM_FACT or label > 0)
     assert bool(fallbacks[0]) == (entry is not Identity.REC_M)
+
+
+# A pass drops the members of each row once its points have run, but for a row whose
+# table is not r!*d throughout: SUBFAM_* at (n, p) runs on row n - (its least p) and
+# reads row n - p through its per-check fallback.  Row 2 here has no point of its own.
+@pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
+@pytest.mark.parametrize("family", [HALF, FIB], ids=lambda f: f.label())
+def test_subfam_reads_a_row_it_runs_after_where_its_table_fails(monkeypatch, entry, family):
+    from seqfam import identities
+
+    corrupt_member(monkeypatch, type(family), 2, 0)
+    ranges = SweepRanges(n=(5, 8), m=(-3, 4))
+    report = assert_sweep_matches_oracle(entry, family, ranges)
+    assert {(c.params["n"], c.params["p"]) for c in report.failures} == {
+        (n, n - 2) for n in range(5, 9)}
+    plan = _plan([entry], ranges)
+    ps = identities._Pass(plan, family)
+    ps.run(plan.points, False)
+    assert 2 not in {point[5] for point in plan.points}
+    assert [r for r, (_, row) in ps.rows.items() if row is not None] == [2, plan.r_hi]
 
 
 class Reads(Counter):
@@ -668,7 +691,7 @@ class Reads(Counter):
 @pytest.mark.parametrize("m", [(-6, 6), ("n", 12), (-3, "n")], ids=str)
 def test_differences_each_row_once_per_cell(monkeypatch, entries, m):
     reads = {}
-    record_reads(monkeypatch, lambda r: reads.setdefault(r, Reads()))
+    record_reads(monkeypatch, LucasFamily, lambda r: reads.setdefault(r, Reads()))
     report = sweep(entries, [LucasFamily(2)], SweepRanges(n=(1, 10), m=m))
     assert report.total_checks > 0 and report.failures == []
     # every row's table holds, so every (n, p) and every REC_M n passes without reading a
@@ -706,7 +729,9 @@ def test_a_family_row_table_is_r_factorial_throughout(family):
     from seqfam import identities
 
     plan = _plan([Identity.REC_M, *SUBFAM], SweepRanges(n=(1, 12), m=(-6, 6)))
-    holds = [identities._Pass(plan, family).table(r)[2] for r in plan.spans]
+    ps = identities._Pass(plan, family)
+    ps.run(plan.points, False)
+    holds = [ps.tables[r][2] for r in plan.spans]
     assert len(holds) == 12 and set(holds) == {type(family) is not Doubled}
 
 
@@ -953,17 +978,33 @@ def test_plan_holds_one_label_list_at_a_time():
     assert plan.labels == sorted(union)
 
 
-def test_a_sweep_holds_one_family_pass_at_a_time():
-    # the headline sweep of every standard family: each pass's rows, difference tables and sums
-    # are dropped when the pass ends; kept to the end of the sweep, they raise the peak to 1.2 MB
-    from seqfam.cli import parse_families
-
-    families, ranges = parse_families("all"), SweepRanges(n=(1, 20), m=(-10, 10))
+def traced_sweep(entries, families, ranges):
+    """The report of a sweep and the peak of the memory it traced."""
     tracemalloc.start()
     try:
-        report = sweep(ALL_IDENTITIES, families, ranges)
+        report = sweep(entries, families, ranges)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return report, peak
+
+
+def test_a_sweep_holds_one_family_pass_at_a_time():
+    # the headline sweep of every standard family: a pass holds one row's members at a time,
+    # and its tables and sums are dropped when the pass ends; 560 KB if a pass holds every
+    # row, and 1.2 MB if the passes are kept to the end of the sweep
+    from seqfam.cli import parse_families
+
+    report, peak = traced_sweep(ALL_IDENTITIES, parse_families("all"),
+                                SweepRanges(n=(1, 20), m=(-10, 10)))
     assert report.total_checks == 337_360 and report.failures == []
-    assert peak < 800_000, f"peak {peak:,} B"
+    assert peak < 450_000, f"peak {peak:,} B"
+
+
+def test_a_wide_pass_holds_one_row_at_a_time():
+    # 20 rows over 3,707 labels: about 5.5 MB traced with one row's members held at a time,
+    # 10.7 MB with every row held for the whole pass
+    report, peak = traced_sweep(ALL_IDENTITIES, [PochhammerFamily()],
+                                SweepRanges(n=(1, 20), m=(-200, 200)))
+    assert report.total_checks == 649_200 and report.failures == []
+    assert peak < 8_000_000, f"peak {peak:,} B"

@@ -17,4 +17,5 @@ def test_report_is_byte_identical(case):
 
 def test_masking_leaves_only_the_wall_time_out():
     text = 'checks:     10 (0 failed) in 0.25s\n{"wall_time_s": 0.031, "total_checks": 10}'
-    assert reports.masked(text) == 'checks:     10 (0 failed) in ?s\n{"wall_time_s": 0, "total_checks": 10}'
+    assert reports.masked(text) == (
+        'checks:     10 (0 failed) in ?s\n{"wall_time_s": 0, "total_checks": 10}')
