@@ -322,28 +322,28 @@ class _Pass:
         grid alone.  The sums are computed once per row over the span of m that the plan
         merges from every request at (scale, n) that overlaps this one (without m = 0 when
         scaled), so L1, L2_SHIFT and SCALE_ID share theirs, and L2_SCALE and SCALE_ID theirs."""
-        lo, hi = self.plan.sums[scale, n, ms[0]]
-        key, at, count = (scale, n, lo), self.plan.at, hi - lo + 1
+        *_, lo, hi = self.plan.sums[scale, n, ms[0]]
+        key, at = (scale, n, lo), self.plan.at
         w, fact, half = self.grid(n, lambda: (_weights(n, 1)[1:], math.factorial(n),
                                               n * (n + 1) // 2))
-        where, ks, terms = self.grid(key, lambda: (  # the row positions of X(n, a + b*l)
-            [at[l * m] for m in range(lo, hi + 1) if m for l in range(1, n + 1)],
-            [fact * m ** (n - 1) for m in range(lo, hi + 1) if m],
-            [half * m for m in range(lo, hi + 1) if m]) if scale else (
-            at[lo + 1], [fact] * count, [half + n * m for m in range(lo, hi + 1)]))
+
+        def make():  # the m of the span, the row positions of X(n, a + b*l), k and term
+            span = [m for m in range(lo, hi + 1) if m or not scale]
+            where = [at[l * m] for m in span for l in range(1, n + 1)] if scale else at[lo + 1]
+            return (span, where, [fact * m ** (n - 1) if scale else fact for m in span],
+                    [half * m if scale else half + n * m for m in span])
+
+        span, where, ks, terms = self.grid(key, make)
         if key not in self.memo:
-            get = self.rows[n][1].__getitem__
-            if scale:
-                values = map(get, where)
-            else:  # the n labels from m + 1, m by m
-                values = chain.from_iterable(map(get, map(slice, range(where, where + count),
-                                                          range(where + n, where + n + count))))
+            get, count = self.rows[n][1].__getitem__, len(span)
+            values = map(get, where) if scale else chain.from_iterable(map(  # from m + 1, m by m
+                get, map(slice, range(where, where + count), range(where + n, where + n + count))))
             self.memo[key] = _dots(cycle(w), values, n)
         sums = self.memo[key]
         if len(ms) == len(sums):
             return ks, terms, sums
-        i = ms[0] - lo - (scale and lo < 0 < ms[0])  # the place of ms[0] in the span
-        return ks[i:i + len(ms)], terms[i:i + len(ms)], sums[i:i + len(ms)]
+        i, j = span.index(ms[0]), span.index(ms[-1]) + 1
+        return ks[i:j], terms[i:j], sums[i:j]
 
 
 def _kernel_root_sum(ps, n, ms, pqs, every, scale):
@@ -545,7 +545,7 @@ class _Plan(NamedTuple):
     r_lo: int
     r_hi: int
     spans: Dict[int, Tuple[int, int]]
-    sums: Dict[Tuple[bool, int, int], List[int]]
+    sums: Dict[Tuple[bool, int, int], List]
     grid: Dict[Tuple, object]
 
 
@@ -562,22 +562,19 @@ def _plan(identities: Sequence[Identity], ranges: SweepRanges) -> Optional[_Plan
     # the windows of one row's table overlap, so its span holds only labels ``reads`` names;
     # sums over spans of m that overlap or touch read one run of labels, or share theirs
     spans: Dict[int, Tuple[int, int]] = {}
-    requests: Dict[Tuple[bool, int], List[Tuple[int, int]]] = {}
+    requests = []
     for identity, n, ms, pqs, *_ in points:
         for r, lo, hi in CATALOG[identity].tables(n, ms, pqs):
             old = spans.get(r, (lo, hi))
             spans[r] = min(lo, old[0]), max(hi, old[1])
-        for scale, lo, hi in CATALOG[identity].sums(n, ms):
-            requests.setdefault((scale, n), []).append((lo, hi))
-    sums: Dict[Tuple[bool, int, int], List[int]] = {}  # (scale, n, lo) -> merged [lo, hi]
-    for (scale, n), spans_n in requests.items():
-        merged: List[List[int]] = []
-        for lo, hi in sorted(spans_n):
-            if merged and lo <= merged[-1][1] + 1:
-                merged[-1][1] = max(hi, merged[-1][1])
-            else:
-                merged.append([lo, hi])
-            sums[scale, n, lo] = merged[-1]
+        requests += [(scale, n, lo, hi) for scale, lo, hi in CATALOG[identity].sums(n, ms)]
+    sums: Dict[Tuple[bool, int, int], List] = {}  # (scale, n, lo) -> [scale, n, lo, hi] merged
+    merged: List = []
+    for scale, n, lo, hi in sorted(requests):
+        if merged[:2] != [scale, n] or lo > merged[3] + 1:
+            merged = [scale, n, lo, hi]
+        merged[3] = max(hi, merged[3])
+        sums[scale, n, lo] = merged
     labels = sorted(set(chain.from_iterable(CATALOG[i].reads(n, ms) for i, n, ms, *_ in points)))
     r_values = [n - (p or 0) for _, n, _, pqs, *_ in points for p, _ in pqs]  # rows n - p
     return _Plan(points, labels, {x: i for i, x in enumerate(labels)}, min(r_values),
