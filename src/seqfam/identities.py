@@ -322,7 +322,7 @@ class _Pass:
         grid alone.  The sums are computed once per row over the span of m that the plan
         merges from every request at (scale, n) that overlaps this one (without m = 0 when
         scaled), so L1, L2_SHIFT and SCALE_ID share theirs, and L2_SCALE and SCALE_ID theirs."""
-        *_, lo, hi = self.plan.sums[scale, n, ms[0]]
+        lo, hi = self.plan.sums[scale, n, ms[0]]
         key, at = (scale, n, lo), self.plan.at
         w, fact, half = self.grid(n, lambda: (_weights(n, 1)[1:], math.factorial(n),
                                               n * (n + 1) // 2))
@@ -545,7 +545,7 @@ class _Plan(NamedTuple):
     r_lo: int
     r_hi: int
     spans: Dict[int, Tuple[int, int]]
-    sums: Dict[Tuple[bool, int, int], List]
+    sums: Dict[Tuple[bool, int, int], List[int]]
     grid: Dict[Tuple, object]
 
 
@@ -568,12 +568,12 @@ def _plan(identities: Sequence[Identity], ranges: SweepRanges) -> Optional[_Plan
             old = spans.get(r, (lo, hi))
             spans[r] = min(lo, old[0]), max(hi, old[1])
         requests += [(scale, n, lo, hi) for scale, lo, hi in CATALOG[identity].sums(n, ms)]
-    sums: Dict[Tuple[bool, int, int], List] = {}  # (scale, n, lo) -> [scale, n, lo, hi] merged
-    merged: List = []
+    sums: Dict[Tuple[bool, int, int], List[int]] = {}  # (scale, n, lo) -> merged [lo, hi]
+    key = None
     for scale, n, lo, hi in sorted(requests):
-        if merged[:2] != [scale, n] or lo > merged[3] + 1:
-            merged = [scale, n, lo, hi]
-        merged[3] = max(hi, merged[3])
+        if key != (scale, n) or lo > merged[1] + 1:
+            key, merged = (scale, n), [lo, hi]
+        merged[1] = max(hi, merged[1])
         sums[scale, n, lo] = merged
     labels = sorted(set(chain.from_iterable(CATALOG[i].reads(n, ms) for i, n, ms, *_ in points)))
     r_values = [n - (p or 0) for _, n, _, pqs, *_ in points for p, _ in pqs]  # rows n - p

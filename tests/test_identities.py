@@ -961,6 +961,27 @@ def test_l2_scale_and_scale_id_share_one_dot_and_keep_their_sides(monkeypatch, l
     assert sums([Identity.L2_SCALE, Identity.SCALE_ID]) == l2_scale + scale_id - shared
 
 
+@pytest.mark.parametrize("m, shared", [((-4, 4), True), ((1, 4), True), ((2, 4), False)],
+                         ids=["holds-0", "touches-0", "apart"])
+def test_l1_reads_the_l2_shift_sum_at_m_0_where_the_spans_meet(monkeypatch, m, shared):
+    from seqfam import identities
+
+    corrupt_member(monkeypatch, PowerFamily, 3, 3)
+    family, ranges = PowerFamily(Fraction(1, 2)), SweepRanges(n=(1, 6), m=m)
+    entries = [Identity.L1, Identity.L2_SHIFT, Identity.SCALE_ID]
+    alone = [check for entry in entries for check in sweep([entry], [family], ranges).failures]
+    assert {check.identity for check in alone} == set(entries)
+    assert content(sweep(entries, [family], ranges))["failures"] == [
+        check.to_json_dict() for check in sorted(alone, key=identities._failure_key)]
+
+    calls = []
+    dots = identities._dots
+    monkeypatch.setattr(identities, "_dots", lambda *args: calls.append(args) or dots(*args))
+    sweep(entries[:2], [family], ranges)
+    # one unscaled sum per n where L1's m = 0 meets L2_SHIFT's span, else two
+    assert len(calls) == 6 * (1 if shared else 2)
+
+
 def test_plan_holds_one_label_list_at_a_time():
     # 30 n by 600 m: the shifted and scaled entries list n * 600 labels per (entry, n),
     # about 40 MB held at once if every list is built before the union
