@@ -3,8 +3,10 @@
 ``report_hashes.json`` lists each case with the SHA-256 of what it writes.  A case is
 either an argv vector, run in-process through ``seqfam.cli.main`` and hashed over its
 stdout, stderr and exit code, or a library sweep of every entry over two families with
-one member X(n, m) corrupted (``"corrupt": [n, m]``), hashed over its json.  Wall time is
-masked: ``wall_time_s`` in json, and the seconds of text's ``checks:`` line.
+one member X(n, m) corrupted (``"corrupt": [n, m]``), hashed over its json.  An argv
+case may carry ``"files"``, name -> text, written to a fresh directory that the case
+runs in, such as the roots files it names.  Wall time is masked: ``wall_time_s`` in
+json, and the seconds of text's ``checks:`` line.
 
     python tests/reports.py
 
@@ -19,6 +21,7 @@ import json
 import os
 import re
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -34,13 +37,22 @@ def masked(text: str) -> str:
     return text
 
 
-def cli_output(argv):
-    """stdout, stderr and the exit code of ``seqfam.cli.main(argv)``, run in-process."""
+def cli_output(argv, files=None):
+    """stdout, stderr and the exit code of ``seqfam.cli.main(argv)``, run in-process in a
+    fresh directory that holds ``files`` (name -> text)."""
     from seqfam import cli
 
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, text in (files or {}).items():
+            with open(os.path.join(scratch, name), "w") as f:
+                f.write(text)
+        os.chdir(scratch)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.chdir(cwd)
     return out.getvalue(), err.getvalue(), code
 
 
@@ -60,7 +72,7 @@ def corrupted_sweep_output(n, m):
 
 
 def digest(case) -> str:
-    out, err, code = (cli_output(case["argv"]) if "argv" in case
+    out, err, code = (cli_output(case["argv"], case.get("files")) if "argv" in case
                       else corrupted_sweep_output(*case["corrupt"]))
     text = json.dumps([masked(out), masked(err), code])
     return hashlib.sha256(text.encode()).hexdigest()

@@ -1023,7 +1023,7 @@ def test_a_sweep_holds_one_family_pass_at_a_time():
 
 
 def test_a_wide_pass_holds_one_row_at_a_time():
-    # 20 rows over 3,707 labels: about 5.5 MB traced with one row's members held at a time,
+    # 20 rows over 3,707 labels: about 5.9 MB traced with one row's members held at a time,
     # 10.7 MB with every row held for the whole pass
     report, peak = traced_sweep(ALL_IDENTITIES, [PochhammerFamily()],
                                 SweepRanges(n=(1, 20), m=(-200, 200)))
