@@ -336,8 +336,11 @@ class _Pass:
         span, where, ks, terms = self.grid(key, make)
         if key not in self.memo:
             get, count = self.rows[n][1].__getitem__, len(span)
-            values = map(get, where) if scale else chain.from_iterable(map(  # from m + 1, m by m
-                get, map(slice, range(where, where + count), range(where + n, where + n + count))))
+            if scale:
+                values = map(get, where)
+            else:  # the n labels from m + 1, m by m
+                values = chain.from_iterable(map(get, map(slice, range(where, where + count),
+                                                          range(where + n, where + n + count))))
             self.memo[key] = _dots(cycle(w), values, n)
         sums = self.memo[key]
         if len(ms) == len(sums):
