@@ -5,8 +5,9 @@ match) or stdout closed by its reader (nothing on stderr), 2 usage error, 3
 external-service error.  Reports go to stdout in text, csv or json;
 diagnostics go to stderr.  Exact values of any length are decimal strings in
 the machine formats, except OEIS JSON ``terms``: JSON numbers.  ``table``
-writes its report a row at a time from the family's ``rows``, so one row is
-held, not the window; text first takes the column widths from a pass over the
+takes the family's ``rows`` one at a time and writes each in pieces of
+``PIECE_CELLS`` cells, so one row's members are held, not the window, nor the
+text of a whole row; text first takes the column widths from a pass over the
 rows that formats only each column's largest and smallest member.  A window
 whose members run past ``DECIMAL_FROM_BITS`` is evaluated at decimal labels
 (:func:`seqfam.exact.exact_decimal`), so that writing a member is a linear
@@ -22,11 +23,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -199,9 +201,10 @@ def long_members(family: Family, n_hi: int, m_range: Tuple[int, int]) -> bool:
 
 def table_lines(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int],
                 fmt: str) -> Iterator[str]:
-    """The ``table`` report in ``fmt`` (json, csv or text), one table row at a time, from
-    the family's rows.  A window of long members (:func:`long_members`) is evaluated at
-    decimal labels, so drain this inside ``exact_decimal()``."""
+    """The ``table`` report in ``fmt`` (json, csv or text), a piece of a table row at a
+    time (:func:`_layout`), from the family's rows.  A window of long members
+    (:func:`long_members`) is evaluated at decimal labels, so drain this inside
+    ``exact_decimal()``."""
     labels = range(m_range[0], m_range[1] + 1)
     if long_members(family, n_range[1], m_range):
         labels = [*map(Decimal, labels)]
@@ -210,10 +213,16 @@ def table_lines(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, in
 
 def _cells(d, row: Iterable) -> Iterator[str]:
     """The members of a row over d as ``format_exact`` writes them: decimals digit for digit
-    (a family yields them coprime to d), ints reduced over d."""
+    (a family yields them coprime to d), ints over d > 0 in lowest terms."""
     if isinstance(d, Decimal):
         return map(decimal_text, row, repeat(d))
-    return map(format_exact, row if d == 1 else map(Fraction, row, repeat(d)))
+    return map(format_exact, row) if d == 1 else map(_over, row, repeat(d))
+
+
+def _over(v: int, d: int) -> str:
+    """v/d, d > 0, as ``format_exact`` writes the Fraction, without making one."""
+    g = math.gcd(v, d)
+    return format_exact(v // g) if g == d else f"{format_exact(v // g)}/{format_exact(d // g)}"
 
 
 def _widths(rows: Iterable[Row], count: int) -> List[int]:
@@ -234,13 +243,27 @@ def _widths(rows: Iterable[Row], count: int) -> List[int]:
     return widths
 
 
+#: The most cells of a row in one piece of a ``table`` report, so that a wide row is
+#: written a piece at a time rather than joined whole.
+PIECE_CELLS = 64
+
+
+def _pieces(head: str, cells: Iterable[str], sep: str, tail: str) -> Iterator[str]:
+    """head + sep.join(cells) + tail, in pieces of at most PIECE_CELLS cells."""
+    cells = iter(cells)
+    while chunk := [*islice(cells, PIECE_CELLS)]:
+        yield head + sep.join(chunk)
+        head = sep
+    yield tail
+
+
 def _layout(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int], fmt: str,
             rows: Callable[[], Iterable[Row]]) -> Iterator[str]:
     """The report of the window whose rows ``rows()`` yields (twice for text: the widths).
 
-    Each item is one or more whole lines without the final "\\n" (a json row of values
-    spans a line per cell).  The json is that of ``json.dumps(window_json_dict(table(
-    ...)), indent=2)`` and the csv that of ``csv.writer`` (lines end in "\\r"): cells
+    The items concatenate to the report, final newline included; each holds at most
+    PIECE_CELLS cells of a row.  The json is that of ``json.dumps(window_json_dict(table(
+    ...)), indent=2)`` and the csv that of ``csv.writer`` (lines end in "\\r\\n"): cells
     hold only digits, "-" and "/", which need no escaping or quoting.
     """
     n_lo, n_hi = n_range
@@ -252,32 +275,32 @@ def _layout(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, int], 
     cells = (_cells(d, row) for d, row in rows())
     if fmt == "json":
         head = {"kind": "table", "family": family.label(), "n": [n_lo, n_hi], "m": [m_lo, m_hi]}
-        yield json.dumps(head, indent=2)[:-2] + ","  # drop the closing "\n}"
-        yield '  "values": ['
+        yield json.dumps(head, indent=2)[:-2] + ',\n  "values": [\n'  # drop the closing "\n}"
         for n, row in enumerate(cells, n_lo):
-            joined = '",\n      "'.join(row)
-            yield f'    [\n      "{joined}"\n    ]{"," if n < n_hi else ""}'
-        yield "  ]\n}"
+            yield from _pieces('    [\n      "', row, '",\n      "',
+                               f'"\n    ]{"," if n < n_hi else ""}\n')
+        yield "  ]\n}\n"
     elif fmt == "csv":
-        yield ",".join(["n", *m_labels]) + "\r"
+        yield from _pieces("n,", m_labels, ",", "\r\n")
         for n, row in zip(n_labels, cells):
-            yield ",".join([n, *row]) + "\r"
+            yield from _pieces(f"{n},", row, ",", "\r\n")
     else:
-        widths = [max(map(len, ["n\\m", *n_labels])), *map(max, map(len, m_labels), widths)]
-        for line in chain([["n\\m", *m_labels]], ([n, *row] for n, row in zip(n_labels, cells))):
-            yield "  ".join(map(str.rjust, line, widths))
+        width = max(map(len, ["n\\m", *n_labels]))
+        widths = [*map(max, map(len, m_labels), widths)]
+        for n, row in chain([("n\\m", m_labels)], zip(n_labels, cells)):
+            yield from _pieces(n.rjust(width) + "  ", map(str.rjust, row, widths), "  ", "\n")
 
 
 def render_table_text(window: SequenceWindow) -> str:
     """The text report of a built window, without the final newline."""
-    return "\n".join(_layout(window.family, window.n_range, window.m_range, "text",
-                             lambda: map(cleared, window.values)))
+    return "".join(_layout(window.family, window.n_range, window.m_range, "text",
+                           lambda: map(cleared, window.values)))[:-1]
 
 
 def render_table_csv(window: SequenceWindow) -> str:
     """The csv report of a built window, without the final newline."""
-    return "\n".join(_layout(window.family, window.n_range, window.m_range, "csv",
-                             lambda: map(cleared, window.values)))
+    return "".join(_layout(window.family, window.n_range, window.m_range, "csv",
+                           lambda: map(cleared, window.values)))[:-1]
 
 
 def _csv(header: List[str], rows) -> None:
@@ -315,7 +338,6 @@ def cmd_table(args) -> int:
     with exact_decimal():
         for piece in table_lines(families[0], n_range, m_range, args.format):
             write(piece)
-            write("\n")
     return 0
 
 

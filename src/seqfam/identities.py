@@ -8,12 +8,13 @@ and the sides it reports are the exact rationals lhs/k and rhs/k.
 
 ``CATALOG`` is the one definition of each entry: the parameters a point
 carries beyond n, the entry's hypothesis on m, whether it is specific to the
-generalized Fibonacci family, the labels x of the members X(r, x) it reads,
-and its integer kernel, the one evaluation of its two sides.  ``eval_identity``
-(one point) and ``sweep`` (a grid, planned once for all its families and run
-as one pass per family, row by row) both run that kernel, so they
-agree on what is admissible and on every value; the admissible p and q are
-stated once, in ``P_SPAN`` and ``Q_SPAN``.
+generalized Fibonacci family, its integer kernel, the one evaluation of its two
+sides, and what that kernel reads: the spans of its difference tables and sums,
+and the labels of the three kernels that index members themselves.
+``eval_identity`` (one point) and ``sweep`` (a grid, planned once for all its
+families and run as one pass per family, row by row) both run that kernel, so
+they agree on what is admissible and on every value; the admissible p and q
+are stated once, in ``P_SPAN`` and ``Q_SPAN``.
 
 The entries, with S_n denoting the root sum ``family.root_sum(n)``:
 
@@ -232,11 +233,11 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 # linear in the members of one row X(r, .), and a family's pass runs in row order:
 # it takes each row as the family's ``rows`` yields it, ints over a common
 # denominator d over the plan's labels (``row[plan.at[x]]`` is d * X(r, x) for each
-# label x that some entry's ``reads`` names at some n), runs the points the plan
-# assigns to it, and drops its members.  A kernel decides every check of one
-# (entry, n) at once: it builds, as lists over ms, the two things each check
-# compares, each times one nonzero clearing factor k, and the checks pass iff the
-# two lists are equal.  Only at an m where they differ does it compute the point
+# label x of some entry's table span, merged sum or own ``reads`` at some n), runs
+# the points the plan assigns to it, and drops its members.  A kernel decides every
+# check of one (entry, n) at once: it builds, as lists over ms, the two things each
+# check compares, each times one nonzero clearing factor k, and the checks pass iff
+# the two lists are equal.  Only at an m where they differ does it compute the point
 # (m, p, q, lhs, rhs, k) of a failing check, whose exact sides are lhs/k and rhs/k;
 # with ``every`` it computes every point, which is how eval_identity reads a passing
 # check.  The root-sum entries read ``_Pass.sums``, dot products over the row in C.
@@ -329,7 +330,7 @@ class _Pass:
 
         def make():  # the m of the span, the row positions of X(n, a + b*l), k and term
             span = [m for m in range(lo, hi + 1) if m or not scale]
-            where = [at[l * m] for m in span for l in range(1, n + 1)] if scale else at[lo + 1]
+            where = [*map(at.__getitem__, _scaled(n, span))] if scale else at[lo + 1]
             return (span, where, [fact * m ** (n - 1) if scale else fact for m in span],
                     [half * m if scale else half + n * m for m in span])
 
@@ -463,14 +464,16 @@ class Entry(NamedTuple):
     # (n, a range of m) -> the m of the range that the hypothesis admits; the statement
     m_hypothesis: Optional[Tuple[Callable[[int, range], Sequence[int]], str]]
     fib_only: bool  # holds for the generalized Fibonacci family lucas:-1 only
-    reads: Callable[[int, Sequence[int]], Sequence[int]]  # (n, ms) -> the labels the kernel reads
     # (ps, n, ms, pqs, every) -> the points (m, p, q, lhs, rhs, k) of the failing checks at
     # n, for the pass ps, the admissible ms and pqs of Entry.points, and every: bool
     kernel: Callable
+    # What the kernel reads, stated once: the plan takes a pass's labels and rows from it.
     # (n, ms, pqs) -> (r, lo, hi) for each row r whose differences at lo..hi the kernel reads
     tables: Callable = lambda n, ms, pqs: ()
     # (n, ms) -> (scale, ms[0], ms[-1]) of each call _Pass.sums(n, ms, scale) of the kernel
     sums: Callable = lambda n, ms: ()
+    # (n, ms) -> the labels of row n that the kernel indexes itself, beyond its tables and sums
+    reads: Optional[Callable[[int, Sequence[int]], Iterable[int]]] = None
 
     def points(self, n: int, ranges: SweepRanges) -> Tuple[Sequence[int], PQs]:
         """The admissible m of a sweep at n, a range where they are contiguous, and its
@@ -486,51 +489,39 @@ class Entry(NamedTuple):
         return ms, [(p, qs) for p, qs in pqs if qs]
 
 
-def _shifted(n: int, ms: Sequence[int]) -> range:
-    return range(ms[0] + 1, ms[-1] + n + 1)  # l + m for l = 1..n, at each m of a range
-
-
-def _scaled(n: int, ms: Sequence[int]) -> List[int]:
-    return [l * m for m in ms for l in range(1, n + 1)]
+def _scaled(n: int, ms: Iterable[int]) -> List[int]:
+    return [l * m for m in ms for l in range(1, n + 1)]  # l*m for l = 1..n, at each m
 
 
 _M_NONZERO = (lambda n, ms: [m for m in ms if m] if 0 in ms else ms, "m != 0")
 _M_AT_LEAST_N = (lambda n, ms: range(max(n, ms.start), ms.stop), "m >= n")
 _SHIFT = lambda n, ms: [(False, ms[0], ms[-1])]
 _FIB_SUMS = lambda n, ms: [(False, 0, 0), (True, -1, -1)]
-_SUBFAM = (lambda n, ms: range(ms[0] - n, ms[-1] + 1),  # reads, of the row n - p at each p
-           lambda n, ms, pqs: [(n - p, ms[0] - n, ms[-1]) for p, _ in pqs])
+_SUBFAM = lambda n, ms, pqs: [(n - p, ms[0] - n, ms[-1]) for p, _ in pqs]  # X(n-p, m-n+l)
 
 #: The identity catalog.  L1, L2_SHIFT and L2_SCALE are one root-sum kernel, relabeled;
 #: EXPL_NEG is EXPL_POS over the labels -l and -m; FIB_POSNEG_COMPL flips the sign of X(n, l).
 CATALOG: Dict[Identity, Entry] = {
-    Identity.L1: Entry("", None, False, _shifted, partial(_kernel_root_sum, scale=False),
-                       sums=_SHIFT),
-    Identity.L2_SHIFT: Entry("m", None, False, _shifted, partial(_kernel_root_sum, scale=False),
+    Identity.L1: Entry("", None, False, partial(_kernel_root_sum, scale=False), sums=_SHIFT),
+    Identity.L2_SHIFT: Entry("m", None, False, partial(_kernel_root_sum, scale=False),
                              sums=_SHIFT),
-    Identity.L2_SCALE: Entry("m", _M_NONZERO, False, _scaled,
-                             partial(_kernel_root_sum, scale=True),
+    Identity.L2_SCALE: Entry("m", _M_NONZERO, False, partial(_kernel_root_sum, scale=True),
                              sums=lambda n, ms: [(True, ms[0], ms[-1])]),
-    Identity.REC_M: Entry("m", None, False, lambda n, ms: range(ms[0] - n + 1, ms[-1] + 2),
-                          _kernel_rec_m,  # X(n, l+m-n) for l = 1..n+1
+    Identity.REC_M: Entry("m", None, False, _kernel_rec_m,  # X(n, l+m-n) for l = 1..n+1
                           lambda n, ms, pqs: [(n, ms[0] - n + 1, ms[-1] + 1)]),
-    Identity.SCALE_ID: Entry("m", _M_NONZERO, False, lambda n, ms: _scaled(n, [1, *ms]),
-                             _kernel_scale_id,
+    Identity.SCALE_ID: Entry("m", _M_NONZERO, False, _kernel_scale_id,
                              sums=lambda n, ms: [(True, ms[0], ms[-1]), (False, 0, 0)]),
-    Identity.EXPL_POS: Entry("m", _M_AT_LEAST_N, False, lambda n, ms: [*range(n), *ms],
-                             partial(_kernel_expl, sign=1)),
-    Identity.EXPL_NEG: Entry("m", _M_AT_LEAST_N, False,
-                             lambda n, ms: [*range(1 - n, 1), *(-m for m in ms)],
-                             partial(_kernel_expl, sign=-1)),
-    Identity.SUBFAM_ZERO: Entry("mpq", None, False, _SUBFAM[0],
-                                partial(_kernel_subfam, fact=False), _SUBFAM[1]),
-    Identity.SUBFAM_FACT: Entry("mp", None, False, _SUBFAM[0],
-                                partial(_kernel_subfam, fact=True), _SUBFAM[1]),
-    Identity.FIB_POSNEG: Entry("", None, True, lambda n, ms: _scaled(n, (1, -1)),
-                               partial(_kernel_fib_posneg, compl=False), sums=_FIB_SUMS),
-    Identity.FIB_POSNEG_COMPL: Entry("", None, True, lambda n, ms: _scaled(n, (1, -1)),
-                                     partial(_kernel_fib_posneg, compl=True), sums=_FIB_SUMS),
-    Identity.FIB_POLY: Entry("m", None, True, lambda n, ms: ms, _kernel_fib_poly),
+    Identity.EXPL_POS: Entry("m", _M_AT_LEAST_N, False, partial(_kernel_expl, sign=1),
+                             reads=lambda n, ms: [*range(n), *ms]),
+    Identity.EXPL_NEG: Entry("m", _M_AT_LEAST_N, False, partial(_kernel_expl, sign=-1),
+                             reads=lambda n, ms: [*range(1 - n, 1), *(-m for m in ms)]),
+    Identity.SUBFAM_ZERO: Entry("mpq", None, False, partial(_kernel_subfam, fact=False), _SUBFAM),
+    Identity.SUBFAM_FACT: Entry("mp", None, False, partial(_kernel_subfam, fact=True), _SUBFAM),
+    Identity.FIB_POSNEG: Entry("", None, True, partial(_kernel_fib_posneg, compl=False),
+                               sums=_FIB_SUMS),
+    Identity.FIB_POSNEG_COMPL: Entry("", None, True, partial(_kernel_fib_posneg, compl=True),
+                                     sums=_FIB_SUMS),
+    Identity.FIB_POLY: Entry("m", None, True, _kernel_fib_poly, reads=lambda n, ms: ms),
 }
 
 
@@ -553,24 +544,27 @@ class _Plan(NamedTuple):
 
 
 def _plan(identities: Sequence[Identity], ranges: SweepRanges) -> Optional[_Plan]:
-    """The plan of every family of a sweep; None when no entry has an admissible point."""
-    points = [(identity, n, *CATALOG[identity].points(n, ranges)) for identity in identities
-              for n in range(max(ranges.n[0], 1), ranges.n[1] + 1)]
-    # a point runs on row n, or on n - p at the least p of SUBFAM_*, which read rows n - p
-    points = sorted(((identity, n, ms, pqs, len(ms) * sum(len(qs) for _, qs in pqs),
-                      n - (pqs[0][0] or 0)) for identity, n, ms, pqs in points if ms and pqs),
-                    key=itemgetter(5))
+    """The plan of every family of a sweep, its rows and labels those of the tables and sums
+    the entries state, merged; None when no entry has an admissible point."""
+    points, spans, requests = [], {}, []
+    for identity in identities:
+        entry = CATALOG[identity]
+        for n in range(max(ranges.n[0], 1), ranges.n[1] + 1):
+            ms, pqs = entry.points(n, ranges)
+            if not (ms and pqs):
+                continue
+            tables = entry.tables(n, ms, pqs)
+            for r, lo, hi in tables:
+                old = spans.get(r, (lo, hi))
+                spans[r] = min(lo, old[0]), max(hi, old[1])
+            requests += [(scale, n, lo, hi) for scale, lo, hi in entry.sums(n, ms)]
+            # a point runs on the highest row it reads: of its tables, or row n without one
+            points.append((identity, n, ms, pqs, len(ms) * sum(len(qs) for _, qs in pqs),
+                           max([r for r, _, _ in tables], default=n)))
     if not points:
         return None
-    # the windows of one row's table overlap, so its span holds only labels ``reads`` names;
+    points.sort(key=itemgetter(5))
     # sums over spans of m that overlap or touch read one run of labels, or share theirs
-    spans: Dict[int, Tuple[int, int]] = {}
-    requests = []
-    for identity, n, ms, pqs, *_ in points:
-        for r, lo, hi in CATALOG[identity].tables(n, ms, pqs):
-            old = spans.get(r, (lo, hi))
-            spans[r] = min(lo, old[0]), max(hi, old[1])
-        requests += [(scale, n, lo, hi) for scale, lo, hi in CATALOG[identity].sums(n, ms)]
     sums: Dict[Tuple[bool, int, int], List[int]] = {}  # (scale, n, lo) -> merged [lo, hi]
     key = None
     for scale, n, lo, hi in sorted(requests):
@@ -578,10 +572,15 @@ def _plan(identities: Sequence[Identity], ranges: SweepRanges) -> Optional[_Plan
             key, merged = (scale, n), [lo, hi]
         merged[1] = max(hi, merged[1])
         sums[scale, n, lo] = merged
-    labels = sorted(set(chain.from_iterable(CATALOG[i].reads(n, ms) for i, n, ms, *_ in points)))
-    r_values = [n - (p or 0) for _, n, _, pqs, *_ in points for p, _ in pqs]  # rows n - p
-    return _Plan(points, labels, {x: i for i, x in enumerate(labels)}, min(r_values),
-                 max(r_values), spans, sums, {})
+    # the labels of each table span, of each merged sum (m + l, or l*m with m != 0, for
+    # l = 1..n) and of each entry's own reads, one list at a time
+    labels = sorted(set(chain.from_iterable(chain(
+        (range(lo, hi + 1) for lo, hi in spans.values()),
+        (_scaled(n, (m for m in range(lo, hi + 1) if m)) if scale else range(lo + 1, hi + n + 1)
+         for scale, n, lo, hi in {(scale, n, *span) for (scale, n, _), span in sums.items()}),
+        (CATALOG[i].reads(n, ms) for i, n, ms, *_ in points if CATALOG[i].reads)))))
+    return _Plan(points, labels, {x: i for i, x in enumerate(labels)},
+                 min([points[0][5], *spans]), points[-1][5], spans, sums, {})
 
 
 def _points(plan: Optional[_Plan], family: Family) -> List[Tuple]:

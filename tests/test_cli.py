@@ -233,6 +233,31 @@ def test_table_stream_escapes_a_roots_file_label(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["family"] == f"roots:{label}"
 
 
+def test_table_rational_cells_in_lowest_terms(tmp_path, capsys, monkeypatch):
+    # X(2, m) = (m + 3)(m + 1/2) over d = 2: 0 at m = -3, an int at m = -1 and 1, else a half
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"roots": {"1": ["1/2"], "2": ["3", "1/2"]}}))
+    outs = []
+    for bits in (math.inf, 0):  # with ints, then in decimal
+        monkeypatch.setattr("seqfam.cli.DECIMAL_FROM_BITS", bits)
+        assert_streams_reference(capsys, f"roots:{path}", "0..2", "-4..2")
+        outs.append(run(capsys, "table", "--family", f"roots:{path}", "--n", "0..2",
+                        "--m", "-4..2", "--format", "csv")[1])
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[3] == "2,7/2,0,-3/2,-1,3/2,6,25/2"
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3])
+@pytest.mark.parametrize("selector, n, m", [("power:1/2", "0..5", "-3..3"),
+                                            ("pochhammer", "4..9", "-6..2"),
+                                            ("power:0", "1..1", "0..0")])
+def test_table_pieces_concatenate_to_the_report(capsys, monkeypatch, evaluation, cells,
+                                                selector, n, m):
+    # a row is written PIECE_CELLS cells at a time: cut at every cell, every second and third
+    monkeypatch.setattr("seqfam.cli.PIECE_CELLS", cells)
+    assert_streams_reference(capsys, selector, n, m)
+
+
 @pytest.mark.parametrize("selector, n, m, decimal", [
     ("fib", "1..7", "0..7", False),
     ("power:1/2", "0..6", "-3..3", False),
@@ -315,6 +340,28 @@ def test_table_memory_is_one_row(fmt):
         tracemalloc.stop()
     assert code == 0 and sink.bytes > 5_000_000
     assert peak < sink.bytes / 10, f"peak {peak:,} B for {sink.bytes:,} B written"
+
+
+@pytest.mark.parametrize("argv, bound", [
+    # int labels: 3.5 MB traced when a piece of a row is held, 7.1 MB when the row is joined
+    (["fib", "0..40", "-5000..5000", "csv"], 5_200_000),
+    # decimal labels: 11.4 MB traced, and 18.7 MB
+    (["lucas:2", "150..150", "-5000..5000", "json"], 15_000_000),
+], ids=["int", "decimal"])
+def test_table_holds_a_piece_of_a_row(argv, bound):
+    family, n, m, fmt = argv
+    argv = ["table", "--family", family, "--n", n, "--m", m, "--format", fmt]
+    with contextlib.redirect_stdout(ByteSink()):
+        main(argv)  # first use runs the modules the command reads
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(ByteSink()):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < bound, f"peak {peak:,} B"
 
 
 def test_table_memory_of_a_tall_window_of_short_members():

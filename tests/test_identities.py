@@ -299,16 +299,34 @@ def record_reads(monkeypatch, family_type, read):
     monkeypatch.setattr(family_type, "rows", rows)
 
 
-@pytest.mark.parametrize("entry", ALL_IDENTITIES, ids=lambda e: e.value)
+#: m ranges where the tables and sums of m bounds coupled to n, or far from the origin, meet
+WHOLE_CATALOG_M = [("n", 15), (-5, "n"), (5000, 5001)]
+
+
+@pytest.mark.parametrize("entry, m", [*((entry, (-4, 5)) for entry in ALL_IDENTITIES),
+                                      *((None, m) for m in WHOLE_CATALOG_M)],
+                         ids=[*(e.value for e in ALL_IDENTITIES),
+                              *(f"all-{m[0]}..{m[1]}" for m in WHOLE_CATALOG_M)])
 @pytest.mark.parametrize("family", [FIB, PowerFamily(Fraction(1, 2))], ids=lambda f: f.label())
-def test_a_cell_builds_exactly_the_labels_its_kernel_reads(monkeypatch, entry, family):
+def test_a_cell_builds_exactly_the_labels_its_kernel_reads(monkeypatch, entry, m, family):
+    # one entry, or (None) every entry that runs on the family, together
+    runs = [e for e in ALL_IDENTITIES if family == FIB or not CATALOG[e].fib_only]
     built = record_rows(monkeypatch, type(family))
     read = set()
     record_reads(monkeypatch, type(family), lambda r: read)
-    report = sweep([entry], [family], SweepRanges(n=(1, 7), m=(-4, 5)))
+    report = sweep([entry] if entry else runs, [family], SweepRanges(n=(1, 7), m=m))
     assert report.failures == []
-    assert bool(report.total_checks) == bool(read) == (family == FIB or not CATALOG[entry].fib_only)
+    assert bool(report.total_checks) == bool(read) == (entry is None or entry in runs)
     assert set(built_labels(built)) == read
+
+
+@pytest.mark.parametrize("m", [(-4, 5), ("n", 15), (-5, "n"), (5000, 5001)], ids=str)
+def test_each_table_span_is_one_run_of_the_plan_labels(m):
+    # a pass slices each row's table from the labels lo..hi, so each must be present
+    plan = _plan(ALL_IDENTITIES, SweepRanges(n=(1, 9), m=m))
+    assert plan.spans
+    for r, (lo, hi) in plan.spans.items():
+        assert plan.labels[plan.at[lo]:plan.at[hi] + 1] == list(range(lo, hi + 1)), r
 
 
 def test_sweep_rational_family():
@@ -982,9 +1000,9 @@ def test_l1_reads_the_l2_shift_sum_at_m_0_where_the_spans_meet(monkeypatch, m, s
     assert len(calls) == 6 * (1 if shared else 2)
 
 
-def test_plan_holds_one_label_list_at_a_time():
-    # 30 n by 600 m: the shifted and scaled entries list n * 600 labels per (entry, n),
-    # about 40 MB held at once if every list is built before the union
+def test_plan_holds_one_label_list_at_a_time(monkeypatch):
+    # 30 n by 600 m: each merged scaled sum lists n * 600 labels, and the union takes one
+    # list at a time; the labels are exactly those a sweep of the grid reads
     ranges = SweepRanges(n=(1, 30), m=(-300, 299))
     tracemalloc.start()
     try:
@@ -993,10 +1011,10 @@ def test_plan_holds_one_label_list_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 12_000_000, f"peak {peak:,} B"
-    union = set()
-    for identity, n, ms, *_ in plan.points:
-        union.update(CATALOG[identity].reads(n, ms))
-    assert plan.labels == sorted(union)
+    read = set()
+    record_reads(monkeypatch, LucasFamily, lambda r: read)
+    assert sweep(ALL_IDENTITIES, [FIB], ranges).failures == []
+    assert plan.labels == sorted(read)
 
 
 def traced_sweep(entries, families, ranges):
