@@ -3,7 +3,8 @@
 ``report_hashes.json`` lists each case with the SHA-256 of what it writes.  A case is
 either an argv vector, run in-process through ``seqfam.cli.main`` and hashed over its
 stdout, stderr and exit code, or a library sweep of every entry over two families with
-one member X(n, m) corrupted (``"corrupt": [n, m]``), hashed over its json.  An argv
+one member X(n, m) corrupted (``"corrupt": [n, m]``), over m -3..4 or the range
+``"m": [lo, hi]``, hashed over its json.  An argv
 case may carry ``"files"``, name -> text, written to a fresh directory that the case
 runs in, such as the roots files it names.  Wall time is masked: ``wall_time_s`` in
 json, and the seconds of text's ``checks:`` line.
@@ -56,9 +57,10 @@ def cli_output(argv, files=None):
     return out.getvalue(), err.getvalue(), code
 
 
-def corrupted_sweep_output(n, m):
-    """The json of a sweep of every entry over power:-3/2 and fib, n 1..8, m -3..4, with
-    X(n, m) one too large in both; row 3's difference table spans the labels -11..5."""
+def corrupted_sweep_output(n, m, m_range):
+    """The json of a sweep of every entry over power:-3/2 and fib, n 1..8 and m_range,
+    with X(n, m) one too large in both; at m -3..4 row 3's difference table spans the
+    labels -11..5."""
     from seams import corrupt_member
     from seqfam.families import FIB, LucasFamily, PowerFamily
     from seqfam.identities import ALL_IDENTITIES, SweepRanges, sweep
@@ -67,13 +69,13 @@ def corrupted_sweep_output(n, m):
         for family_type in (PowerFamily, LucasFamily):
             corrupt_member(patch, family_type, n, m)
         report = sweep(ALL_IDENTITIES, [PowerFamily(Fraction(-3, 2)), FIB],
-                       SweepRanges(n=(1, 8), m=(-3, 4)))
+                       SweepRanges(n=(1, 8), m=tuple(m_range)))
     return json.dumps(report.to_json_dict(), indent=2), "", int(not report.passed)
 
 
 def digest(case) -> str:
     out, err, code = (cli_output(case["argv"], case.get("files")) if "argv" in case
-                      else corrupted_sweep_output(*case["corrupt"]))
+                      else corrupted_sweep_output(*case["corrupt"], case.get("m", (-3, 4))))
     text = json.dumps([masked(out), masked(err), code])
     return hashlib.sha256(text.encode()).hexdigest()
 

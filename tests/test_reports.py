@@ -6,8 +6,10 @@ import reports
 
 
 def case_id(case) -> str:
-    return " ".join(case["argv"]) if "argv" in case else "sweep X{} corrupted".format(
-        tuple(case["corrupt"]))
+    if "argv" in case:
+        return " ".join(case["argv"])
+    at = " m {}..{}".format(*case["m"]) if "m" in case else ""
+    return "sweep X{} corrupted{}".format(tuple(case["corrupt"]), at)
 
 
 @pytest.mark.parametrize("case", reports.load(), ids=case_id)
