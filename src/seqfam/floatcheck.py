@@ -78,7 +78,7 @@ def _relative_error(real: float, exact: ExactScalar) -> float:
     if not math.isfinite(real):
         return math.inf
     try:
-        return abs(real - float(exact)) / max(1.0, abs(float(exact)))
+        return abs(real - float(exact)) / _magnitude(exact)
     except OverflowError:
         return float(abs(Fraction(real) - exact) / abs(exact))
 

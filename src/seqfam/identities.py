@@ -9,7 +9,7 @@ and the sides it reports are the exact rationals lhs/k and rhs/k.
 ``CATALOG`` is the one definition of each entry: the parameters a point
 carries beyond n, the entry's hypothesis on m, whether it is specific to the
 generalized Fibonacci family, its integer kernel, the one evaluation of its two
-sides, and what that kernel reads: the spans of its difference tables and sums,
+sides, and what that kernel reads: the spans of its difference table and sums,
 and the labels of the three kernels that index members themselves.
 ``eval_identity`` (one point) and ``sweep`` (a grid, planned once for all its
 families and run as one pass per family, row by row) both run that kernel, so
@@ -230,22 +230,23 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 
 
 # Fraction-free kernels, the one evaluation of every entry.  Each entry is
-# linear in the members of one row X(r, .), and a family's pass runs in row order:
-# it takes each row as the family's ``rows`` yields it, ints over a common
-# denominator d over the plan's labels (``row[plan.at[x]]`` is d * X(r, x) for each
-# label x of some entry's table span, merged sum or own ``reads`` at some n), runs
-# the points the plan assigns to it, and drops its members.  A kernel decides every
-# check of one (entry, n) at once: it builds, as lists over ms, the two things each
-# check compares, each times one nonzero clearing factor k, and the checks pass iff
-# the two lists are equal.  Only at an m where they differ does it compute the point
-# (m, p, q, lhs, rhs, k) of a failing check, whose exact sides are lhs/k and rhs/k;
-# with ``every`` it computes every point, which is how eval_identity reads a passing
-# check.  The root-sum entries read ``_Pass.sums``, dot products over the row in C.
-# REC_M and SUBFAM_* read forward differences: a pass differences each row r r
-# times, once, when it takes the row, over the span of labels the plan states for
-# it from the entries' ``tables``, and a table that is r!*d throughout, as a
-# family's always is, passes every check that reads it.  What a kernel reads that
-# depends on the grid alone (weights, n!*b^(n-1), row positions, m!/(m-n)!,
+# linear in the members of one row X(r, .), and each point of a plan reads one row:
+# row n, or the row of its ``table``.  A family's pass runs in row order: it takes
+# each row as the family's ``rows`` yields it, ints over a common denominator d over
+# the plan's labels (``row[plan.at[x]]`` is d * X(r, x) for each label x of some
+# entry's table span, sum or own ``reads`` at some n), runs the points the plan
+# assigns to it, and drops the row.  A kernel decides every check of one (entry, n,
+# p) at once: it builds, as lists over ms, the two things each check compares, each
+# times one nonzero clearing factor k, and the checks pass iff the two lists are
+# equal.  Only at an m where they differ does it compute the point (m, p, q, lhs,
+# rhs, k) of a failing check, whose exact sides are lhs/k and rhs/k; with ``every``
+# it computes every point, which is how eval_identity reads a passing check.  The
+# root-sum entries read ``_Pass.sums``, dot products over the row in C.  REC_M and
+# SUBFAM_* read forward differences: a pass differences each row r r times, once,
+# when it takes the row, over the span of labels the plan states for it from the
+# entries' tables.  A table that is r!*d throughout, as a family's always is, passes
+# every check that reads it, so the pass skips those points.  What a kernel reads
+# that depends on the grid alone (weights, n!*b^(n-1), row positions, m!/(m-n)!,
 # C(m, n)) is made once per sweep and kept in the plan for every family
 # (``_Pass.grid``).
 
@@ -267,15 +268,13 @@ def _failing(got: List[int], want: List[int], every: bool, point: Callable) -> S
 
 
 class _Pass:
-    """One family's pass of a plan, run row by row.  ``rows[r]`` is (d, the members of row
-    r): the members of the row being run, and of each earlier row whose difference table
-    is not r!*d throughout, which only SUBFAM_*'s per-check fallback reads again; None for
-    every other row.  ``tables[r]`` is (lo, Delta^r d*X(r, .) at the labels lo..hi of the
-    span the plan states for row r, whether every value is r!*d), kept for the pass;
-    ``memo`` holds the sums of the row being run."""
+    """One family's pass of a plan, run row by row; it holds the row being run and nothing
+    of any other.  ``row`` is (d, its members), ``table`` is (lo, Delta^r d*X(r, .) at the
+    labels lo..hi of the span the plan states for row r) when the row has one, and
+    ``memo`` holds the row's sums."""
 
     def __init__(self, plan: "_Plan", family: Family):
-        self.plan, self.family, self.rows, self.tables, self.memo = plan, family, {}, {}, {}
+        self.plan, self.family, self.row, self.table, self.memo = plan, family, None, None, {}
 
     def run(self, points: List[Tuple], every: bool) -> Tuple[int, List[Tuple]]:
         """The check count of points of the plan, in its row order, and the point (identity,
@@ -285,18 +284,17 @@ class _Pass:
         point = next(todo, None)
         rows = self.family.rows(plan.labels, plan.r_lo, plan.r_hi)
         for r, (d, row) in zip(range(plan.r_lo, plan.r_hi + 1), rows):
-            self.rows[r], self.memo = (d, row), {}
-            holds = r not in plan.spans or self._table(r, d, row)
-            while point is not None and point[5] == r:
-                identity, n, ms, pqs, checks, _ = point
+            self.row, self.table, self.memo = (d, row), None, {}
+            holds = r in plan.spans and self._table(r, d, row)
+            while point is not None and point[6] == r:
+                identity, n, ms, p, qs, checks, _, tabled = point
                 count += checks
-                out += [(identity.value, n, *p)
-                        for p in CATALOG[identity].kernel(self, n, ms, pqs, every)]
+                if every or not (tabled and holds):  # a table that holds passes its points
+                    out += [(identity.value, n, *pt)
+                            for pt in CATALOG[identity].kernel(self, n, ms, p, qs, every)]
                 point = next(todo, None)
             if point is None:
                 break
-            if holds:
-                self.rows[r] = d, None
         return count, out
 
     def _table(self, r: int, d: int, row: List[int]) -> bool:
@@ -306,8 +304,8 @@ class _Pass:
         table = row[self.plan.at[lo]:self.plan.at[hi] + 1]
         for _ in range(r):
             table = list(map(sub, table[1:], table))
-        self.tables[r] = lo, table, table.count(math.factorial(r) * d) == len(table)
-        return self.tables[r][2]
+        self.table = lo, table
+        return table.count(math.factorial(r) * d) == len(table)
 
     def grid(self, key: Tuple, make: Callable):
         """make(), which depends on the grid alone: the plan keeps it for every pass."""
@@ -320,42 +318,35 @@ class _Pass:
         """(k, term, the sum) at each m of ms, for (a, b) = (0, m) if scale else (m, 1), where
         the sum is sum_{l=1..n} (-1)^l C(n,l) l d*X(n, a + b*l), the sum of L1 relabeled
         x -> a + b*x, k = n!*b^(n-1) and term = n*a + n(n+1)/2*b.  k and term depend on the
-        grid alone.  The sums are computed once per row over the span of m that the plan
-        merges from every request at (scale, n) that overlaps this one (without m = 0 when
-        scaled), so L1, L2_SHIFT and SCALE_ID share theirs, and L2_SCALE and SCALE_ID theirs."""
-        lo, hi = self.plan.sums[scale, n, ms[0]]
-        key, at = (scale, n, lo), self.plan.at
+        grid alone.  The sums are computed once per row and ms, which entries that read the
+        same ms share: L1, SCALE_ID and FIB_POSNEG* at m = 0, L2_SCALE and SCALE_ID."""
+        key, at = (scale, n, ms[0], ms[-1]), self.plan.at
         w, fact, half = self.grid(n, lambda: (_weights(n, 1)[1:], math.factorial(n),
                                               n * (n + 1) // 2))
 
-        def make():  # the m of the span, the row positions of X(n, a + b*l), k and term
-            span = [m for m in range(lo, hi + 1) if m or not scale]
-            where = [*map(at.__getitem__, _scaled(n, span))] if scale else at[lo + 1]
-            return (span, where, [fact * m ** (n - 1) if scale else fact for m in span],
-                    [half * m if scale else half + n * m for m in span])
+        def make():  # the row positions of X(n, a + b*l), k and term at each m
+            where = [*map(at.__getitem__, _scaled(n, ms))] if scale else at[ms[0] + 1]
+            return (where, [fact * m ** (n - 1) if scale else fact for m in ms],
+                    [half * m if scale else half + n * m for m in ms])
 
-        span, where, ks, terms = self.grid(key, make)
+        where, ks, terms = self.grid(key, make)
         if key not in self.memo:
-            get, count = self.rows[n][1].__getitem__, len(span)
+            get, count = self.row[1].__getitem__, len(ms)
             if scale:
                 values = map(get, where)
             else:  # the n labels from m + 1, m by m
                 values = chain.from_iterable(map(get, map(slice, range(where, where + count),
                                                           range(where + n, where + n + count))))
             self.memo[key] = _dots(cycle(w), values, n)
-        sums = self.memo[key]
-        if len(ms) == len(sums):
-            return ks, terms, sums
-        i, j = span.index(ms[0]), span.index(ms[-1]) + 1
-        return ks[i:j], terms[i:j], sums[i:j]
+        return ks, terms, self.memo[key]
 
 
-def _kernel_root_sum(ps, n, ms, pqs, every, scale):
+def _kernel_root_sum(ps, n, ms, p, qs, every, scale):
     # L1 of the family relabeled x -> a + b*x, (a, b) = (0, m) if scale else (m, 1): its
     # members are X(n, a + b*l)/b^n and its root sum is (S_n + n*a)/b.  With S_n = s/e and
     # k, term and the sum of ``sums``, both sides times k*d*e are ints, and a check passes
     # iff (-1)^n e*sum == k*(d*s + d*e*term).
-    d, root_sum = ps.rows[n][0], ps.family.root_sum(n)
+    d, root_sum = ps.row[0], ps.family.root_sum(n)
     s, e = root_sum.numerator * d, root_sum.denominator
     ks, terms, sums = ps.sums(n, ms, scale)
     got = list(map(((-1) ** n * e).__mul__, sums))
@@ -364,13 +355,10 @@ def _kernel_root_sum(ps, n, ms, pqs, every, scale):
         ms[i], None, None, s * ks[i], got[i] - want[i] + s * ks[i], ks[i] * d * e))
 
 
-def _kernel_rec_m(ps, n, ms, pqs, every):
+def _kernel_rec_m(ps, n, ms, p, qs, every):
     # sum_{l=1..n} (-1)^(n+l) C(n,l-1) f(m-n+l) = f(m+1) - Delta^n f(m-n+1), so with
     # f = d*X(n, .) a check holds iff Delta^n f(m-n+1) == n!*d; its rhs is the same int.
-    lo, table, holds = ps.tables[n]
-    if holds and not every:
-        return ()
-    d, row = ps.rows[n]
+    (d, row), (lo, table) = ps.row, ps.table
     fd, start = math.factorial(n) * d, ms[0] - n + 1 - lo
     window = table[start:start + len(ms)]
 
@@ -381,10 +369,10 @@ def _kernel_rec_m(ps, n, ms, pqs, every):
     return _failing(window, [fd] * len(ms), every, point)
 
 
-def _kernel_scale_id(ps, n, ms, pqs, every):
+def _kernel_scale_id(ps, n, ms, p, qs, every):
     # With the sums of L2_SCALE at m and of L1 (plain), times k*d = n!*m^(n-1)*d a check
     # passes iff n!*sum == k*(plain + c*(n(n+1)/2 - term)), c = (-1)^(n-1) n!*d.
-    d = ps.rows[n][0]
+    d = ps.row[0]
     ks, terms, sums = ps.sums(n, ms, True)
     (fact,), (half,), (plain,) = ps.sums(n, [0], False)  # m = 0: k = n!, term = n(n+1)/2
     c = (-1) ** (n - 1) * fact * d
@@ -393,8 +381,8 @@ def _kernel_scale_id(ps, n, ms, pqs, every):
     return _failing(got, want, every, lambda i: (ms[i], None, None, got[i], want[i], ks[i] * d))
 
 
-def _kernel_expl(ps, n, ms, pqs, every, sign):
-    d, row = ps.rows[n]
+def _kernel_expl(ps, n, ms, p, qs, every, sign):
+    d, row = ps.row
     at = ps.plan.at
     ffs, weights = ps.grid(("expl", n), lambda: ([math.perm(m, n) for m in ms], [
         (-1) ** (n + l) * (n - l) * math.comb(n, l) * math.comb(m, n) * (math.perm(m, n) // (l - m))
@@ -406,33 +394,25 @@ def _kernel_expl(ps, n, ms, pqs, every, sign):
     return _failing(got, want, every, lambda i: (ms[i], None, None, got[i], want[i], ffs[i] * d))
 
 
-def _kernel_subfam(ps, n, ms, pqs, every, fact):
+def _kernel_subfam(ps, n, ms, p, qs, every, fact):
     # With f = d*X(n-p, .), r = n-p and Stirling numbers S(q, j), the entry's sum is
     # T_q(m) = (-1)^n sum_{j<=q} S(q,j) n!/(n-j)! Delta^(n-j) f(m-n+j).  Where
     # Delta^r f is constant on the window ms[0]-n..ms[-1]-r that the (n, p) checks read,
     # every term with j < p vanishes: T_q = 0 for every q < p and every m, and
     # T_p = (-1)^n n!/(n-p)! Delta^r f, which is (-1)^n n!*d where the table holds.
     # Elsewhere _subfam_points sums each check.
-    sign, failing = (-1) ** n, []
-    for p, qs in pqs:
-        lo, table, holds = ps.tables[n - p]
-        if holds and not every:
-            continue
-        d = ps.rows[n - p][0]
-        rhs = sign * math.factorial(n) * d if fact else 0
-        window = table[ms[0] - n - lo:ms[0] - n - lo + len(ms) + p]
-        if window.count(window[0]) != len(window):
-            failing += _subfam_points(ps, n, ms, p, qs, rhs, every, fact)
-            continue
-        lhs = sign * math.perm(n, p) * window[0] if fact else 0
-        if every or lhs != rhs:
-            failing += [(m, p, q, lhs, rhs, d) for m in ms for q in qs]
-    return failing
+    sign, d, (lo, table) = (-1) ** n, ps.row[0], ps.table
+    rhs = sign * math.factorial(n) * d if fact else 0
+    window = table[ms[0] - n - lo:ms[0] - n - lo + len(ms) + p]
+    if window.count(window[0]) != len(window):
+        return _subfam_points(ps, n, ms, p, qs, rhs, every, fact)
+    lhs = sign * math.perm(n, p) * window[0] if fact else 0
+    return [(m, p, q, lhs, rhs, d) for m in ms for q in qs] if every or lhs != rhs else ()
 
 
 def _subfam_points(ps, n, ms, p, qs, rhs, every, fact):
     """The SUBFAM_* checks at one (n, p) whose window is not constant, each its own sum."""
-    d, row = ps.rows[n - p]
+    d, row = ps.row
     start, failing = ps.plan.at[ms[0] - n], []
     for q in qs:
         w = _weights(n, p if fact else q)
@@ -441,16 +421,16 @@ def _subfam_points(ps, n, ms, p, qs, rhs, every, fact):
     return failing
 
 
-def _kernel_fib_posneg(ps, n, ms, pqs, every, compl):
-    d = ps.rows[n][0]
+def _kernel_fib_posneg(ps, n, ms, p, qs, every, compl):
+    d = ps.row[0]
     (pos,), (neg,) = ps.sums(n, [0], False)[2], ps.sums(n, [-1], True)[2]  # X(n, l), X(n, -l)
     lhs = neg + ((-1) ** n if compl else -1) * pos
     rhs = n * math.factorial(n + 1) * d * (1 if compl else n % 2)
     return _failing([lhs], [rhs], every, lambda i: (None, None, None, lhs, rhs, d))
 
 
-def _kernel_fib_poly(ps, n, ms, pqs, every):
-    d, row = ps.rows[n]
+def _kernel_fib_poly(ps, n, ms, p, qs, every):
+    d, row = ps.row
     got = [fibonacci_polynomial(n, m) * d for m in ms]
     start = ps.plan.at[ms[0]]
     want = row[start:start + len(ms)]
@@ -464,15 +444,15 @@ class Entry(NamedTuple):
     # (n, a range of m) -> the m of the range that the hypothesis admits; the statement
     m_hypothesis: Optional[Tuple[Callable[[int, range], Sequence[int]], str]]
     fib_only: bool  # holds for the generalized Fibonacci family lucas:-1 only
-    # (ps, n, ms, pqs, every) -> the points (m, p, q, lhs, rhs, k) of the failing checks at
-    # n, for the pass ps, the admissible ms and pqs of Entry.points, and every: bool
+    # (ps, n, ms, p, qs, every) -> the points (m, p, q, lhs, rhs, k) of the failing checks at
+    # (n, p), for the pass ps, the admissible ms, p and its qs of Entry.points, and every
     kernel: Callable
     # What the kernel reads, stated once: the plan takes a pass's labels and rows from it.
-    # (n, ms, pqs) -> (r, lo, hi) for each row r whose differences at lo..hi the kernel reads
-    tables: Callable = lambda n, ms, pqs: ()
+    # (n, ms, p) -> (r, lo, hi) if the kernel reads the differences of row r at lo..hi
+    table: Callable = lambda n, ms, p: None
     # (n, ms) -> (scale, ms[0], ms[-1]) of each call _Pass.sums(n, ms, scale) of the kernel
     sums: Callable = lambda n, ms: ()
-    # (n, ms) -> the labels of row n that the kernel indexes itself, beyond its tables and sums
+    # (n, ms) -> the labels of row n that the kernel indexes itself, beyond its table and sums
     reads: Optional[Callable[[int, Sequence[int]], Iterable[int]]] = None
 
     def points(self, n: int, ranges: SweepRanges) -> Tuple[Sequence[int], PQs]:
@@ -497,7 +477,7 @@ _M_NONZERO = (lambda n, ms: [m for m in ms if m] if 0 in ms else ms, "m != 0")
 _M_AT_LEAST_N = (lambda n, ms: range(max(n, ms.start), ms.stop), "m >= n")
 _SHIFT = lambda n, ms: [(False, ms[0], ms[-1])]
 _FIB_SUMS = lambda n, ms: [(False, 0, 0), (True, -1, -1)]
-_SUBFAM = lambda n, ms, pqs: [(n - p, ms[0] - n, ms[-1]) for p, _ in pqs]  # X(n-p, m-n+l)
+_SUBFAM = lambda n, ms, p: (n - p, ms[0] - n, ms[-1])  # X(n-p, m-n+l) for l = 0..n
 
 #: The identity catalog.  L1, L2_SHIFT and L2_SCALE are one root-sum kernel, relabeled;
 #: EXPL_NEG is EXPL_POS over the labels -l and -m; FIB_POSNEG_COMPL flips the sign of X(n, l).
@@ -508,7 +488,7 @@ CATALOG: Dict[Identity, Entry] = {
     Identity.L2_SCALE: Entry("m", _M_NONZERO, False, partial(_kernel_root_sum, scale=True),
                              sums=lambda n, ms: [(True, ms[0], ms[-1])]),
     Identity.REC_M: Entry("m", None, False, _kernel_rec_m,  # X(n, l+m-n) for l = 1..n+1
-                          lambda n, ms, pqs: [(n, ms[0] - n + 1, ms[-1] + 1)]),
+                          lambda n, ms, p: (n, ms[0] - n + 1, ms[-1] + 1)),
     Identity.SCALE_ID: Entry("m", _M_NONZERO, False, _kernel_scale_id,
                              sums=lambda n, ms: [(True, ms[0], ms[-1]), (False, 0, 0)]),
     Identity.EXPL_POS: Entry("m", _M_AT_LEAST_N, False, partial(_kernel_expl, sign=1),
@@ -526,67 +506,53 @@ CATALOG: Dict[Identity, Entry] = {
 
 
 class _Plan(NamedTuple):
-    """What every family's pass runs: each entry's admissible points at each n, with their
-    check counts, in the order of the row each is run on, the highest it reads; the rows
-    r_lo..r_hi a pass takes, over the labels the kernels read, and the position of each
-    label in a row; the span of labels lo..hi of each row's difference table; the spans
-    of m of the sums at each (scale, n); and what the kernels read that depends on the
-    grid alone, made on first use."""
+    """What every family's pass runs: each entry's admissible points at each (n, p), with
+    their check counts, in the order of the one row each reads; the rows r_lo..r_hi a pass
+    takes, over the labels the kernels read, and the position of each label in a row; the
+    span of labels lo..hi of each row's difference table; and what the kernels read that
+    depends on the grid alone, made on first use."""
 
-    points: List[Tuple]  # (identity, n, ms, pqs, its check count, its row)
+    points: List[Tuple]  # (identity, n, ms, p, qs, its check count, its row, reads a table)
     labels: List[int]
     at: Dict[int, int]
     r_lo: int
     r_hi: int
     spans: Dict[int, Tuple[int, int]]
-    sums: Dict[Tuple[bool, int, int], List[int]]
     grid: Dict[Tuple, object]
 
 
 def _plan(identities: Sequence[Identity], ranges: SweepRanges) -> Optional[_Plan]:
     """The plan of every family of a sweep, its rows and labels those of the tables and sums
-    the entries state, merged; None when no entry has an admissible point."""
-    points, spans, requests = [], {}, []
+    the entries state; None when no entry has an admissible point."""
+    points, spans, sums = [], {}, set()
     for identity in identities:
         entry = CATALOG[identity]
         for n in range(max(ranges.n[0], 1), ranges.n[1] + 1):
             ms, pqs = entry.points(n, ranges)
             if not (ms and pqs):
                 continue
-            tables = entry.tables(n, ms, pqs)
-            for r, lo, hi in tables:
-                old = spans.get(r, (lo, hi))
-                spans[r] = min(lo, old[0]), max(hi, old[1])
-            requests += [(scale, n, lo, hi) for scale, lo, hi in entry.sums(n, ms)]
-            # a point runs on the highest row it reads: of its tables, or row n without one
-            points.append((identity, n, ms, pqs, len(ms) * sum(len(qs) for _, qs in pqs),
-                           max([r for r, _, _ in tables], default=n)))
+            sums.update((scale, n, lo, hi) for scale, lo, hi in entry.sums(n, ms))
+            for p, qs in pqs:
+                table = entry.table(n, ms, p)
+                if table:
+                    r, lo, hi = table
+                    old = spans.get(r, (lo, hi))
+                    spans[r] = min(lo, old[0]), max(hi, old[1])
+                # a point runs on the row of its table, or on row n without one
+                points.append((identity, n, ms, p, qs, len(ms) * len(qs),
+                               table[0] if table else n, bool(table)))
     if not points:
         return None
-    points.sort(key=itemgetter(5))
-    # sums over spans of m that overlap or touch read one run of labels, or share theirs
-    sums: Dict[Tuple[bool, int, int], List[int]] = {}  # (scale, n, lo) -> merged [lo, hi]
-    key = None
-    for scale, n, lo, hi in sorted(requests):
-        if key != (scale, n) or lo > merged[1] + 1:
-            key, merged = (scale, n), [lo, hi]
-        merged[1] = max(hi, merged[1])
-        sums[scale, n, lo] = merged
-    # the labels of each table span, of each merged sum (m + l, or l*m with m != 0, for
-    # l = 1..n) and of each entry's own reads, one list at a time
+    points.sort(key=itemgetter(6))
+    # the labels of each table span, of each sum (m + l, or l*m with m != 0, for l = 1..n)
+    # and of each entry's own reads, one list at a time
     labels = sorted(set(chain.from_iterable(chain(
         (range(lo, hi + 1) for lo, hi in spans.values()),
         (_scaled(n, (m for m in range(lo, hi + 1) if m)) if scale else range(lo + 1, hi + n + 1)
-         for scale, n, lo, hi in {(scale, n, *span) for (scale, n, _), span in sums.items()}),
+         for scale, n, lo, hi in sums),
         (CATALOG[i].reads(n, ms) for i, n, ms, *_ in points if CATALOG[i].reads)))))
     return _Plan(points, labels, {x: i for i, x in enumerate(labels)},
-                 min([points[0][5], *spans]), points[-1][5], spans, sums, {})
-
-
-def _points(plan: Optional[_Plan], family: Family) -> List[Tuple]:
-    """The points of the plan on one family; the fib_only entries run on lucas:-1 alone."""
-    fib = family == FIB
-    return [pt for pt in plan.points if fib or not CATALOG[pt[0]].fib_only] if plan else []
+                 points[0][6], points[-1][6], spans, {})
 
 
 def _record(family: Family, identity: str, n: int, m: Optional[int], p: Optional[int],
@@ -663,7 +629,11 @@ def sweep(identities: Sequence[Identity], families: Sequence[Family],
     identities = [Identity(i) for i in identities]
     started = time.perf_counter()
     plan = _plan(identities, ranges)
-    tasks = [(plan, points, family) for family in families if (points := _points(plan, family))]
+    # the points of the plan on lucas:-1 and on every other family, which share theirs: the
+    # fib_only entries run on lucas:-1 alone
+    on = {fib: [pt for pt in plan.points if fib or not CATALOG[pt[0]].fib_only] if plan else []
+          for fib in (False, True)}
+    tasks = [(plan, on[family == FIB], family) for family in families if on[family == FIB]]
     k = max(1, min(os.cpu_count() or 1, len(tasks), workers)) if hasattr(os, "fork") else 1
     results = _deal([tasks[i::k] for i in range(k)])
     total = 0

@@ -28,6 +28,7 @@ from typing import List, NamedTuple, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 IDS = "tests/test_identities.py::"
 FAMS = "tests/test_families.py::"
+CLI = "tests/test_cli.py::"
 
 
 class Mutant(NamedTuple):
@@ -39,14 +40,14 @@ class Mutant(NamedTuple):
 
 
 #: The catalog entries' right sides off by one (times the kernel's clearing factor); the
-#: root-sum term n(n+1)/2 is shared, so L1's mutant also moves L2_* and SCALE_ID.  REC_M
-#: and SUBFAM_* decide a sweep from their tables where those hold, so their right sides
-#: show at one point (eval_identity) and where a corrupted member breaks a table.
+#: root-sum term n(n+1)/2 is shared, so L1's mutant also moves L2_* and SCALE_ID.  A pass
+#: skips the REC_M and SUBFAM_* points whose row's table holds, so their right sides show
+#: at one point (eval_identity) and where a corrupted member breaks a table.
 MUTANTS = [
     Mutant("L1 right side", "identities.py", "n * (n + 1) // 2))", "n * (n + 1) // 2 + 1))",
            (IDS + "test_l1_point", IDS + "test_catalog_sound_on_family")),
     Mutant("L2_SHIFT right side: n*a as (n+1)*a", "identities.py",
-           "half + n * m for m in span]", "half + (n + 1) * m for m in span]",
+           "half + n * m for m in ms]", "half + (n + 1) * m for m in ms]",
            (IDS + "test_catalog_sound_on_family",)),
     Mutant("L2_SCALE right side", "identities.py", "map((d * e).__mul__, terms)",
            "map((d * e).__mul__, [t + scale for t in terms])",
@@ -82,9 +83,22 @@ MUTANTS = [
            "got = [(fibonacci_polynomial(n, m) + 1) * d for m in ms]",
            (IDS + "test_catalog_sound_on_family",)),
     Mutant("REC_M table span one label short", "identities.py",
-           "lambda n, ms, pqs: [(n, ms[0] - n + 1, ms[-1] + 1)]",
-           "lambda n, ms, pqs: [(n, ms[0] - n + 1, ms[-1])]",
+           "lambda n, ms, p: (n, ms[0] - n + 1, ms[-1] + 1)",
+           "lambda n, ms, p: (n, ms[0] - n + 1, ms[-1])",
            (IDS + "test_rec_m_point", IDS + "test_rec_m_window_edges_agree_with_oracle")),
+    Mutant("pass skips the points of a row whose table fails", "identities.py",
+           "holds = r in plan.spans and self._table(r, d, row)",
+           "holds = r in plan.spans and (self._table(r, d, row) or True)",
+           (IDS + "test_rec_m_window_edges_agree_with_oracle",
+            IDS + "test_subfam_window_edges_agree_with_oracle")),
+    Mutant("forked child sends no checks", "identities.py",
+           "pipe.write(marshal.dumps([_run_cell_star(task) for task in share]))",
+           "pipe.write(marshal.dumps([(0, []) for task in share]))",
+           (IDS + "test_sweep_workers_do_not_change_content",
+            IDS + "test_workers_match_serial_on_a_corrupted_family")),
+    Mutant("decimal labels from one bit past DECIMAL_FROM_BITS", "cli.py",
+           ">= DECIMAL_FROM_BITS", "> DECIMAL_FROM_BITS",
+           (CLI + "test_long_members_start_at_decimal_from_bits",)),
     Mutant("power step: row 2 one too large", "families.py",
            "lambda n, d, row, prev: (d * b, list(map(mul, row, factors))))",
            "lambda n, d, row, prev: (d * b, [v * f + d * b * (n == 2) "

@@ -657,8 +657,8 @@ def test_subfam_falls_back_exactly_where_the_window_holds_the_member(
 def test_kernel_points_do_not_depend_on_the_order_n_is_visited(monkeypatch, entry, label):
     from seqfam import identities
 
-    # a pass runs n up in row order and keeps each row's table for every later n; a pass of
-    # each n on its own, from the last n down, differences its rows over that n's windows alone
+    # a pass runs n up in row order and differences each row once over the windows of every
+    # n; a pass of each n on its own, from the last n down, over that n's windows alone
     corrupt_member(monkeypatch, PowerFamily, 3, label)
     family, ranges = PowerFamily(Fraction(-3, 2)), SweepRanges(n=(1, 8), m=(-3, 4))
     points, fallbacks = [], []
@@ -676,24 +676,41 @@ def test_kernel_points_do_not_depend_on_the_order_n_is_visited(monkeypatch, entr
     assert bool(fallbacks[0]) == (entry is not Identity.REC_M)
 
 
-# A pass drops the members of each row once its points have run, but for a row whose
-# table is not r!*d throughout: SUBFAM_* at (n, p) runs on row n - (its least p) and
-# reads row n - p through its per-check fallback.  Row 2 here has no point of its own.
+# SUBFAM_* at (n, p) is one point, run on row n - p while the pass holds it; where that
+# row's table is not r!*d throughout, its per-check fallback reads the same row.
 @pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
 @pytest.mark.parametrize("family", [HALF, FIB], ids=lambda f: f.label())
-def test_subfam_reads_a_row_it_runs_after_where_its_table_fails(monkeypatch, entry, family):
-    from seqfam import identities
-
+def test_subfam_runs_on_the_row_n_minus_p_where_its_table_fails(monkeypatch, entry, family):
     corrupt_member(monkeypatch, type(family), 2, 0)
     ranges = SweepRanges(n=(5, 8), m=(-3, 4))
     report = assert_sweep_matches_oracle(entry, family, ranges)
     assert {(c.params["n"], c.params["p"]) for c in report.failures} == {
         (n, n - 2) for n in range(5, 9)}
     plan = _plan([entry], ranges)
-    ps = identities._Pass(plan, family)
-    ps.run(plan.points, False)
-    assert 2 not in {point[5] for point in plan.points}
-    assert [r for r, (_, row) in ps.rows.items() if row is not None] == [2, plan.r_hi]
+    assert [(n, p, row) for _, n, _, p, _, _, row, _ in plan.points] == sorted(
+        ((n, p, n - p) for n in range(5, 9) for p in range(1, n)), key=lambda point: point[2])
+
+
+@pytest.mark.parametrize("family", [HALF, FIB], ids=lambda f: f.label())
+def test_a_kernel_reads_only_the_row_being_run(monkeypatch, family):
+    # row 2's table fails, so SUBFAM_* at (n, n - 2) reads row 2 for each n, by check
+    corrupt_member(monkeypatch, type(family), 2, 0)
+    taken, stale = [], []
+
+    class Noted:
+        def __init__(self, r):
+            self.r = r
+
+        def add(self, label):
+            if self.r != taken[-1]:
+                stale.append((taken[-1], self.r, label))
+
+    record_reads(monkeypatch, type(family), lambda r: taken.append(r) or Noted(r))
+    report = sweep(ALL_IDENTITIES, [family], SweepRanges(n=(1, 8), m=(-3, 4)))
+    assert {(c.params["n"], c.params["p"]) for c in report.failures
+            if c.identity is Identity.SUBFAM_ZERO} == {(n, n - 2) for n in range(3, 9)}
+    assert taken == list(range(1, 9))
+    assert stale == []  # (the row being run, the row read, the label)
 
 
 class Reads(Counter):
@@ -741,15 +758,16 @@ def test_subfam_on_rows_that_are_not_monic(family):
 
 @pytest.mark.parametrize("family", [*SMALL_FAMILIES, PowerFamily(Fraction(-3, 2)), Doubled(2)],
                          ids=lambda f: f.label() if type(f) is not Doubled else "doubled")
-def test_a_family_row_table_is_r_factorial_throughout(family):
+def test_a_family_row_table_is_r_factorial_throughout(monkeypatch, family):
     # row r of a family is monic of degree r, so each table holds and REC_M and SUBFAM_*
     # pass every check that reads it without reading its windows; a doubled row's does not
     from seqfam import identities
 
+    holds, table = [], identities._Pass._table
+    monkeypatch.setattr(identities._Pass, "_table",
+                        lambda ps, *args: holds.append(table(ps, *args)) or holds[-1])
     plan = _plan([Identity.REC_M, *SUBFAM], SweepRanges(n=(1, 12), m=(-6, 6)))
-    ps = identities._Pass(plan, family)
-    ps.run(plan.points, False)
-    holds = [ps.tables[r][2] for r in plan.spans]
+    identities._Pass(plan, family).run(plan.points, False)
     assert len(holds) == 12 and set(holds) == {type(family) is not Doubled}
 
 
@@ -979,9 +997,8 @@ def test_l2_scale_and_scale_id_share_one_dot_and_keep_their_sides(monkeypatch, l
     assert sums([Identity.L2_SCALE, Identity.SCALE_ID]) == l2_scale + scale_id - shared
 
 
-@pytest.mark.parametrize("m, shared", [((-4, 4), True), ((1, 4), True), ((2, 4), False)],
-                         ids=["holds-0", "touches-0", "apart"])
-def test_l1_reads_the_l2_shift_sum_at_m_0_where_the_spans_meet(monkeypatch, m, shared):
+@pytest.mark.parametrize("m", [(-4, 4), (1, 4), (2, 4)], ids=["holds-0", "touches-0", "apart"])
+def test_l1_and_l2_shift_keep_their_sides_where_their_spans_meet(monkeypatch, m):
     from seqfam import identities
 
     corrupt_member(monkeypatch, PowerFamily, 3, 3)
@@ -991,13 +1008,6 @@ def test_l1_reads_the_l2_shift_sum_at_m_0_where_the_spans_meet(monkeypatch, m, s
     assert {check.identity for check in alone} == set(entries)
     assert content(sweep(entries, [family], ranges))["failures"] == [
         check.to_json_dict() for check in sorted(alone, key=identities._failure_key)]
-
-    calls = []
-    dots = identities._dots
-    monkeypatch.setattr(identities, "_dots", lambda *args: calls.append(args) or dots(*args))
-    sweep(entries[:2], [family], ranges)
-    # one unscaled sum per n where L1's m = 0 meets L2_SHIFT's span, else two
-    assert len(calls) == 6 * (1 if shared else 2)
 
 
 def test_plan_holds_one_label_list_at_a_time(monkeypatch):
