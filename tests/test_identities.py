@@ -1011,7 +1011,7 @@ def test_l1_and_l2_shift_keep_their_sides_where_their_spans_meet(monkeypatch, m)
 
 
 def test_plan_holds_one_label_list_at_a_time(monkeypatch):
-    # 30 n by 600 m: each merged scaled sum lists n * 600 labels, and the union takes one
+    # 30 n by 600 m: each scaled sum lists n * 600 labels, and the union takes one
     # list at a time; the labels are exactly those a sweep of the grid reads
     ranges = SweepRanges(n=(1, 30), m=(-300, 299))
     tracemalloc.start()
