@@ -213,9 +213,11 @@ def table_lines(family: Family, n_range: Tuple[int, int], m_range: Tuple[int, in
 
 def _cells(d, row: Iterable) -> Iterator[str]:
     """The members of a row over d as ``format_exact`` writes them: decimals digit for digit
-    (a family yields them coprime to d), ints over d > 0 in lowest terms."""
+    (a family yields them coprime to d, so none is 0 over d != 1, and "/d" is written once
+    per row), ints over d > 0 in lowest terms."""
     if isinstance(d, Decimal):
-        return map(decimal_text, row, repeat(d))
+        return map(decimal_text, row) if d == 1 else map(str.__add__, map(str, row),
+                                                         repeat(f"/{d}"))
     return map(format_exact, row) if d == 1 else map(_over, row, repeat(d))
 
 

@@ -44,17 +44,15 @@ def require_exact_decimal() -> None:
         raise RuntimeError("decimal members are computed only inside exact_decimal()")
 
 
-def decimal_text(numerator: Decimal, denominator: Union[Decimal, int] = 1) -> str:
-    """A member computed in exact decimal as ``format_exact`` writes it, in linear time:
-    the integer, or ``p/q`` for a denominator other than 1 (the parts must be coprime,
-    with q > 0).  A zero is "0", never "-0"."""
-    if denominator != 1:
-        return f"{numerator}/{denominator}"
+def decimal_text(numerator: Decimal) -> str:
+    """An integer computed in exact decimal as ``format_exact`` writes it, in linear time.
+    A zero is "0", never "-0"."""
     return str(numerator) if numerator else "0"
 
 
 def decimal_width(numerator: Decimal, denominator: Union[Decimal, int] = 1) -> int:
-    """``len(decimal_text(numerator, denominator))``, read off the exponents and signs."""
+    """The length of numerator/denominator as ``format_exact`` writes it (the parts coprime,
+    the denominator > 0), read off the exponents and signs."""
     width = numerator.adjusted() + 1 + (numerator < 0) if numerator else 1
     return width if denominator == 1 else width + denominator.adjusted() + 2
 

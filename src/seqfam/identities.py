@@ -9,8 +9,9 @@ and the sides it reports are the exact rationals lhs/k and rhs/k.
 ``CATALOG`` is the one definition of each entry: the parameters a point
 carries beyond n, the entry's hypothesis on m, whether it is specific to the
 generalized Fibonacci family, its integer kernel, the one evaluation of its two
-sides, and what that kernel reads: the spans of its difference table and sums,
-and the labels of the three kernels that index members themselves.
+sides, and what that kernel reads: the span of the row whose difference table
+decides whether its points run, the spans of its sums, and the labels of the three
+kernels that index members themselves.
 ``eval_identity`` (one point) and ``sweep`` (a grid, planned once for all its
 families and run as one pass per family, row by row) both run that kernel, so
 they agree on what is admissible and on every value; the admissible p and q
@@ -235,22 +236,21 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 # each row as the family's ``rows`` yields it, ints over a common denominator d over
 # the plan's labels (``row[plan.at[x]]`` is d * X(r, x) for each label x of some
 # entry's table span, sum or own ``reads`` at some n), runs the points the plan
-# assigns to it, and drops the row.  A kernel decides every check of one (entry, n,
-# p) at once: it builds, as lists over ms, the two things each check compares, each
-# times one nonzero clearing factor k, and the checks pass iff the two lists are
-# equal.  Only at an m where they differ does it compute the point (m, p, q, lhs,
-# rhs, k) of a failing check, whose exact sides are lhs/k and rhs/k; with ``every``
-# it computes every point, which is how eval_identity reads a passing check.  The
-# root-sum entries read ``_Pass.sums``, dot products over the row in C.  REC_M and
-# SUBFAM_* read forward differences: a pass differences each row r r times, once,
-# when it takes the row, over the span of labels the plan states for it from the
-# entries' tables.  A table that is r!*d throughout, as a family's always is, passes
-# every check that reads it, so the pass skips those points.  What a kernel reads
-# that depends on the grid alone (weights, n!*b^(n-1), row positions, m!/(m-n)!,
-# C(m, n)) is made once per sweep and kept in the plan for every family
-# (``_Pass.grid``).
+# assigns to it, and drops the row.  A kernel builds the checks of one (entry, n, p)
+# as lists over ms, one pair of lists per q: the two sides each check compares, times
+# one nonzero clearing factor k, with the point (m, p, q, lhs, rhs, k) of the check at
+# each index, whose exact sides are lhs/k and rhs/k.  ``_Pass.run`` computes a point
+# only where the two lists differ, or at every index for eval_identity.  The sums over
+# consecutive labels of a row are ``_Pass.windows``, dot products in C.  The difference
+# table of a row decides which points run and nothing else: REC_M and SUBFAM_* hold at
+# every point that reads a row whose table, the row differenced r times over the span of
+# labels the plan states for it, is r!*d throughout, as a family's always is, so the
+# pass skips those points.  What a kernel reads that depends on the grid alone (weights,
+# n!*b^(n-1), row positions, m!/(m-n)!, C(m, n)) is made once per sweep and kept in the
+# plan for every family (``_Pass.grid``).
 
 PQs = List[Tuple[Optional[int], Sequence[Optional[int]]]]  # (p, the q at p) at one n
+Checks = List[Tuple[List[int], List[int], Callable[[int], Tuple]]]  # (got, want, point) lists
 _ONE = (None,)  # the values of a parameter that a point does not carry
 
 
@@ -260,21 +260,12 @@ def _dots(a: Iterable[int], b: Iterable[int], size: int) -> List[int]:
     return list(map(sum, zip(*[map(mul, a, b)] * size)))
 
 
-def _failing(got: List[int], want: List[int], every: bool, point: Callable) -> Sequence:
-    """point(i) at each i where got[i] != want[i], or at every i when ``every``."""
-    if got == want and not every:
-        return ()
-    return [point(i) for i, (a, b) in enumerate(zip(got, want)) if every or a != b]
-
-
 class _Pass:
     """One family's pass of a plan, run row by row; it holds the row being run and nothing
-    of any other.  ``row`` is (d, its members), ``table`` is (lo, Delta^r d*X(r, .) at the
-    labels lo..hi of the span the plan states for row r) when the row has one, and
-    ``memo`` holds the row's sums."""
+    of any other.  ``row`` is (d, its members) and ``memo`` holds the row's sums."""
 
     def __init__(self, plan: "_Plan", family: Family):
-        self.plan, self.family, self.row, self.table, self.memo = plan, family, None, None, {}
+        self.plan, self.family, self.row, self.memo = plan, family, None, {}
 
     def run(self, points: List[Tuple], every: bool) -> Tuple[int, List[Tuple]]:
         """The check count of points of the plan, in its row order, and the point (identity,
@@ -284,27 +275,28 @@ class _Pass:
         point = next(todo, None)
         rows = self.family.rows(plan.labels, plan.r_lo, plan.r_hi)
         for r, (d, row) in zip(range(plan.r_lo, plan.r_hi + 1), rows):
-            self.row, self.table, self.memo = (d, row), None, {}
-            holds = r in plan.spans and self._table(r, d, row)
+            self.row, self.memo = (d, row), {}
+            holds = not every and r in plan.spans and self._holds(r, d, row)
             while point is not None and point[6] == r:
                 identity, n, ms, p, qs, checks, _, tabled = point
                 count += checks
-                if every or not (tabled and holds):  # a table that holds passes its points
-                    out += [(identity.value, n, *pt)
-                            for pt in CATALOG[identity].kernel(self, n, ms, p, qs, every)]
+                if not (tabled and holds):  # a table that holds passes its points
+                    for got, want, check in CATALOG[identity].kernel(self, n, ms, p, qs):
+                        if every or got != want:
+                            out += [(identity.value, n, *check(i)) for i, (a, b)
+                                    in enumerate(zip(got, want)) if every or a != b]
                 point = next(todo, None)
             if point is None:
                 break
         return count, out
 
-    def _table(self, r: int, d: int, row: List[int]) -> bool:
-        """Whether row r's table holds, once it is made: the row differenced r times.  Every
-        row of a family is a monic polynomial of degree r, so its table is r!*d throughout."""
+    def _holds(self, r: int, d: int, row: List[int]) -> bool:
+        """Whether row r's table, the row differenced r times over the span the plan states
+        for it, is r!*d throughout, as every family's is: its rows are monic of degree r."""
         lo, hi = self.plan.spans[r]
         table = row[self.plan.at[lo]:self.plan.at[hi] + 1]
         for _ in range(r):
             table = list(map(sub, table[1:], table))
-        self.table = lo, table
         return table.count(math.factorial(r) * d) == len(table)
 
     def grid(self, key: Tuple, make: Callable):
@@ -313,6 +305,14 @@ class _Pass:
             self.plan.grid[key] = make()
         return self.plan.grid[key]
 
+    def windows(self, w: List[int], first: int, count: int) -> List[int]:
+        """The dot product of w with the len(w) members of the row from each of the count
+        labels first, first + 1, ..., which the plan holds as one run."""
+        get, start, size = self.row[1].__getitem__, self.plan.at[first], len(w)
+        values = chain.from_iterable(map(get, map(slice, range(start, start + count),
+                                                  range(start + size, start + size + count))))
+        return _dots(cycle(w), values, size)
+
     def sums(self, n: int, ms: Sequence[int],
              scale: bool) -> Tuple[List[int], List[int], List[int]]:
         """(k, term, the sum) at each m of ms, for (a, b) = (0, m) if scale else (m, 1), where
@@ -320,28 +320,23 @@ class _Pass:
         x -> a + b*x, k = n!*b^(n-1) and term = n*a + n(n+1)/2*b.  k and term depend on the
         grid alone.  The sums are computed once per row and ms, which entries that read the
         same ms share: L1, SCALE_ID and FIB_POSNEG* at m = 0, L2_SCALE and SCALE_ID."""
-        key, at = (scale, n, ms[0], ms[-1]), self.plan.at
+        key = (scale, n, ms[0], ms[-1])
         w, fact, half = self.grid(n, lambda: (_weights(n, 1)[1:], math.factorial(n),
                                               n * (n + 1) // 2))
 
-        def make():  # the row positions of X(n, a + b*l), k and term at each m
-            where = [*map(at.__getitem__, _scaled(n, ms))] if scale else at[ms[0] + 1]
-            return (where, [fact * m ** (n - 1) if scale else fact for m in ms],
+        def make():  # the row positions of X(n, l*m) if scale, k and term at each m
+            return ([*map(self.plan.at.__getitem__, _scaled(n, ms))] if scale else None,
+                    [fact * m ** (n - 1) if scale else fact for m in ms],
                     [half * m if scale else half + n * m for m in ms])
 
         where, ks, terms = self.grid(key, make)
-        if key not in self.memo:
-            get, count = self.row[1].__getitem__, len(ms)
-            if scale:
-                values = map(get, where)
-            else:  # the n labels from m + 1, m by m
-                values = chain.from_iterable(map(get, map(slice, range(where, where + count),
-                                                          range(where + n, where + n + count))))
-            self.memo[key] = _dots(cycle(w), values, n)
+        if key not in self.memo:  # the n labels from m + 1 at each m, unless scale
+            self.memo[key] = (_dots(cycle(w), map(self.row[1].__getitem__, where), n) if scale
+                              else self.windows(w, ms[0] + 1, len(ms)))
         return ks, terms, self.memo[key]
 
 
-def _kernel_root_sum(ps, n, ms, p, qs, every, scale):
+def _kernel_root_sum(ps, n, ms, p, qs, scale) -> Checks:
     # L1 of the family relabeled x -> a + b*x, (a, b) = (0, m) if scale else (m, 1): its
     # members are X(n, a + b*l)/b^n and its root sum is (S_n + n*a)/b.  With S_n = s/e and
     # k, term and the sum of ``sums``, both sides times k*d*e are ints, and a check passes
@@ -351,25 +346,22 @@ def _kernel_root_sum(ps, n, ms, p, qs, every, scale):
     ks, terms, sums = ps.sums(n, ms, scale)
     got = list(map(((-1) ** n * e).__mul__, sums))
     want = list(map(mul, ks, map(s.__add__, map((d * e).__mul__, terms))))
-    return _failing(got, want, every, lambda i: (
-        ms[i], None, None, s * ks[i], got[i] - want[i] + s * ks[i], ks[i] * d * e))
+    return [(got, want, lambda i: (
+        ms[i], None, None, s * ks[i], got[i] - want[i] + s * ks[i], ks[i] * d * e))]
 
 
-def _kernel_rec_m(ps, n, ms, p, qs, every):
-    # sum_{l=1..n} (-1)^(n+l) C(n,l-1) f(m-n+l) = f(m+1) - Delta^n f(m-n+1), so with
-    # f = d*X(n, .) a check holds iff Delta^n f(m-n+1) == n!*d; its rhs is the same int.
-    (d, row), (lo, table) = ps.row, ps.table
-    fd, start = math.factorial(n) * d, ms[0] - n + 1 - lo
-    window = table[start:start + len(ms)]
-
-    def point(i):
-        lhs = row[ps.plan.at[ms[i] + 1]]
-        return ms[i], None, None, lhs, lhs - window[i] + fd, d
-
-    return _failing(window, [fd] * len(ms), every, point)
+def _kernel_rec_m(ps, n, ms, p, qs) -> Checks:
+    # d*X(n, m+1) against sum_{l=1..n} (-1)^(n+l) C(n,l-1) d*X(n, l+m-n) + n!*d
+    d, row = ps.row
+    w = ps.grid(("rec", n), lambda: [(-1) ** (n + l) * math.comb(n, l - 1)
+                                     for l in range(1, n + 1)])
+    fd, start = math.factorial(n) * d, ps.plan.at[ms[0] + 1]
+    got = row[start:start + len(ms)]
+    want = list(map(fd.__add__, ps.windows(w, ms[0] - n + 1, len(ms))))
+    return [(got, want, lambda i: (ms[i], None, None, got[i], want[i], d))]
 
 
-def _kernel_scale_id(ps, n, ms, p, qs, every):
+def _kernel_scale_id(ps, n, ms, p, qs) -> Checks:
     # With the sums of L2_SCALE at m and of L1 (plain), times k*d = n!*m^(n-1)*d a check
     # passes iff n!*sum == k*(plain + c*(n(n+1)/2 - term)), c = (-1)^(n-1) n!*d.
     d = ps.row[0]
@@ -378,10 +370,10 @@ def _kernel_scale_id(ps, n, ms, p, qs, every):
     c = (-1) ** (n - 1) * fact * d
     got = list(map(fact.__mul__, sums))
     want = list(map(mul, ks, map((plain + c * half).__sub__, map(c.__mul__, terms))))
-    return _failing(got, want, every, lambda i: (ms[i], None, None, got[i], want[i], ks[i] * d))
+    return [(got, want, lambda i: (ms[i], None, None, got[i], want[i], ks[i] * d))]
 
 
-def _kernel_expl(ps, n, ms, p, qs, every, sign):
+def _kernel_expl(ps, n, ms, p, qs, sign) -> Checks:
     d, row = ps.row
     at = ps.plan.at
     ffs, weights = ps.grid(("expl", n), lambda: ([math.perm(m, n) for m in ms], [
@@ -391,50 +383,37 @@ def _kernel_expl(ps, n, ms, p, qs, every, sign):
     want = list(map(add, _dots(weights, cycle(values), n),
                     map((sign ** n * d).__mul__, map(mul, ffs, ffs))))
     got = [ff * row[at[sign * m]] for ff, m in zip(ffs, ms)]  # m!/(m-n)! * X(n, sign*m)
-    return _failing(got, want, every, lambda i: (ms[i], None, None, got[i], want[i], ffs[i] * d))
+    return [(got, want, lambda i: (ms[i], None, None, got[i], want[i], ffs[i] * d))]
 
 
-def _kernel_subfam(ps, n, ms, p, qs, every, fact):
-    # With f = d*X(n-p, .), r = n-p and Stirling numbers S(q, j), the entry's sum is
-    # T_q(m) = (-1)^n sum_{j<=q} S(q,j) n!/(n-j)! Delta^(n-j) f(m-n+j).  Where
-    # Delta^r f is constant on the window ms[0]-n..ms[-1]-r that the (n, p) checks read,
-    # every term with j < p vanishes: T_q = 0 for every q < p and every m, and
-    # T_p = (-1)^n n!/(n-p)! Delta^r f, which is (-1)^n n!*d where the table holds.
-    # Elsewhere _subfam_points sums each check.
-    sign, d, (lo, table) = (-1) ** n, ps.row[0], ps.table
-    rhs = sign * math.factorial(n) * d if fact else 0
-    window = table[ms[0] - n - lo:ms[0] - n - lo + len(ms) + p]
-    if window.count(window[0]) != len(window):
-        return _subfam_points(ps, n, ms, p, qs, rhs, every, fact)
-    lhs = sign * math.perm(n, p) * window[0] if fact else 0
-    return [(m, p, q, lhs, rhs, d) for m in ms for q in qs] if every or lhs != rhs else ()
+def _kernel_subfam(ps, n, ms, p, qs, fact) -> Checks:
+    # sum_{l=0..n} (-1)^l C(n,l) l^q d*X(n-p, m-n+l) against 0, and for SUBFAM_FACT at
+    # q = p against (-1)^n n!*d
+    d = ps.row[0]
+    rhs = (-1) ** n * math.factorial(n) * d if fact else 0
+    want = [rhs] * len(ms)
+
+    def check(q):
+        got = ps.windows(_weights(n, p if fact else q), ms[0] - n, len(ms))
+        return got, want, lambda i: (ms[i], p, q, got[i], rhs, d)
+
+    return [*map(check, qs)]
 
 
-def _subfam_points(ps, n, ms, p, qs, rhs, every, fact):
-    """The SUBFAM_* checks at one (n, p) whose window is not constant, each its own sum."""
-    d, row = ps.row
-    start, failing = ps.plan.at[ms[0] - n], []
-    for q in qs:
-        w = _weights(n, p if fact else q)
-        sums = [sum(map(mul, w, row[start + i:start + i + n + 1])) for i in range(len(ms))]
-        failing += [(m, p, q, lhs, rhs, d) for m, lhs in zip(ms, sums) if every or lhs != rhs]
-    return failing
-
-
-def _kernel_fib_posneg(ps, n, ms, p, qs, every, compl):
+def _kernel_fib_posneg(ps, n, ms, p, qs, compl) -> Checks:
     d = ps.row[0]
     (pos,), (neg,) = ps.sums(n, [0], False)[2], ps.sums(n, [-1], True)[2]  # X(n, l), X(n, -l)
     lhs = neg + ((-1) ** n if compl else -1) * pos
     rhs = n * math.factorial(n + 1) * d * (1 if compl else n % 2)
-    return _failing([lhs], [rhs], every, lambda i: (None, None, None, lhs, rhs, d))
+    return [([lhs], [rhs], lambda i: (None, None, None, lhs, rhs, d))]
 
 
-def _kernel_fib_poly(ps, n, ms, p, qs, every):
+def _kernel_fib_poly(ps, n, ms, p, qs) -> Checks:
     d, row = ps.row
     got = [fibonacci_polynomial(n, m) * d for m in ms]
     start = ps.plan.at[ms[0]]
     want = row[start:start + len(ms)]
-    return _failing(got, want, every, lambda i: (ms[i], None, None, got[i], want[i], d))
+    return [(got, want, lambda i: (ms[i], None, None, got[i], want[i], d))]
 
 
 class Entry(NamedTuple):
@@ -444,11 +423,13 @@ class Entry(NamedTuple):
     # (n, a range of m) -> the m of the range that the hypothesis admits; the statement
     m_hypothesis: Optional[Tuple[Callable[[int, range], Sequence[int]], str]]
     fib_only: bool  # holds for the generalized Fibonacci family lucas:-1 only
-    # (ps, n, ms, p, qs, every) -> the points (m, p, q, lhs, rhs, k) of the failing checks at
-    # (n, p), for the pass ps, the admissible ms, p and its qs of Entry.points, and every
+    # (ps, n, ms, p, qs) -> the checks at (n, p), for the pass ps and the admissible ms, p and
+    # its qs of Entry.points: a (got, want, point) per q, where point(i) is (m, p, q, lhs,
+    # rhs, k) of the check at ms[i]
     kernel: Callable
     # What the kernel reads, stated once: the plan takes a pass's labels and rows from it.
-    # (n, ms, p) -> (r, lo, hi) if the kernel reads the differences of row r at lo..hi
+    # (n, ms, p) -> (r, lo, hi) if the kernel reads row r at labels within lo..hi, and a
+    # table of row r that holds there passes its checks
     table: Callable = lambda n, ms, p: None
     # (n, ms) -> (scale, ms[0], ms[-1]) of each call _Pass.sums(n, ms, scale) of the kernel
     sums: Callable = lambda n, ms: ()

@@ -41,8 +41,8 @@ class Mutant(NamedTuple):
 
 #: The catalog entries' right sides off by one (times the kernel's clearing factor); the
 #: root-sum term n(n+1)/2 is shared, so L1's mutant also moves L2_* and SCALE_ID.  A pass
-#: skips the REC_M and SUBFAM_* points whose row's table holds, so their right sides show
-#: at one point (eval_identity) and where a corrupted member breaks a table.
+#: skips the REC_M and SUBFAM_* points whose row's table holds, so their right sides and
+#: windows show at one point (eval_identity) and where a corrupted member breaks a table.
 MUTANTS = [
     Mutant("L1 right side", "identities.py", "n * (n + 1) // 2))", "n * (n + 1) // 2 + 1))",
            (IDS + "test_l1_point", IDS + "test_catalog_sound_on_family")),
@@ -65,12 +65,12 @@ MUTANTS = [
            "map(mul, ffs, [f + (sign < 0) for f in ffs])",
            (IDS + "test_catalog_sound_on_family",)),
     Mutant("SUBFAM_ZERO right side: 1, not 0", "identities.py",
-           "rhs = sign * math.factorial(n) * d if fact else 0",
-           "rhs = sign * math.factorial(n) * d if fact else d",
+           "rhs = (-1) ** n * math.factorial(n) * d if fact else 0",
+           "rhs = (-1) ** n * math.factorial(n) * d if fact else d",
            (IDS + "test_subfam_zero_point", IDS + "test_subfam_window_edges_agree_with_oracle")),
     Mutant("SUBFAM_FACT right side: (-1)^n n! + 1", "identities.py",
-           "rhs = sign * math.factorial(n) * d if fact else 0",
-           "rhs = sign * math.factorial(n) * d + d if fact else 0",
+           "rhs = (-1) ** n * math.factorial(n) * d if fact else 0",
+           "rhs = (-1) ** n * math.factorial(n) * d + d if fact else 0",
            (IDS + "test_subfam_window_edges_agree_with_oracle",)),
     Mutant("FIB_POSNEG right side", "identities.py", "* (1 if compl else n % 2)",
            "* (1 if compl else n % 2) + d * (not compl)",
@@ -86,9 +86,12 @@ MUTANTS = [
            "lambda n, ms, p: (n, ms[0] - n + 1, ms[-1] + 1)",
            "lambda n, ms, p: (n, ms[0] - n + 1, ms[-1])",
            (IDS + "test_rec_m_point", IDS + "test_rec_m_window_edges_agree_with_oracle")),
+    Mutant("SUBFAM_* window one label late", "identities.py",
+           "ms[0] - n, len(ms))", "ms[0] - n + 1, len(ms))",
+           (IDS + "test_subfam_window_edges_agree_with_oracle",)),
     Mutant("pass skips the points of a row whose table fails", "identities.py",
-           "holds = r in plan.spans and self._table(r, d, row)",
-           "holds = r in plan.spans and (self._table(r, d, row) or True)",
+           "r in plan.spans and self._holds(r, d, row)",
+           "r in plan.spans and (self._holds(r, d, row) or True)",
            (IDS + "test_rec_m_window_edges_agree_with_oracle",
             IDS + "test_subfam_window_edges_agree_with_oracle")),
     Mutant("forked child sends no checks", "identities.py",
@@ -115,6 +118,10 @@ MUTANTS = [
            "[m * v - (q + 1) * u for m, v, u in zip(labels, row, prev)]",
            (FAMS + "test_member_values_match_reference_grids",
             FAMS + "test_rows_are_the_members_over_a_common_denominator")),
+    Mutant("roots family: X(2, 1) one too large", "families.py",
+           "start=1) for m in labels]", "start=1) + (n == 2 and m == 1) for m in labels]",
+           (FAMS + "test_explicit_roots_replicate_dedicated_evaluators",
+            IDS + "test_explicit_roots_sweep_matches_dedicated_family")),
 ]
 
 

@@ -7,6 +7,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from seqfam.cli import _cells
 from seqfam.exact import (decimal_text, decimal_width, exact_decimal, format_exact, normalize,
                           parse_exact)
 
@@ -95,5 +96,5 @@ def test_decimal_text_and_width_match_format_exact(value):
         if value:
             for b in (2, 7 ** 40):
                 text = format_exact(Fraction(value * b + 1, b))
-                assert decimal_text(d * b + 1, Decimal(b)) == text
+                assert [*_cells(Decimal(b), [d * b + 1])] == [text]
                 assert decimal_width(d * b + 1, Decimal(b)) == len(text)

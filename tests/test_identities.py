@@ -1,6 +1,5 @@
 """Tests for the identity catalog and sweep driver."""
 
-import contextlib
 import json
 import math
 import os
@@ -567,10 +566,9 @@ def test_eval_identity_agrees_with_reference(monkeypatch, family):
 SUBFAM = [Identity.SUBFAM_ZERO, Identity.SUBFAM_FACT]
 
 
-# The SUBFAM_* kernel decides every check at one (n, p) from the differences of the
-# row X(n-p, .) over the labels m_lo-n..m_hi, and falls back to one dot product per
-# check where a difference of order n-p+1 is nonzero; a corrupted member at either
-# end of the window of (n, p) = (7, 2) sends that (n, p) to the fallback.
+# A SUBFAM_* check at (n, p) is one dot product over the labels m-n..m of the row
+# X(n-p, .), which runs where the row's table over m_lo-n..m_hi is not (n-p)! throughout;
+# a corrupted member at either end of the window of (n, p) = (7, 2) runs that (n, p).
 @pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
 @pytest.mark.parametrize("family", [HALF, PochhammerFamily(), FIB], ids=lambda f: f.label())
 @pytest.mark.parametrize("label", [-3 - 7, 4], ids=["left-edge", "right-edge"])
@@ -584,10 +582,10 @@ def test_subfam_window_edges_agree_with_oracle(monkeypatch, entry, family, label
         assert (7, 2) in failed
 
 
-# REC_M decides every m at one n from the differences of order n of the row X(n, .),
-# over the labels m_lo-n+1..m_hi+1: Delta^n X(n, m-n+1) must equal n!.  A corrupted
-# member at either end of that window of n = 7 fails the one m that reads it, with the
-# exact sides of the sum, alone and where the SUBFAM_* entries share the row's table.
+# A REC_M check at n is one dot product over the labels m-n+1..m of the row X(n, .),
+# which runs where the row's table over m_lo-n+1..m_hi+1 is not n! throughout.  A
+# corrupted member at either end of that span at n = 7 fails the one m that reads it,
+# with the exact sides of the sum, alone and where the SUBFAM_* entries share the span.
 @pytest.mark.parametrize("family", [HALF, PochhammerFamily(), FIB], ids=lambda f: f.label())
 @pytest.mark.parametrize("label, m", [(-3 - 7 + 1, -3), (4 + 1, 4)],
                          ids=["left-edge", "right-edge"])
@@ -610,43 +608,28 @@ def test_subfam_restricted_p_and_q_agree_with_oracle(monkeypatch, entry, p, q):
     assert report.failures
 
 
-# Each row r is differenced once per family and serves every n > r; its window at
-# (n, p = n - r) is m_lo-n..m_hi at that n.  A corrupted member of row 3 sends to the
-# per-check fallback, _subfam_points, exactly the (n, n - 3) whose window holds its
-# label, each once.
-@contextlib.contextmanager
-def recorded_fallbacks(monkeypatch):
-    """The (n, p) of every call to the SUBFAM_* per-check fallback within the block."""
-    from seqfam import identities
-
-    calls, points = [], identities._subfam_points
-    with monkeypatch.context() as patch:
-        patch.setattr(identities, "_subfam_points", lambda ps, n, ms, p, *args: (
-            calls.append((n, p)) or points(ps, n, ms, p, *args)))
-        yield calls
-
-
+# Each row r serves every n > r; its window at (n, p = n - r) is m_lo-n..m_hi at that
+# n.  A corrupted member of row 3 fails exactly the (n, n - 3) whose window holds its
+# label at a nonzero weight: every such (n, n - 3) at q = 0, whose weights are C(n, l),
+# and for SUBFAM_FACT, weighted by l^p, none whose window holds it at l = 0 alone.
 @pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
 @pytest.mark.parametrize("family", [PowerFamily(Fraction(-3, 2)), FIB], ids=lambda f: f.label())
-@pytest.mark.parametrize("m, label, fallback", [
-    ((-3, 4), -3 - 8, {8}),  # m_lo - n at the largest n only
-    ((-3, 4), -3 - 8 + 1, {7, 8}),
-    ((-3, 4), 4, {4, 5, 6, 7, 8}),
-    (("n", 12), 12, {4, 5, 6, 7, 8}),  # every window is 0..12
-    ((-3, "n"), -3 - 8, {8}),  # windows -3-n..n
-    ((-3, "n"), 8, {8}),
-    ((-3, "n"), 7, {7, 8}),
+@pytest.mark.parametrize("m, label, held, at_l_0", [
+    ((-3, 4), -3 - 8, {8}, {8}),  # m_lo - n at the largest n only
+    ((-3, 4), -3 - 8 + 1, {7, 8}, {7}),
+    ((-3, 4), 4, {4, 5, 6, 7, 8}, set()),
+    (("n", 12), 12, {4, 5, 6, 7, 8}, set()),  # every window is 0..12
+    ((-3, "n"), -3 - 8, {8}, {8}),  # windows -3-n..n
+    ((-3, "n"), 8, {8}, set()),
+    ((-3, "n"), 7, {7, 8}, set()),
 ], ids=["m_lo-n", "m_lo-n+1", "m_hi", "n..12", "-3..n-left", "-3..n-right", "-3..n-right-1"])
-def test_subfam_falls_back_exactly_where_the_window_holds_the_member(
-        monkeypatch, entry, family, m, label, fallback):
-    from seqfam import identities
-
+def test_subfam_fails_exactly_where_a_window_holds_the_member(
+        monkeypatch, entry, family, m, label, held, at_l_0):
     corrupt_member(monkeypatch, type(family), 3, label)
-    ranges = SweepRanges(n=(1, 8), m=m)
-    with recorded_fallbacks(monkeypatch) as fallbacks:
-        sweep([entry], [family], ranges)
-    assert Counter(fallbacks) == {(n, n - 3): 1 for n in fallback}
-    assert_sweep_matches_oracle(entry, family, ranges)
+    report = assert_sweep_matches_oracle(entry, family, SweepRanges(n=(1, 8), m=m))
+    fails = held - at_l_0 if entry is Identity.SUBFAM_FACT else held
+    assert {(c.params["n"], c.params["p"]) for c in report.failures} == {
+        (n, n - 3) for n in fails}
 
 
 @pytest.mark.parametrize("entry, label", [
@@ -657,27 +640,24 @@ def test_subfam_falls_back_exactly_where_the_window_holds_the_member(
 def test_kernel_points_do_not_depend_on_the_order_n_is_visited(monkeypatch, entry, label):
     from seqfam import identities
 
-    # a pass runs n up in row order and differences each row once over the windows of every
-    # n; a pass of each n on its own, from the last n down, over that n's windows alone
+    # a pass runs n up in row order over the windows of every n; a pass of each n on its
+    # own, from the last n down, over that n's windows alone
     corrupt_member(monkeypatch, PowerFamily, 3, label)
     family, ranges = PowerFamily(Fraction(-3, 2)), SweepRanges(n=(1, 8), m=(-3, 4))
-    points, fallbacks = [], []
+    points = []
     alone = [_plan([entry], ranges._replace(n=(n, n))) for n in range(8, 0, -1)]
     for plans in ([_plan([entry], ranges)], [plan for plan in alone if plan]):
-        with recorded_fallbacks(monkeypatch) as calls:
-            points.append(sorted(point for plan in plans
-                                 for point in identities._Pass(plan, family).run(plan.points,
-                                                                                 False)[1]))
-        fallbacks.append(sorted(calls))
-    assert points[0] == points[1] and fallbacks[0] == fallbacks[1]
+        points.append(sorted(point for plan in plans
+                             for point in identities._Pass(plan, family).run(plan.points,
+                                                                             False)[1]))
+    assert points[0] == points[1]
     # the corrupted row yields failing points, but for SUBFAM_FACT's left edge, which its sum
-    # weighs by 0^p = 0; the SUBFAM_* entries fall back to a sum per check where it is read
+    # weighs by 0^p = 0
     assert any(points[0]) == (entry is not Identity.SUBFAM_FACT or label > 0)
-    assert bool(fallbacks[0]) == (entry is not Identity.REC_M)
 
 
 # SUBFAM_* at (n, p) is one point, run on row n - p while the pass holds it; where that
-# row's table is not r!*d throughout, its per-check fallback reads the same row.
+# row's table is not r!*d throughout, its checks read the same row.
 @pytest.mark.parametrize("entry", SUBFAM, ids=lambda e: e.value)
 @pytest.mark.parametrize("family", [HALF, FIB], ids=lambda f: f.label())
 def test_subfam_runs_on_the_row_n_minus_p_where_its_table_fails(monkeypatch, entry, family):
@@ -693,7 +673,7 @@ def test_subfam_runs_on_the_row_n_minus_p_where_its_table_fails(monkeypatch, ent
 
 @pytest.mark.parametrize("family", [HALF, FIB], ids=lambda f: f.label())
 def test_a_kernel_reads_only_the_row_being_run(monkeypatch, family):
-    # row 2's table fails, so SUBFAM_* at (n, n - 2) reads row 2 for each n, by check
+    # row 2's table fails, so SUBFAM_* at (n, n - 2) reads row 2 for each n
     corrupt_member(monkeypatch, type(family), 2, 0)
     taken, stale = [], []
 
@@ -729,8 +709,8 @@ def test_differences_each_row_once_per_cell(monkeypatch, entries, m):
     record_reads(monkeypatch, LucasFamily, lambda r: reads.setdefault(r, Reads()))
     report = sweep(entries, [LucasFamily(2)], SweepRanges(n=(1, 10), m=m))
     assert report.total_checks > 0 and report.failures == []
-    # every row's table holds, so every (n, p) and every REC_M n passes without reading a
-    # window, and each member is read once: when its row is differenced, once for every entry
+    # every row's table holds, so every (n, p) and every REC_M n passes without running its
+    # kernel, and each member is read once: when its row is differenced, once for every entry
     rows = range(1, 11) if Identity.REC_M in entries else range(1, 10)
     assert set(reads) == set(rows)
     assert {count for row in reads.values() for count in row.values()} == {1}
@@ -759,16 +739,37 @@ def test_subfam_on_rows_that_are_not_monic(family):
 @pytest.mark.parametrize("family", [*SMALL_FAMILIES, PowerFamily(Fraction(-3, 2)), Doubled(2)],
                          ids=lambda f: f.label() if type(f) is not Doubled else "doubled")
 def test_a_family_row_table_is_r_factorial_throughout(monkeypatch, family):
-    # row r of a family is monic of degree r, so each table holds and REC_M and SUBFAM_*
-    # pass every check that reads it without reading its windows; a doubled row's does not
+    # row r of a family is monic of degree r, so each table holds and the pass skips the
+    # REC_M and SUBFAM_* points that read the row; a doubled row's does not
     from seqfam import identities
 
-    holds, table = [], identities._Pass._table
-    monkeypatch.setattr(identities._Pass, "_table",
-                        lambda ps, *args: holds.append(table(ps, *args)) or holds[-1])
+    holds, real = [], identities._Pass._holds
+    monkeypatch.setattr(identities._Pass, "_holds",
+                        lambda ps, *args: holds.append(real(ps, *args)) or holds[-1])
     plan = _plan([Identity.REC_M, *SUBFAM], SweepRanges(n=(1, 12), m=(-6, 6)))
     identities._Pass(plan, family).run(plan.points, False)
     assert len(holds) == 12 and set(holds) == {type(family) is not Doubled}
+
+
+def test_distrusted_tables_change_no_report(monkeypatch):
+    # with no table trusted, every REC_M and SUBFAM_* point runs its kernel, also on the
+    # rows whose table holds: the sound families still pass every check, and a corrupted
+    # family fails the same checks as when the tables that hold skip their points
+    from seqfam import identities
+    from seqfam.cli import STANDARD_FAMILIES
+
+    ranges = SweepRanges(n=(1, 8), m=(-4, 5))
+    corrupted = [PowerFamily(Fraction(-3, 2)), FIB]
+    with monkeypatch.context() as patch:
+        corrupt_member(patch, PowerFamily, 3, 2)
+        corrupt_member(patch, LucasFamily, 3, 2)
+        trusted = sweep(ALL_IDENTITIES, corrupted, ranges).failures
+        patch.setattr(identities._Pass, "_holds", lambda *args: False)
+        distrusted = sweep(ALL_IDENTITIES, corrupted, ranges).failures
+    assert trusted and distrusted == trusted
+    monkeypatch.setattr(identities._Pass, "_holds", lambda *args: False)
+    report = sweep(ALL_IDENTITIES, STANDARD_FAMILIES, ranges)
+    assert report.total_checks == 14716 and report.failures == []
 
 
 class OffByOne(PowerFamily):
