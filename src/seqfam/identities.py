@@ -250,7 +250,6 @@ def _failure_key(check: IdentityCheck) -> Tuple:
 # plan for every family (``_Pass.grid``).
 
 PQs = List[Tuple[Optional[int], Sequence[Optional[int]]]]  # (p, the q at p) at one n
-Checks = List[Tuple[List[int], List[int], Callable[[int], Tuple]]]  # (got, want, point) lists
 _ONE = (None,)  # the values of a parameter that a point does not carry
 
 
@@ -336,7 +335,7 @@ class _Pass:
         return ks, terms, self.memo[key]
 
 
-def _kernel_root_sum(ps, n, ms, p, qs, scale) -> Checks:
+def _kernel_root_sum(ps, n, ms, p, qs, scale):
     # L1 of the family relabeled x -> a + b*x, (a, b) = (0, m) if scale else (m, 1): its
     # members are X(n, a + b*l)/b^n and its root sum is (S_n + n*a)/b.  With S_n = s/e and
     # k, term and the sum of ``sums``, both sides times k*d*e are ints, and a check passes
@@ -350,7 +349,7 @@ def _kernel_root_sum(ps, n, ms, p, qs, scale) -> Checks:
         ms[i], None, None, s * ks[i], got[i] - want[i] + s * ks[i], ks[i] * d * e))]
 
 
-def _kernel_rec_m(ps, n, ms, p, qs) -> Checks:
+def _kernel_rec_m(ps, n, ms, p, qs):
     # d*X(n, m+1) against sum_{l=1..n} (-1)^(n+l) C(n,l-1) d*X(n, l+m-n) + n!*d
     d, row = ps.row
     w = ps.grid(("rec", n), lambda: [(-1) ** (n + l) * math.comb(n, l - 1)
@@ -361,7 +360,7 @@ def _kernel_rec_m(ps, n, ms, p, qs) -> Checks:
     return [(got, want, lambda i: (ms[i], None, None, got[i], want[i], d))]
 
 
-def _kernel_scale_id(ps, n, ms, p, qs) -> Checks:
+def _kernel_scale_id(ps, n, ms, p, qs):
     # With the sums of L2_SCALE at m and of L1 (plain), times k*d = n!*m^(n-1)*d a check
     # passes iff n!*sum == k*(plain + c*(n(n+1)/2 - term)), c = (-1)^(n-1) n!*d.
     d = ps.row[0]
@@ -373,7 +372,7 @@ def _kernel_scale_id(ps, n, ms, p, qs) -> Checks:
     return [(got, want, lambda i: (ms[i], None, None, got[i], want[i], ks[i] * d))]
 
 
-def _kernel_expl(ps, n, ms, p, qs, sign) -> Checks:
+def _kernel_expl(ps, n, ms, p, qs, sign):
     d, row = ps.row
     at = ps.plan.at
     ffs, weights = ps.grid(("expl", n), lambda: ([math.perm(m, n) for m in ms], [
@@ -386,7 +385,7 @@ def _kernel_expl(ps, n, ms, p, qs, sign) -> Checks:
     return [(got, want, lambda i: (ms[i], None, None, got[i], want[i], ffs[i] * d))]
 
 
-def _kernel_subfam(ps, n, ms, p, qs, fact) -> Checks:
+def _kernel_subfam(ps, n, ms, p, qs, fact):
     # sum_{l=0..n} (-1)^l C(n,l) l^q d*X(n-p, m-n+l) against 0, and for SUBFAM_FACT at
     # q = p against (-1)^n n!*d
     d = ps.row[0]
@@ -400,7 +399,7 @@ def _kernel_subfam(ps, n, ms, p, qs, fact) -> Checks:
     return [*map(check, qs)]
 
 
-def _kernel_fib_posneg(ps, n, ms, p, qs, compl) -> Checks:
+def _kernel_fib_posneg(ps, n, ms, p, qs, compl):
     d = ps.row[0]
     (pos,), (neg,) = ps.sums(n, [0], False)[2], ps.sums(n, [-1], True)[2]  # X(n, l), X(n, -l)
     lhs = neg + ((-1) ** n if compl else -1) * pos
@@ -408,7 +407,7 @@ def _kernel_fib_posneg(ps, n, ms, p, qs, compl) -> Checks:
     return [([lhs], [rhs], lambda i: (None, None, None, lhs, rhs, d))]
 
 
-def _kernel_fib_poly(ps, n, ms, p, qs) -> Checks:
+def _kernel_fib_poly(ps, n, ms, p, qs):
     d, row = ps.row
     got = [fibonacci_polynomial(n, m) * d for m in ms]
     start = ps.plan.at[ms[0]]
