@@ -7,7 +7,8 @@ sequences of each family, exactly, over parameter sweeps.  Floating-point
 cosine products and OEIS leading-term lookups provide independent
 cross-checks.
 
-Importing the package runs none of its modules.  Every submodule but ``cli``
+Importing the package runs none of its modules.  Every library module (all
+but ``cli`` and the ``commands`` package, which ``cli`` imports on dispatch)
 is registered here, in sys.modules and as an attribute of the package, and
 runs when one of its attributes is first read (importlib.util.LazyLoader);
 each export is read from its module on first access (PEP 562).  So a process

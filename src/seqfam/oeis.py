@@ -66,7 +66,7 @@ class OeisMatch(NamedTuple):
 
 def _contains_run(haystack: Sequence[int], needle: Sequence[int]) -> bool:
     k = len(needle)
-    if k == 0 or k > len(haystack):
+    if k > len(haystack):
         return False
     first = needle[0]
     for i in range(len(haystack) - k + 1):

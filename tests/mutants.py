@@ -99,7 +99,7 @@ MUTANTS = [
            "pipe.write(marshal.dumps([(0, []) for task in share]))",
            (IDS + "test_sweep_workers_do_not_change_content",
             IDS + "test_workers_match_serial_on_a_corrupted_family")),
-    Mutant("decimal labels from one bit past DECIMAL_FROM_BITS", "cli.py",
+    Mutant("decimal labels from one bit past DECIMAL_FROM_BITS", "commands/table.py",
            ">= DECIMAL_FROM_BITS", "> DECIMAL_FROM_BITS",
            (CLI + "test_long_members_start_at_decimal_from_bits",)),
     Mutant("power step: row 2 one too large", "families.py",

@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqfam
+from seqfam import cli
 from seqfam.cli import (DECIMAL_FROM_BITS, MAX_INDEX, MAX_POINTS, STANDARD_FAMILIES, UsageError,
-                        long_members, m_bound, main, parse_families, parse_range,
+                        build_parser, long_members, m_bound, main, parse_families, parse_range,
                         render_table_csv, render_table_text, window_json_dict)
 from seqfam.exact import format_exact, unlimited_digits
 from seqfam.families import LucasFamily, PochhammerFamily, PowerFamily, table
@@ -34,6 +36,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# -- dispatch --
+
+@pytest.mark.parametrize("command, body", [
+    ("table", "cmd_table"), ("verify", "cmd_verify"), ("float-check", "cmd_float_check"),
+    ("oeis", "cmd_oeis"),
+])
+def test_main_runs_the_command_that_the_cli_module_names(monkeypatch, command, body):
+    # a command replaced in seqfam.cli's namespace is the one that runs
+    seen = []
+    monkeypatch.setitem(vars(cli), body, lambda args: seen.append(args.command) or 5)
+    assert main([command, "--family", "fib", "--n", "1..2", "--m", "0..1"]) == 5
+    assert seen == [command]
+
+
+def test_every_name_of_a_command_body_reads_from_the_cli_module():
+    for name, module in cli._BODIES.items():
+        assert getattr(cli, name) is getattr(import_module("seqfam.commands" + module), name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
 
 
 # -- parsing helpers --
@@ -176,7 +199,7 @@ def assert_streams_reference(capsys, selector, n, m):
 def evaluation(request, monkeypatch):
     """Make ``table`` evaluate at int or at decimal labels, whatever its members' length."""
     bits = 0 if request.param == "decimal" else math.inf
-    monkeypatch.setattr("seqfam.cli.DECIMAL_FROM_BITS", bits)
+    monkeypatch.setattr("seqfam.commands.table.DECIMAL_FROM_BITS", bits)
     return request.param
 
 
@@ -226,7 +249,7 @@ def test_table_stream_escapes_a_roots_file_label(tmp_path, capsys, monkeypatch):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"label": label, "roots": {"1": ["1/2"], "2": ["3", "-1/3"]}}))
     for bits in (math.inf, 0):  # with ints, then in decimal
-        monkeypatch.setattr("seqfam.cli.DECIMAL_FROM_BITS", bits)
+        monkeypatch.setattr("seqfam.commands.table.DECIMAL_FROM_BITS", bits)
         assert_streams_reference(capsys, f"roots:{path}", "1..2", "-3..3")
     _, out, _ = run(capsys, "table", "--family", f"roots:{path}", "--n", "1..2", "--m", "0..0",
                     "--format", "json")
@@ -239,7 +262,7 @@ def test_table_rational_cells_in_lowest_terms(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps({"roots": {"1": ["1/2"], "2": ["3", "1/2"]}}))
     outs = []
     for bits in (math.inf, 0):  # with ints, then in decimal
-        monkeypatch.setattr("seqfam.cli.DECIMAL_FROM_BITS", bits)
+        monkeypatch.setattr("seqfam.commands.table.DECIMAL_FROM_BITS", bits)
         assert_streams_reference(capsys, f"roots:{path}", "0..2", "-4..2")
         outs.append(run(capsys, "table", "--family", f"roots:{path}", "--n", "0..2",
                         "--m", "-4..2", "--format", "csv")[1])
@@ -254,7 +277,7 @@ def test_table_rational_cells_in_lowest_terms(tmp_path, capsys, monkeypatch):
 def test_table_pieces_concatenate_to_the_report(capsys, monkeypatch, evaluation, cells,
                                                 selector, n, m):
     # a row is written PIECE_CELLS cells at a time: cut at every cell, every second and third
-    monkeypatch.setattr("seqfam.cli.PIECE_CELLS", cells)
+    monkeypatch.setattr("seqfam.commands.table.PIECE_CELLS", cells)
     assert_streams_reference(capsys, selector, n, m)
 
 
@@ -543,6 +566,10 @@ def test_verify_workers_below_one_is_usage_error(capsys, workers):
     assert code == 2 and out == "" and "--workers must be at least 1" in err
 
 
+def test_verify_runs_serially_by_default():
+    assert build_parser().parse_args(["verify"]).workers == 1
+
+
 # -- float-check --
 
 def test_float_check_overflow_is_a_failure_row(capsys):
@@ -735,7 +762,8 @@ def evaluated(*args, **kwargs):
 
 
 #: The evaluator each guarded command reaches past the guard.
-EVALUATORS = {"table": "seqfam.cli.table_lines", "verify": "seqfam.identities.sweep",
+EVALUATORS = {"table": "seqfam.commands.table.table_lines",
+              "verify": "seqfam.identities.sweep",
               "float-check": "seqfam.floatcheck.iter_compare_grid"}
 B = MAX_INDEX
 

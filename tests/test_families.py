@@ -276,7 +276,8 @@ def test_decimal_table_rows_refuse_the_rounding_default_context(monkeypatch):
     for family in families:
         with pytest.raises(RuntimeError, match="exact_decimal"):
             next(family.rows([Decimal(3)], 0, 40))
-    monkeypatch.setattr("seqfam.cli.DECIMAL_FROM_BITS", 0)  # decimal labels at any length
+    # decimal labels at any length
+    monkeypatch.setattr("seqfam.commands.table.DECIMAL_FROM_BITS", 0)
     for family in families:
         with pytest.raises(RuntimeError, match="exact_decimal"):
             list(table_lines(family, (0, 40), (3, 3), "csv"))

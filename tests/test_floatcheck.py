@@ -102,8 +102,11 @@ def test_result_serialization():
 
 @pytest.mark.parametrize("ratios", [[], [0.5], [math.nan, 2.0], [1.0, math.nan, 3.0], [2.0, 1.0]])
 def test_summarize_maxima_are_those_of_max_with_default_zero(ratios):
-    points = [FloatCompareResult("f", n, 0, 1, 1.0, 0.0, rel, 0.0) for n, rel in enumerate(ratios)]
-    count, worst_rel, _, failures = summarize(points, 1.5)
+    # exact 1, so a point's imaginary ratio is its residual, here half its relative error
+    points = [FloatCompareResult("f", n, 0, 1, 1.0, 0.0, rel, rel / 2)
+              for n, rel in enumerate(ratios)]
+    count, worst_rel, worst_imag, failures = summarize(points, 1.5)
     expected = max(ratios, default=0.0)
     assert count == len(ratios) and failures == [p for p in points if not p.relative_error < 1.5]
     assert worst_rel == expected or math.isnan(worst_rel) and math.isnan(expected)
+    assert worst_imag == expected / 2 or math.isnan(worst_imag) and math.isnan(expected)

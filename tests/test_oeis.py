@@ -65,6 +65,11 @@ def test_degenerate_query_is_ambiguous_not_an_error():
     assert isinstance(match.ids, tuple)
 
 
+def test_two_distinct_terms_are_not_ambiguous():
+    match = offline_client().search_by_terms([0, 1] * 5)
+    assert not match.ambiguous
+
+
 def test_minimum_term_count_enforced():
     with pytest.raises(ValueError):
         offline_client().search_by_terms([1, 2, 3, 4, 5, 6, 7])
@@ -283,3 +288,23 @@ def test_a_second_request_waits_out_the_interval(monkeypatch):
     assert client._fetch("first") == "ok" and sleeps == []
     clock[0] += 0.25
     assert client._fetch("second") == "ok" and sleeps == [0.75]
+
+
+@pytest.mark.parametrize("interval, backoff", [(1.0, [1.0, 2.0, 4.0]), (0.5, [0.5, 1.0, 2.0])])
+def test_a_failing_request_backs_off_doubling_and_not_after_its_last_attempt(monkeypatch, interval,
+                                                                             backoff):
+    clock, sleeps = [100.0], []
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        clock[0] += seconds
+
+    monkeypatch.setattr("seqfam.oeis.time.monotonic", lambda: clock[0])
+    monkeypatch.setattr("seqfam.oeis.time.sleep", sleep)
+    monkeypatch.setattr("seqfam.oeis.MAX_ATTEMPTS", 4)
+    transport = _canned_transport({})  # every request fails
+    client = OeisClient(transport=transport, min_interval=interval)
+    with pytest.raises(TransportError, match="after 4 attempts"):
+        client._fetch("search")
+    # each backoff already spaces the next request: no throttle sleep, not even of 0
+    assert sleeps == backoff and len(transport.calls) == 4

@@ -25,6 +25,9 @@ CLI = "import seqfam.cli as cli; cli.main({argv!r})"
 HEAVY = {"dataclasses", "pickle", "hashlib"}
 SUBCOMMAND_MODULES = {"seqfam.identities", "seqfam.floatcheck", "seqfam.oeis"}
 SUBMODULES = SUBCOMMAND_MODULES | {"seqfam.exact", "seqfam.families"}
+#: The subcommands' bodies, imported by seqfam.cli on dispatch, with their package.
+BODIES = {f"seqfam.commands.{name}" for name in ("table", "verify", "float_check", "oeis")}
+WRITERS = {"json", "csv"}
 
 
 def python(*args):
@@ -38,19 +41,35 @@ def loaded(code, *flags):
     return set(done.stderr.split())
 
 
+def others(body):
+    return BODIES - {f"seqfam.commands.{body}"}
+
+
+TABLE = ["table", "--family", "fib", "--n", "0..5", "--m", "-2..2", "--format"]
+
+
 @pytest.mark.parametrize("code, absent, present", [
     ("import seqfam", HEAVY | SUBMODULES, set()),
-    ("import seqfam.cli as cli; cli.build_parser()", HEAVY | SUBCOMMAND_MODULES,
-     {"seqfam.cli", "seqfam.families"}),
-    (CLI.format(argv=["table", "--family", "fib", "--n", "0..5", "--m", "-2..2"]),
-     HEAVY | SUBCOMMAND_MODULES, {"seqfam.families"}),
-    (CLI.format(argv=["verify", "--n", "1..4", "--m", "-2..2"]), {"seqfam.oeis", "hashlib"},
-     {"seqfam.identities"}),
+    ("import seqfam.cli as cli; cli.build_parser()",
+     HEAVY | SUBMODULES | BODIES | {"seqfam.commands", "decimal", "fractions"} | WRITERS,
+     {"seqfam.cli"}),
+    (CLI.format(argv=[*TABLE, "text"]), HEAVY | SUBCOMMAND_MODULES | others("table") | WRITERS,
+     {"seqfam.families", "seqfam.commands.table"}),
+    (CLI.format(argv=[*TABLE, "csv"]), HEAVY | SUBCOMMAND_MODULES | others("table") | WRITERS,
+     {"seqfam.families", "seqfam.commands.table"}),
+    (CLI.format(argv=[*TABLE, "json"]), HEAVY | SUBCOMMAND_MODULES | others("table") | {"csv"},
+     {"seqfam.commands.table", "json"}),
+    (CLI.format(argv=["verify", "--n", "1..4", "--m", "-2..2"]),
+     {"seqfam.oeis", "hashlib"} | others("verify") | WRITERS,
+     {"seqfam.identities", "seqfam.commands.verify"}),
     (CLI.format(argv=["float-check", "--family", "fib", "--n", "1..4"]),
-     HEAVY | {"seqfam.identities", "seqfam.oeis"}, {"seqfam.floatcheck"}),
+     HEAVY | {"seqfam.identities", "seqfam.oeis"} | others("float_check") | WRITERS,
+     {"seqfam.floatcheck", "seqfam.commands.float_check"}),
     (CLI.format(argv=["oeis", "--family", "fib", "--column", "1", "--offline"]),
-     {"hashlib", "seqfam.identities"}, {"seqfam.oeis"}),
-], ids=["package", "parser", "table", "verify", "float-check", "oeis-offline"])
+     {"hashlib", "seqfam.identities"} | others("oeis") | {"csv"},
+     {"seqfam.oeis", "seqfam.commands.oeis"}),
+], ids=["package", "parser", "table", "table-csv", "table-json", "verify", "float-check",
+        "oeis-offline"])
 def test_a_process_loads_only_what_its_subcommand_runs(code, absent, present):
     modules = loaded(code)
     assert not modules & absent
